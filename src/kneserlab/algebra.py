@@ -385,49 +385,3 @@ def enumerate_singular_subspaces(form, k, via_filter=False):
                 nxt.add(Subspace.span(list(sub.basis) + [pt.basis[0]], d, p))
         level = sorted(nxt)
     return level
-
-
-def inverse_table(p):
-    tab = np.zeros(p, dtype=np.int64)
-    for a in range(1, p):
-        tab[a] = inverse_mod(a, p)
-    return tab
-
-
-def batched_rank(mats, p):
-    """Ranks of a batch of small matrices mod p.
-
-    `mats` has shape (N, r, c); returns an int array of length N. Used in
-    the adjacency inner loops, where pure-Python elimination would be the
-    bottleneck.
-    """
-    a = np.mod(np.asarray(mats, dtype=np.int64), p).copy()
-    n, r, c = a.shape
-    inv = inverse_table(p)
-    row = np.zeros(n, dtype=np.int64)
-    rows_idx = np.arange(r)
-    for col in range(c):
-        colvals = a[:, :, col]
-        mask = (rows_idx[None, :] >= row[:, None]) & (colvals != 0)
-        has = mask.any(axis=1)
-        idx = np.flatnonzero(has)
-        if idx.size == 0:
-            continue
-        piv = mask[idx].argmax(axis=1)
-        sub = a[idx]
-        k = np.arange(idx.size)
-        ri = row[idx]
-        tmp = sub[k, ri].copy()
-        sub[k, ri] = sub[k, piv]
-        sub[k, piv] = tmp
-        prow = sub[k, ri]
-        prow = (prow * inv[prow[:, col]][:, None]) % p
-        sub[k, ri] = prow
-        factors = sub[:, :, col].copy()
-        factors[k, ri] = 0
-        sub = (sub - factors[:, :, None] * prow[:, None, :]) % p
-        a[idx] = sub
-        row[idx] += 1
-        if (row == min(r, c)).all():
-            break
-    return row

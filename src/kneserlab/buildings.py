@@ -13,29 +13,41 @@ Standard forms, fixed once per family:
   C_n: f(x,y) = x_1 y_2 - x_2 y_1 + ...  on F_p^{2n}.
 In all three cases hyperbolic-pair label i sits at column 2i-2 and its
 partner i' at column 2i-1 (0-based).
+
+Every adjacency rule is a conjunction of "U ∩ W = 0" tests, decided by
+one opposition kernel on projective-point ids: x ~ y iff no point of a
+"left" set of y lies in the matching "right" set of x. Projective type
+i: both sets are the points of the subspace when 2i <= n+1, else the
+points of its annihilator. Flags of type J: for each (a, b) in J×J, the
+points of F_a and G_b when a+b <= n+1, else of their annihilators.
+Polar types: the left set of y is its own points, and the right set of
+x is the points P with x ⊂ P^⊥, so that x ~ y iff perp(x) ∩ y = 0.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .algebra import (
     Subspace,
-    batched_rank,
     check_prime,
     enumerate_singular_subspaces,
     enumerate_subspaces,
     Form,
+    gaussian_binomial,
     intersect,
     nullspace,
 )
 from .errors import UsageError
 
 FAMILIES = ("A", "B", "C", "D", "G")
+
+# Largest graph build_graph makes: 2^15 vertices take 128 MiB of adjacency.
+MAX_VERTICES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -139,11 +151,6 @@ def polar_model(family, n, p):
     return PolarModel(family, n, p)
 
 
-def _pack_bool(arr):
-    data = np.packbits(np.asarray(arr, dtype=bool), bitorder="little")
-    return int.from_bytes(data.tobytes(), "little")
-
-
 class KneserGraph:
     """Vertex list + bit-vector adjacency + marked apartment subset."""
 
@@ -194,12 +201,8 @@ class KneserGraph:
         return True
 
 
-def _vertex_key(flag):
-    return tuple(s.key for s in flag)
-
-
 def _sorted_vertices(flags):
-    return sorted(flags, key=_vertex_key)
+    return sorted(flags, key=lambda flag: tuple(s.key for s in flag))
 
 
 def _sigma_indices(vertices, frame_flags):
@@ -212,64 +215,87 @@ def _sigma_indices(vertices, frame_flags):
     return sorted(out)
 
 
-def _bases_array(subspaces, k, d):
-    arr = np.zeros((len(subspaces), k, d), dtype=np.int64)
-    for i, s in enumerate(subspaces):
-        arr[i] = s.matrix()
-    return arr
+# Numpy elements in one column block of the kernel's pairing (512 KiB of int64).
+_BLOCK_ELEMS = 1 << 16
 
 
-def adjacency_disjoint(subspaces, d, p):
-    """x ~ y iff x ∩ y = 0, via full rank of the stacked bases."""
-    k = subspaces[0].dim
-    bases = _bases_array(subspaces, k, d)
-    nverts = len(subspaces)
+def _point_ids(subspaces):
+    """Projective points of each subspace, as an (N, (p^k-1)/(p-1)) array.
+
+    A point's id is its normalised vector (first nonzero entry 1) read as
+    a base-p integer. The subspaces share one dimension k. Multiplying an
+    RREF basis by the normalised coefficient vectors of F_p^k gives
+    normalised vectors directly: the first nonzero entry of c·B sits in
+    the pivot column of the leading row of c, where it equals 1.
+    """
+    first = subspaces[0]
+    k, d, p = first.dim, first.ambient, first.p
+    coeffs = _matrices(enumerate_subspaces(k, 1, p))[:, 0]
+    points = np.einsum("ck,nkd->ncd", coeffs, _matrices(subspaces)) % p
+    return points @ p ** np.arange(d - 1, -1, -1)
+
+
+def _matrices(subspaces):
+    return np.array([s.basis for s in subspaces], dtype=np.int64)
+
+
+def _opposition_rows(conditions, p):
+    """Adjacency rows from "no shared point" conditions.
+
+    Each condition is (left, right), one entry per vertex: y's left set is
+    the points of the subspace left[y], x's right set the points P with
+    right[x] P^T = 0. With masks[P] the x whose right set holds P,
+    row[y] = full & ~(bit(y) | OR of masks[P] over y's left set, in every
+    condition). The pairing runs in column blocks of _BLOCK_ELEMS entries.
+    """
+    n = len(conditions[0][0])
+    sides = []
+    for left, right in conditions:
+        ids = _point_ids(left)
+        cols = np.unique(ids)
+        vecs = cols[:, None] // p ** np.arange(right.shape[2] - 1, -1, -1) % p
+        step = max(1, _BLOCK_ELEMS // (n * right.shape[1]))
+        masks = {}
+        for lo in range(0, len(cols), step):
+            inside = ~(right @ vecs[lo:lo + step].T % p).any(axis=1)
+            packed = np.packbits(inside, axis=0, bitorder="little")
+            for pid, col in zip(cols[lo:lo + step].tolist(), packed.T):
+                masks[pid] = int.from_bytes(col.tobytes(), "little")
+        sides.append((ids, masks))
+    full = (1 << n) - 1
     rows = []
-    target = 2 * k
-    for x in range(nverts):
-        stacked = np.concatenate(
-            [np.broadcast_to(bases[x], (nverts, k, d)), bases], axis=1
-        )
-        adj = batched_rank(stacked, p) == target
-        adj[x] = False
-        rows.append(_pack_bool(adj))
+    for y in range(n):
+        blocked = 1 << y
+        for ids, masks in sides:
+            for pid in ids[y].tolist():
+                blocked |= masks[pid]
+        rows.append(full & ~blocked)
     return rows
 
 
-def adjacency_polar(subspaces, gram, p):
-    """x ~ y iff perp(x) ∩ y = 0, via rank of B_x G B_y^T."""
-    k = subspaces[0].dim
-    d = len(gram)
-    bases = _bases_array(subspaces, k, d)
-    g = np.array(gram, dtype=np.int64)
-    paired = (bases.reshape(-1, d) @ g % p).reshape(len(subspaces), k, d)
-    rows = []
-    for x in range(len(subspaces)):
-        mats = np.einsum("ad,vbd->vab", paired[x], bases) % p
-        adj = batched_rank(mats, p) == k
-        adj[x] = False
-        rows.append(_pack_bool(adj))
-    return rows
+def _flag_rows(flags, types, p):
+    """General position of type-J flags in F_p^d, single types included:
+    F_a ∩ G_b = 0 when a + b <= d, else ann F_a ∩ ann G_b = 0, for all
+    a, b in J. P lies in U iff ann(U) P^T = 0, and in ann(U) iff U P^T = 0.
+    """
+    d = flags[0][0].ambient
+    ann = {u: nullspace(u.matrix(), p) for u in set(itertools.chain(*flags))}
+    parts = [[f[a] for f in flags] for a in range(len(types))]
+    anns = [[ann[u] for u in part] for part in parts]
+    conditions = []
+    for a, a_dim in enumerate(types):
+        for b, b_dim in enumerate(types):
+            if a_dim + b_dim <= d:
+                conditions.append((parts[b], _matrices(anns[a])))
+            else:
+                conditions.append((anns[b], _matrices(parts[a])))
+    return _opposition_rows(conditions, p)
 
 
-def adjacency_general_position(flags, dims, d, p):
-    """Flag adjacency: dim(F_a ∩ G_b) = max(0, a+b-d) for all a, b in J."""
-    nverts = len(flags)
-    parts = {}
-    for pos, a in enumerate(dims):
-        parts[a] = _bases_array([f[pos] for f in flags], a, d)
-    rows = []
-    for x in range(nverts):
-        ok = np.ones(nverts, dtype=bool)
-        for a in dims:
-            for b in dims:
-                stacked = np.concatenate(
-                    [np.broadcast_to(parts[a][x], (nverts, a, d)), parts[b]], axis=1
-                )
-                ok &= batched_rank(stacked, p) == min(a + b, d)
-        ok[x] = False
-        rows.append(_pack_bool(ok))
-    return rows
+def _polar_rows(subspaces, gram, p):
+    """x ~ y iff perp(x) ∩ y = 0: P lies in perp(x) iff (B_x G) P^T = 0."""
+    paired = _matrices(subspaces) @ np.array(gram, dtype=np.int64)
+    return _opposition_rows([(subspaces, paired)], p)
 
 
 def flags_adjacent(fx, fy, d, p):
@@ -288,47 +314,43 @@ def is_self_opposite_type_set(n, types):
     return {n + 1 - j for j in types} == set(types)
 
 
-@lru_cache(maxsize=None)
-def build_projective_kneser(n, i, p):
-    """Kneser graph of i-subspaces of F_p^{n+1}, adjacent when disjoint.
+def _type_a_frames(types, d, p):
+    """Coordinate flags of type J: nested coordinate subspaces."""
+    frames = []
+    for chain in itertools.product(
+        *[itertools.combinations(range(d), a) for a in types]
+    ):
+        if all(set(chain[t]) < set(chain[t + 1]) for t in range(len(chain) - 1)):
+            frames.append(tuple(Subspace.coordinate(c, d, p) for c in chain))
+    return frames
 
-    For i > (n+1)/2 the graph is built on the duals (annihilators) of the
-    (n+1-i)-subspaces, since disjointness is not the opposition relation
-    there; the result is relabeled back to i-subspaces.
-    """
-    d = n + 1
-    if i < 1 or i > n:
-        raise UsageError("need 1 <= i <= n")
-    spec = BuildingSpec("A", n, p, (i,))
-    if 2 * i > d:
-        inner = build_projective_kneser(n, d - i, p)
-        dual = [
-            (nullspace(flag[0].matrix(), p),) for flag in inner.vertices
-        ]
-        order = sorted(range(len(dual)), key=lambda t: _vertex_key(dual[t]))
-        pos = {t: r for r, t in enumerate(order)}
-        vertices = [dual[t] for t in order]
-        adjacency = [0] * len(vertices)
-        for a, b in inner.edges():
-            adjacency[pos[a]] |= 1 << pos[b]
-            adjacency[pos[b]] |= 1 << pos[a]
-        sigma = sorted(pos[t] for t in inner.sigma)
-        return KneserGraph(spec, vertices, adjacency, sigma)
-    vertices = _sorted_vertices([(u,) for u in enumerate_subspaces(d, i, p)])
-    adjacency = adjacency_disjoint([f[0] for f in vertices], d, p)
-    frames = [
-        (Subspace.coordinate(cols, d, p),)
-        for cols in itertools.combinations(range(d), i)
-    ]
-    sigma = _sigma_indices(vertices, frames)
+
+def _type_a_graph(spec):
+    types, p, d = spec.types, spec.p, spec.rank + 1
+    levels = [list(enumerate_subspaces(d, a, p)) for a in types]
+    vertices = _sorted_vertices(_nested_flags(levels))
+    adjacency = _flag_rows(vertices, types, p)
+    sigma = _sigma_indices(vertices, _type_a_frames(types, d, p))
     return KneserGraph(spec, vertices, adjacency, sigma)
 
 
+@lru_cache(maxsize=None)
+def build_projective_kneser(n, i, p):
+    """Kneser graph of i-subspaces of F_p^{n+1}, adjacent when opposite.
+
+    Opposition is disjointness for 2i <= n+1, and disjointness of the
+    annihilators for 2i > n+1.
+    """
+    return _type_a_graph(BuildingSpec("A", n, p, (i,)))
+
+
 def _nested_flags(levels):
-    """All chains u_1 < u_2 < ... with u_j drawn from levels[j]."""
+    """All chains u_1 < u_2 < ... with u_j drawn from levels[j]; u < w is
+    the subset test on their projective point ids."""
+    points = {u: frozenset(r) for lvl in levels for u, r in zip(lvl, _point_ids(lvl).tolist())}
     flags = [(u,) for u in levels[0]]
     for lvl in levels[1:]:
-        flags = [f + (w,) for f in flags for w in lvl if w.contains(f[-1])]
+        flags = [f + (w,) for f in flags for w in lvl if points[f[-1]] <= points[w]]
     return flags
 
 
@@ -341,25 +363,13 @@ def build_flag_kneser_A(n, types, p, allow_non_self_opposite=False):
     Q not in H". Non-self-opposite J is rejected unless explicitly
     allowed (used for the type-varying transfer checks).
     """
-    d = n + 1
-    types = tuple(sorted(set(types)))
     spec = BuildingSpec("A", n, p, types)
-    if not allow_non_self_opposite and not is_self_opposite_type_set(n, types):
+    if not allow_non_self_opposite and not is_self_opposite_type_set(n, spec.types):
         raise UsageError(
             "type set %s is not self-opposite; Kneser adjacency within one "
-            "type is undefined" % (types,)
+            "type is undefined" % (spec.types,)
         )
-    levels = [list(enumerate_subspaces(d, a, p)) for a in types]
-    vertices = _sorted_vertices(_nested_flags(levels))
-    adjacency = adjacency_general_position(vertices, types, d, p)
-    frames = []
-    for chain in itertools.product(
-        *[itertools.combinations(range(d), a) for a in types]
-    ):
-        if all(set(chain[t]) < set(chain[t + 1]) for t in range(len(chain) - 1)):
-            frames.append(tuple(Subspace.coordinate(c, d, p) for c in chain))
-    sigma = _sigma_indices(vertices, frames)
-    return KneserGraph(spec, vertices, adjacency, sigma)
+    return _type_a_graph(spec)
 
 
 @lru_cache(maxsize=None)
@@ -391,7 +401,7 @@ def build_polar_kneser(family, n, k, p, selector="plus"):
             if (sum(1 for l in ls if l < 0) % 2 == 0) == (want_plus)
         ]
     vertices = _sorted_vertices([(s,) for s in subs])
-    adjacency = adjacency_polar([f[0] for f in vertices], model.form.polar_gram(), p)
+    adjacency = _polar_rows([f[0] for f in vertices], model.form.polar_gram(), p)
     frames = [(model.frame_subspace(ls),) for ls in label_sets]
     sigma = _sigma_indices(vertices, frames)
     return KneserGraph(spec, vertices, adjacency, sigma)
@@ -438,8 +448,42 @@ def expected_sigma_size(spec):
     return math.comb(n, k) * 2 ** k
 
 
+def expected_num_vertices(spec):
+    """Closed-form vertex count of build_graph(spec): Gaussian binomials
+    along the flag for type A, [n, k]_q prod_{i=n-k+1..n} (q^(i+e-1) + 1)
+    totally singular k-spaces for polar types (e = 0 for D_n, 1 for B_n
+    and C_n), halved for one D_n family of maximal ones."""
+    n, q, types = spec.rank, spec.p, spec.types
+    if spec.family == "A":
+        count, below = 1, 0
+        for a in types:
+            count *= gaussian_binomial(n + 1 - below, a - below, q)
+            below = a
+        return count
+    if spec.family == "G":
+        n, types = 3, (1,)
+    e = 0 if spec.family == "D" else 1
+    k, families = types[0], 1
+    if spec.family == "D" and len(types) == 2:
+        k = n - 1
+    elif spec.family == "D" and k >= n - 1:
+        k, families = n, 2
+    count = gaussian_binomial(n, k, q)
+    for i in range(n - k + 1, n + 1):
+        count *= q ** (i + e - 1) + 1
+    return count // families
+
+
 def build_graph(spec, selector="plus"):
-    """Dispatch a BuildingSpec to the right builder."""
+    """Dispatch a BuildingSpec to the right builder.
+
+    Specs with more than MAX_VERTICES vertices are refused before any
+    enumeration: N vertices take N^2/8 bytes of adjacency.
+    """
+    count = expected_num_vertices(spec)
+    if count > MAX_VERTICES:
+        raise UsageError("spec %s has %d vertices, more than the limit of %d"
+                         % (spec.to_dict(), count, MAX_VERTICES))
     fam = spec.family
     if fam == "A":
         if len(spec.types) == 1:
@@ -471,18 +515,8 @@ def apartment_graph(family, n, types, p, selector="plus"):
     """
     types = tuple(sorted(set(types)))
     if family == "A":
-        d = n + 1
-        frames = []
-        for chain in itertools.product(
-            *[itertools.combinations(range(d), a) for a in types]
-        ):
-            if all(set(chain[t]) < set(chain[t + 1]) for t in range(len(chain) - 1)):
-                frames.append(tuple(Subspace.coordinate(c, d, p) for c in chain))
-        vertices = _sorted_vertices(frames)
-        if len(types) == 1 and 2 * types[0] <= d:
-            adjacency = adjacency_disjoint([f[0] for f in vertices], d, p)
-        else:
-            adjacency = adjacency_general_position(vertices, types, d, p)
+        vertices = _sorted_vertices(_type_a_frames(types, n + 1, p))
+        adjacency = _flag_rows(vertices, types, p)
         spec = BuildingSpec("A", n, p, types)
         return KneserGraph(spec, vertices, adjacency, list(range(len(vertices))))
     if family == "G":
@@ -508,6 +542,6 @@ def apartment_graph(family, n, types, p, selector="plus"):
             label_sets = model.frame_label_sets(k)
     frames = [(model.frame_subspace(ls),) for ls in label_sets]
     vertices = _sorted_vertices(frames)
-    adjacency = adjacency_polar([f[0] for f in vertices], model.form.polar_gram(), p)
+    adjacency = _polar_rows([f[0] for f in vertices], model.form.polar_gram(), p)
     spec = BuildingSpec(family, n, p, types)
     return KneserGraph(spec, vertices, adjacency, list(range(len(vertices))))

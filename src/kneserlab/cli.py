@@ -15,7 +15,7 @@ import sys
 import time
 
 from .buildings import BuildingSpec, build_graph
-from .coclique import check_ucep
+from .coclique import check_scan_args, check_ucep
 from .crossval import cross_validate
 from .errors import (
     CrossValidationError,
@@ -112,6 +112,7 @@ def cmd_check_ucep(args):
         _write(json.dumps(report, sort_keys=True) + "\n", args.output)
         return EXIT_UCEP_FAILS
     spec = _spec_from_args(args)
+    check_scan_args(args.mode, args.samples, args.jobs)
     graph = build_graph(spec)
     report = check_ucep(
         graph, mode=args.mode, samples=args.samples, seed=args.seed, jobs=args.jobs

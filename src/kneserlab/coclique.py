@@ -14,6 +14,7 @@ bytewise identical reports.
 
 from __future__ import annotations
 
+import os
 import random
 import time
 from dataclasses import dataclass, field
@@ -178,20 +179,28 @@ def _scan_cocliques(graph, cocliques):
     return len(cocliques), best
 
 
+def check_scan_args(mode, samples, jobs):
+    """Reject a bad mode, sample count or worker count before any work."""
+    if mode not in ("all", "sample"):
+        raise UsageError("mode must be 'all' or 'sample'")
+    if mode == "sample" and (samples is None or samples < 1):
+        raise UsageError("sampling mode needs a sample count of at least 1, got %r" % (samples,))
+    if jobs < 1:
+        raise UsageError("jobs must be at least 1, got %r" % (jobs,))
+
+
 def check_ucep(graph, mode="all", samples=None, seed=None, jobs=1):
-    """Decide the unique coclique extension property for (Gamma, Sigma)."""
+    """Decide the unique coclique extension property for (Gamma, Sigma),
+    scanning on at most os.cpu_count() worker processes."""
+    check_scan_args(mode, samples, jobs)
     start = time.perf_counter()
     if mode == "all":
         cocliques = maximal_cocliques_sigma(graph)
-    elif mode == "sample":
-        if samples is None:
-            raise UsageError("sampling mode needs a sample count")
-        if seed is None:
-            seed = 0
-        cocliques = sample_maximal_cocliques(graph, samples, seed)
     else:
-        raise UsageError("mode must be 'all' or 'sample'")
-    if jobs and jobs > 1 and len(cocliques) >= 4 * jobs:
+        seed = 0 if seed is None else seed
+        cocliques = sample_maximal_cocliques(graph, samples, seed)
+    jobs = min(jobs, os.cpu_count() or 1)
+    if jobs > 1 and len(cocliques) >= 4 * jobs:
         checked, best = _scan_parallel(graph, cocliques, jobs)
     else:
         checked, best = _scan_cocliques(graph, cocliques)

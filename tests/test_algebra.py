@@ -10,7 +10,6 @@ from kneserlab.algebra import (
     SUPPORTED_PRIMES,
     Form,
     Subspace,
-    batched_rank,
     enumerate_singular_subspaces,
     enumerate_subspaces,
     gaussian_binomial,
@@ -256,18 +255,6 @@ def test_nullspace_annihilator():
     for row in ns.basis:
         for brow in u.basis:
             assert sum(a * b for a, b in zip(row, brow)) % 2 == 0
-
-
-def test_batched_rank_matches_scalar_rank():
-    rng = random.Random(20240604)
-    for p in (2, 3, 5):
-        mats = [
-            [[rng.randrange(p) for _ in range(5)] for _ in range(4)]
-            for _ in range(200)
-        ]
-        got = batched_rank(mats, p)
-        want = [rank_mod_p(m, 5, p) for m in mats]
-        assert list(got) == want
 
 
 def test_unsupported_modulus_rejected():

@@ -1,6 +1,7 @@
 """Tests for the concrete Kneser graph builders and their apartments."""
 
 import itertools
+import random
 
 import pytest
 
@@ -13,12 +14,25 @@ from kneserlab.buildings import (
     build_graph,
     build_polar_kneser,
     build_projective_kneser,
+    expected_num_vertices,
     expected_sigma_size,
     flags_adjacent,
     g2_points,
     polar_model,
 )
 from kneserlab.errors import UsageError
+from kneserlab.fixtures import _polar_adjacent
+
+# The 15 positive and 4 negative cells of the UCEP grid.
+GRID_CELLS = [
+    ("A", 3, (1,), 2), ("A", 3, (1,), 3), ("A", 3, (2,), 2), ("A", 3, (2,), 3),
+    ("A", 4, (2,), 2), ("A", 4, (2,), 3), ("A", 2, (1, 2), 2),
+    ("A", 3, (1, 3), 2), ("C", 3, (1,), 2), ("B", 3, (1,), 3),
+    ("B", 3, (3,), 3), ("G", 2, (1,), 3), ("D", 4, (1,), 2),
+    ("D", 4, (2,), 2), ("D", 4, (4,), 2),
+    ("B", 3, (2,), 3), ("C", 3, (3,), 3), ("D", 4, (3, 4), 2),
+    ("A", 4, (2, 3), 2),
+]
 
 
 def sigma_degrees(graph):
@@ -293,3 +307,60 @@ def test_vertex_counts_vs_filter_oracle():
         if is_totally_singular(u, model.form)
     )
     assert build_polar_kneser("C", 3, 2, 2).num_vertices == slow
+
+
+def rank_oracle(graph):
+    """Per-pair adjacency from rank computations on the basis matrices:
+    general position of flags, or full rank of B_x G B_y^T for polar
+    types. Independent of the point-incidence kernel."""
+    spec = graph.spec
+    verts = graph.vertices
+    if spec.family == "A":
+        d = spec.rank + 1
+        return lambda a, b: flags_adjacent(verts[a], verts[b], d, spec.p)
+    if spec.family == "G":
+        model = polar_model("B", 3, spec.p)
+    else:
+        model = polar_model(spec.family, spec.rank, spec.p)
+    return lambda a, b: _polar_adjacent(model, verts[a][0], verts[b][0])
+
+
+def test_kernel_rows_match_rank_oracle_all_pairs():
+    graphs = [build_projective_kneser(3, i, 2) for i in (1, 2, 3)] + [
+        build_flag_kneser_A(3, (1, 3), 2),
+        build_flag_kneser_A(3, (1, 2), 2, allow_non_self_opposite=True),
+        build_polar_kneser("C", 3, 1, 2),
+        build_polar_kneser("D", 4, 1, 2),
+        build_polar_kneser("D", 4, 4, 2, "plus"),
+        build_polar_kneser("D", 4, 4, 2, "minus"),
+        g2_points(3),
+    ]
+    for g in graphs:
+        adjacent = rank_oracle(g)
+        rows = [0] * g.num_vertices
+        for a, b in itertools.combinations(range(g.num_vertices), 2):
+            if adjacent(a, b):
+                rows[a] |= 1 << b
+                rows[b] |= 1 << a
+        assert g.adjacency == rows, g.spec
+
+
+def test_kernel_rows_match_rank_oracle_random_pairs():
+    rng = random.Random(20261018)
+    graphs = [
+        build_polar_kneser("B", 3, 2, 3),
+        build_d4_planes(2),
+        build_flag_kneser_A(4, (2, 3), 2),
+        build_projective_kneser(4, 3, 2),
+    ]
+    for g in graphs:
+        adjacent = rank_oracle(g)
+        for _ in range(2000):
+            a, b = rng.randrange(g.num_vertices), rng.randrange(g.num_vertices)
+            assert g.is_adjacent(a, b) == adjacent(a, b), (g.spec, a, b)
+
+
+def test_expected_num_vertices_on_grid():
+    for family, n, types, p in GRID_CELLS:
+        spec = BuildingSpec(family, n, p, types)
+        assert expected_num_vertices(spec) == build_graph(spec).num_vertices, spec

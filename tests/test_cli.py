@@ -124,6 +124,38 @@ def test_check_ucep_deterministic_reports(capsys):
     assert without_timing(r1) == without_timing(r2)
 
 
+def test_check_ucep_bad_counts_rejected_before_build(capsys, monkeypatch):
+    import kneserlab.cli as cli
+
+    built = []
+    monkeypatch.setattr(cli, "build_graph", built.append)
+    spec = ["check-ucep", "--family", "A", "--rank", "4", "--type", "2,3",
+            "--p", "2"]
+    for extra in (["--mode", "sample", "--samples", "0"],
+                  ["--mode", "sample", "--samples", "-5"],
+                  ["--mode", "sample"],
+                  ["--jobs", "0"]):
+        code, out, err = run(capsys, *spec, *extra)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "at least 1" in err
+    assert built == []
+
+
+def test_build_over_vertex_limit_exit_2(capsys, monkeypatch):
+    import kneserlab.buildings as buildings
+
+    def never(*args):
+        raise AssertionError("enumeration started")
+
+    monkeypatch.setattr(buildings, "enumerate_subspaces", never)
+    code, out, err = run(capsys, "build", "--family", "A", "--rank", "7",
+                         "--type", "3", "--p", "7")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "5670690600800 vertices" in err
+
+
 def test_verify_fixtures_all(capsys):
     code, out, _ = run(capsys, "verify-fixtures")
     assert code == EXIT_OK

@@ -169,6 +169,27 @@ def test_check_ucep_sample_needs_count():
         check_ucep(g, mode="sample")
     with pytest.raises(UsageError):
         check_ucep(g, mode="bogus")
+    for samples in (0, -5):
+        with pytest.raises(UsageError, match="at least 1"):
+            check_ucep(g, mode="sample", samples=samples)
+    with pytest.raises(UsageError, match="jobs"):
+        check_ucep(g, jobs=0)
+
+
+def test_check_ucep_clamps_jobs_to_cpu_count(monkeypatch):
+    import kneserlab.coclique as coclique
+
+    requested = []
+
+    def record(graph, cocliques, jobs):
+        requested.append(jobs)
+        return coclique._scan_cocliques(graph, cocliques)
+
+    monkeypatch.setattr(coclique, "_scan_parallel", record)
+    monkeypatch.setattr(coclique.os, "cpu_count", lambda: 2)
+    g = build_projective_kneser(3, 2, 2)
+    assert check_ucep(g, jobs=64).cocliques_checked == 8
+    assert requested == [2]
 
 
 def test_max_coclique_values():
