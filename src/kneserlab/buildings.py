@@ -4,6 +4,12 @@ Vertices are canonical geometric objects (RREF subspaces, or nested
 flags of them), adjacency is stored as one bit-vector row per vertex,
 and the apartment subgraph is the set of coordinate-frame objects.
 
+`geometry(spec)` is the one place that knows what a spec names: the
+subspaces that make up a vertex, the form they are singular for, and
+the label words that name its frame objects. The builders, apartment
+graphs, vertex counts and the coset cross-validation all read it, and
+`build_graph` holds the one graph cache, keyed by the canonical spec.
+
 Standard forms, fixed once per family:
   D_n: Q(x) = x_1 x_1' + ... + x_n x_n'  on F_p^{2n},
        coordinates ordered 1, 1', 2, 2', ..., n, n'.
@@ -56,7 +62,6 @@ class BuildingSpec:
     rank: int
     p: int
     types: tuple
-    selector: str = None
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -70,18 +75,19 @@ class BuildingSpec:
             raise UsageError("type set must be a subset of the diagram nodes")
         if self.family in ("B", "G") and self.p % 2 == 0:
             raise UsageError("family %s model requires odd characteristic" % self.family)
-        if self.selector not in (None, "plus", "minus"):
-            raise UsageError("selector must be 'plus' or 'minus'")
 
     def to_dict(self):
+        """The spec as reported; one D_n family of maximal spaces also names
+        itself under "selector"."""
         d = {
             "family": self.family,
             "rank": self.rank,
             "p": self.p,
             "types": list(self.types),
         }
-        if self.selector:
-            d["selector"] = self.selector
+        oriflamme = geometry(self).oriflamme
+        if oriflamme:
+            d["selector"] = oriflamme
         return d
 
 
@@ -94,32 +100,20 @@ class PolarModel:
             raise UsageError("polar family must be B, C or D")
         if n < 2:
             raise UsageError("polar rank must be at least 2")
+        if family == "B" and p % 2 == 0:
+            raise UsageError("B model requires odd characteristic")
         self.family = family
         self.n = n
         self.p = p
-        if family == "B":
-            if p % 2 == 0:
-                raise UsageError("B model requires odd characteristic")
-            d = 2 * n + 1
-            gram = [[0] * d for _ in range(d)]
-            for i in range(n):
-                gram[2 * i][2 * i + 1] = 1
-            gram[d - 1][d - 1] = p - 1
-            self.form = Form("quadratic", gram, p)
-        elif family == "C":
-            d = 2 * n
-            gram = [[0] * d for _ in range(d)]
-            for i in range(n):
-                gram[2 * i][2 * i + 1] = 1
+        self.dim = d = 2 * n + (family == "B")
+        gram = [[0] * d for _ in range(d)]
+        for i in range(n):
+            gram[2 * i][2 * i + 1] = 1
+            if family == "C":
                 gram[2 * i + 1][2 * i] = p - 1
-            self.form = Form("alternating", gram, p)
-        else:
-            d = 2 * n
-            gram = [[0] * d for _ in range(d)]
-            for i in range(n):
-                gram[2 * i][2 * i + 1] = 1
-            self.form = Form("quadratic", gram, p)
-        self.dim = d
+        if family == "B":
+            gram[d - 1][d - 1] = p - 1
+        self.form = Form("alternating" if family == "C" else "quadratic", gram, p)
 
     def col(self, label):
         """Column of frame label l (positive) or its partner -l (primed)."""
@@ -129,14 +123,6 @@ class PolarModel:
 
     def frame_subspace(self, labels):
         return Subspace.coordinate([self.col(l) for l in labels], self.dim, self.p)
-
-    def frame_label_sets(self, k):
-        """All totally singular frame label sets of size k."""
-        out = []
-        for support in itertools.combinations(range(1, self.n + 1), k):
-            for signs in itertools.product((1, -1), repeat=k):
-                out.append(tuple(s * a for a, s in zip(support, signs)))
-        return out
 
     def reference_maximal(self):
         return self.frame_subspace(tuple(range(1, self.n + 1)))
@@ -151,14 +137,112 @@ def polar_model(family, n, p):
     return PolarModel(family, n, p)
 
 
-class KneserGraph:
-    """Vertex list + bit-vector adjacency + marked apartment subset."""
+@dataclass(frozen=True)
+class Geometry:
+    """What a spec names, without its vertices.
 
-    def __init__(self, spec, vertices, adjacency, sigma):
-        self.spec = spec
-        self.vertices = vertices
-        self.adjacency = adjacency
-        self.sigma = sorted(sigma)
+    A vertex is a flag of subspaces of F_p^dim with the dimensions in
+    `parts`. For a polar spec (`model` set) it is one totally singular
+    subspace, taken from one D_n family of maximal ones when `oriflamme`
+    is "plus" or "minus". `self_opposite` is False only for type-A flags
+    whose type set is not self-opposite.
+    """
+
+    spec: BuildingSpec
+    model: PolarModel
+    parts: tuple
+    oriflamme: str = None
+    self_opposite: bool = True
+
+    @property
+    def dim(self):
+        return self.spec.rank + 1 if self.model is None else self.model.dim
+
+    def coordinate(self, labels):
+        """Coordinate subspace on frame labels: label l is column l-1 in
+        type A, and hyperbolic-pair label ±l for a polar form."""
+        if self.model is None:
+            return Subspace.coordinate([l - 1 for l in labels], self.dim, self.spec.p)
+        return self.model.frame_subspace(labels)
+
+    def frame(self, labels):
+        """Frame object of a label word, such as a Weyl group element in
+        one-line notation: the coordinate flag on the word's prefixes. The
+        minus family swaps the n-th label for its partner, so that the even
+        words of D_n name its odd frames."""
+        if self.oriflamme == "minus":
+            k = self.parts[0]
+            labels = tuple(labels[:k - 1]) + (-labels[k - 1],)
+        return tuple(self.coordinate(labels[:k]) for k in self.parts)
+
+    def frame_words(self):
+        """One label word per frame object: a set of new labels for each
+        part, never a label beside its partner, and for D_n maximal spaces
+        an even number of primed labels, as in the Weyl group of D_n."""
+        if self.model is None:
+            alphabet = range(1, self.dim + 1)
+        else:
+            alphabet = [s * a for a in range(1, self.model.n + 1) for s in (1, -1)]
+        words, below = [()], 0
+        for k in self.parts:
+            words = [w + c for w in words for c in itertools.combinations(
+                [l for l in alphabet if l not in w], k - below)]
+            below = k
+        return [w for w in words if len({abs(l) for l in w}) == len(w)
+                and not (self.oriflamme and sum(l < 0 for l in w) % 2)]
+
+    def frames(self):
+        return [self.frame(w) for w in self.frame_words()]
+
+
+def _polar_objects(family, n):
+    """Polar type set -> (dimension, oriflamme family) of the totally
+    singular spaces it names: type k names the k-spaces, except in D_n,
+    where type n is the plus and type n-1 the minus family of maximal
+    ones, and type {n-1, n} the (n-1)-spaces."""
+    objects = {(k,): (k, None) for k in range(1, n + 1)}
+    if family == "D":
+        objects.update({(n,): (n, "plus"), (n - 1,): (n, "minus"), (n - 1, n): (n - 1, None)})
+    return objects
+
+
+@lru_cache(maxsize=None)
+def geometry(spec):
+    """The one spec normaliser. Type A: flags of the type dimensions in
+    F_p^{n+1}. G_2 type 1: the points of the B_3 model. B_n, C_n, D_n:
+    the spaces of _polar_objects. Every other spec is a UsageError."""
+    family, n, types = spec.family, spec.rank, spec.types
+    name = "%s_%d type %s over F_%d" % (family, n, ",".join(map(str, types)), spec.p)
+    if family == "A":
+        return Geometry(spec, None, types, None,
+                        len(types) == 1 or is_self_opposite_type_set(n, types))
+    if family == "G":
+        if (n, types) != (2, (1,)):
+            raise UsageError("%s: the G_2 model has rank 2 and type 1 (points) only" % name)
+        family, n = "B", 3
+    objects = _polar_objects(family, n)
+    if types not in objects:
+        raise UsageError("%s: a polar type set is one type, or {n-1, n} in D_n" % name)
+    k, oriflamme = objects[types]
+    return Geometry(spec, polar_model(family, n, spec.p), (k,), oriflamme)
+
+
+@dataclass(frozen=True, eq=False)
+class KneserGraph:
+    """Vertex list + bit-vector adjacency + marked apartment subset.
+
+    Immutable, since built graphs are cached and shared by every caller.
+    """
+
+    spec: BuildingSpec
+    vertices: tuple
+    adjacency: tuple
+    sigma: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "vertices", tuple(self.vertices))
+        object.__setattr__(self, "adjacency", tuple(self.adjacency))
+        object.__setattr__(self, "sigma", tuple(sorted(self.sigma)))
 
     @property
     def num_vertices(self):
@@ -292,12 +376,6 @@ def _flag_rows(flags, types, p):
     return _opposition_rows(conditions, p)
 
 
-def _polar_rows(subspaces, gram, p):
-    """x ~ y iff perp(x) ∩ y = 0: P lies in perp(x) iff (B_x G) P^T = 0."""
-    paired = _matrices(subspaces) @ np.array(gram, dtype=np.int64)
-    return _opposition_rows([(subspaces, paired)], p)
-
-
 def flags_adjacent(fx, fy, d, p):
     """General-position test for a single pair of same-type flags."""
     from .algebra import rank_mod_p
@@ -314,36 +392,6 @@ def is_self_opposite_type_set(n, types):
     return {n + 1 - j for j in types} == set(types)
 
 
-def _type_a_frames(types, d, p):
-    """Coordinate flags of type J: nested coordinate subspaces."""
-    frames = []
-    for chain in itertools.product(
-        *[itertools.combinations(range(d), a) for a in types]
-    ):
-        if all(set(chain[t]) < set(chain[t + 1]) for t in range(len(chain) - 1)):
-            frames.append(tuple(Subspace.coordinate(c, d, p) for c in chain))
-    return frames
-
-
-def _type_a_graph(spec):
-    types, p, d = spec.types, spec.p, spec.rank + 1
-    levels = [list(enumerate_subspaces(d, a, p)) for a in types]
-    vertices = _sorted_vertices(_nested_flags(levels))
-    adjacency = _flag_rows(vertices, types, p)
-    sigma = _sigma_indices(vertices, _type_a_frames(types, d, p))
-    return KneserGraph(spec, vertices, adjacency, sigma)
-
-
-@lru_cache(maxsize=None)
-def build_projective_kneser(n, i, p):
-    """Kneser graph of i-subspaces of F_p^{n+1}, adjacent when opposite.
-
-    Opposition is disjointness for 2i <= n+1, and disjointness of the
-    annihilators for 2i > n+1.
-    """
-    return _type_a_graph(BuildingSpec("A", n, p, (i,)))
-
-
 def _nested_flags(levels):
     """All chains u_1 < u_2 < ... with u_j drawn from levels[j]; u < w is
     the subset test on their projective point ids."""
@@ -354,7 +402,67 @@ def _nested_flags(levels):
     return flags
 
 
+def _vertices(geo):
+    """Canonical vertices of a geometry, sorted by their bases."""
+    p = geo.spec.p
+    if geo.model is None:
+        flags = _nested_flags([list(enumerate_subspaces(geo.dim, k, p)) for k in geo.parts])
+    else:
+        subs = enumerate_singular_subspaces(geo.model.form, geo.parts[0])
+        if geo.oriflamme:
+            plus = geo.oriflamme == "plus"
+            subs = [s for s in subs if geo.model.in_plus_family(s) == plus]
+        flags = [(s,) for s in subs]
+    return _sorted_vertices(flags)
+
+
+def _rows(geo, vertices):
+    """Flags: general position. Polar types: x ~ y iff perp(x) ∩ y = 0,
+    where P lies in perp(x) iff (B_x G) P^T = 0."""
+    if geo.model is None:
+        return _flag_rows(vertices, geo.parts, geo.spec.p)
+    subspaces = [f[0] for f in vertices]
+    paired = _matrices(subspaces) @ np.array(geo.model.form.polar_gram(), dtype=np.int64)
+    return _opposition_rows([(subspaces, paired)], geo.spec.p)
+
+
 @lru_cache(maxsize=None)
+def _graph(spec):
+    """The one graph cache, keyed by the canonical spec.
+
+    Specs with more than MAX_VERTICES vertices are refused before any
+    enumeration: N vertices take N^2/8 bytes of adjacency.
+    """
+    count = expected_num_vertices(spec)
+    if count > MAX_VERTICES:
+        raise UsageError("spec %s has %d vertices, more than the limit of %d"
+                         % (spec.to_dict(), count, MAX_VERTICES))
+    geo = geometry(spec)
+    vertices = _vertices(geo)
+    sigma = _sigma_indices(vertices, geo.frames())
+    return KneserGraph(spec, vertices, _rows(geo, vertices), sigma)
+
+
+def build_graph(spec):
+    """The Kneser graph a spec names; type-A flags need a self-opposite
+    type set (build_flag_kneser_A can allow others)."""
+    if not geometry(spec).self_opposite:
+        raise UsageError(
+            "type set %s is not self-opposite; Kneser adjacency within one "
+            "type is undefined" % (spec.types,)
+        )
+    return _graph(spec)
+
+
+def build_projective_kneser(n, i, p):
+    """Kneser graph of i-subspaces of F_p^{n+1}, adjacent when opposite.
+
+    Opposition is disjointness for 2i <= n+1, and disjointness of the
+    annihilators for 2i > n+1.
+    """
+    return build_graph(BuildingSpec("A", n, p, (i,)))
+
+
 def build_flag_kneser_A(n, types, p, allow_non_self_opposite=False):
     """Kneser graph on type-J flags of PG(n, p), J self-opposite.
 
@@ -364,47 +472,21 @@ def build_flag_kneser_A(n, types, p, allow_non_self_opposite=False):
     allowed (used for the type-varying transfer checks).
     """
     spec = BuildingSpec("A", n, p, types)
-    if not allow_non_self_opposite and not is_self_opposite_type_set(n, spec.types):
-        raise UsageError(
-            "type set %s is not self-opposite; Kneser adjacency within one "
-            "type is undefined" % (spec.types,)
-        )
-    return _type_a_graph(spec)
+    return _graph(spec) if allow_non_self_opposite else build_graph(spec)
 
 
-@lru_cache(maxsize=None)
 def build_polar_kneser(family, n, k, p, selector="plus"):
     """Kneser graph on totally singular k-subspaces of a polar space.
 
-    Adjacency is x ~ y iff perp(x) ∩ y = 0. For family D with k = n the
-    vertex set is one oriflamme family, selected by the parity of the
-    intersection dimension with the reference space <e_1, ..., e_n>.
-    For family D with k = n-1 the objects carry type {n-1, n}.
+    Adjacency is x ~ y iff perp(x) ∩ y = 0. Where the k-spaces form two
+    oriflamme families (D_n, k = n), `selector` names the one to build.
     """
-    model = polar_model(family, n, p)
-    if k < 1 or k > n:
-        raise UsageError("need 1 <= k <= Witt index %d" % n)
-    if family == "D" and k == n - 1:
-        types = (n - 1, n)
-        spec = BuildingSpec(family, n, p, types)
-    elif family == "D" and k == n:
-        spec = BuildingSpec(family, n, p, (n if selector == "plus" else n - 1,), selector)
-    else:
-        spec = BuildingSpec(family, n, p, (k,))
-    subs = enumerate_singular_subspaces(model.form, k)
-    label_sets = model.frame_label_sets(k)
-    if family == "D" and k == n:
-        want_plus = selector == "plus"
-        subs = [s for s in subs if model.in_plus_family(s) == want_plus]
-        label_sets = [
-            ls for ls in label_sets
-            if (sum(1 for l in ls if l < 0) % 2 == 0) == (want_plus)
-        ]
-    vertices = _sorted_vertices([(s,) for s in subs])
-    adjacency = _polar_rows([f[0] for f in vertices], model.form.polar_gram(), p)
-    frames = [(model.frame_subspace(ls),) for ls in label_sets]
-    sigma = _sigma_indices(vertices, frames)
-    return KneserGraph(spec, vertices, adjacency, sigma)
+    if family not in ("B", "C", "D"):
+        raise UsageError("polar family must be B, C or D")
+    for types, named in _polar_objects(family, n).items():
+        if named in ((k, None), (k, selector)):
+            return build_graph(BuildingSpec(family, n, p, types))
+    raise UsageError("need 1 <= k <= Witt index %d and selector 'plus' or 'minus'" % n)
 
 
 def build_d4_planes(p):
@@ -414,11 +496,7 @@ def build_d4_planes(p):
 
 def g2_points(p):
     """Points of the G_2 hexagon, realized as the B_3 point graph."""
-    if p % 2 == 0:
-        raise UsageError("the B_3 model of G_2 points requires odd characteristic")
-    base = build_polar_kneser("B", 3, 1, p)
-    spec = BuildingSpec("G", 2, p, (1,))
-    return KneserGraph(spec, base.vertices, base.adjacency, base.sigma)
+    return build_graph(BuildingSpec("G", 2, p, (1,)))
 
 
 def expected_sigma_size(spec):
@@ -441,7 +519,7 @@ def expected_sigma_size(spec):
         import math
 
         return math.comb(n, n - 1) * 2 ** (n - 1)
-    if fam == "D" and k in (n, n - 1) and spec.selector:
+    if fam == "D" and k in (n, n - 1):
         return 2 ** (n - 1)
     import math
 
@@ -453,95 +531,28 @@ def expected_num_vertices(spec):
     along the flag for type A, [n, k]_q prod_{i=n-k+1..n} (q^(i+e-1) + 1)
     totally singular k-spaces for polar types (e = 0 for D_n, 1 for B_n
     and C_n), halved for one D_n family of maximal ones."""
-    n, q, types = spec.rank, spec.p, spec.types
-    if spec.family == "A":
+    geo, q = geometry(spec), spec.p
+    if geo.model is None:
         count, below = 1, 0
-        for a in types:
-            count *= gaussian_binomial(n + 1 - below, a - below, q)
+        for a in geo.parts:
+            count *= gaussian_binomial(spec.rank + 1 - below, a - below, q)
             below = a
         return count
-    if spec.family == "G":
-        n, types = 3, (1,)
-    e = 0 if spec.family == "D" else 1
-    k, families = types[0], 1
-    if spec.family == "D" and len(types) == 2:
-        k = n - 1
-    elif spec.family == "D" and k >= n - 1:
-        k, families = n, 2
+    n, k = geo.model.n, geo.parts[0]
+    e = 0 if geo.model.family == "D" else 1
     count = gaussian_binomial(n, k, q)
     for i in range(n - k + 1, n + 1):
         count *= q ** (i + e - 1) + 1
-    return count // families
+    return count // (2 if geo.oriflamme else 1)
 
 
-def build_graph(spec, selector="plus"):
-    """Dispatch a BuildingSpec to the right builder.
-
-    Specs with more than MAX_VERTICES vertices are refused before any
-    enumeration: N vertices take N^2/8 bytes of adjacency.
-    """
-    count = expected_num_vertices(spec)
-    if count > MAX_VERTICES:
-        raise UsageError("spec %s has %d vertices, more than the limit of %d"
-                         % (spec.to_dict(), count, MAX_VERTICES))
-    fam = spec.family
-    if fam == "A":
-        if len(spec.types) == 1:
-            return build_projective_kneser(spec.rank, spec.types[0], spec.p)
-        return build_flag_kneser_A(spec.rank, spec.types, spec.p)
-    if fam == "G":
-        return g2_points(spec.p)
-    if len(spec.types) == 2:
-        if fam != "D" or set(spec.types) != {spec.rank - 1, spec.rank}:
-            raise UsageError("flag types are only supported for D_{n,{n-1,n}}")
-        return build_polar_kneser("D", spec.rank, spec.rank - 1, spec.p)
-    k = spec.types[0]
-    sel = spec.selector or selector
-    if fam == "D" and k == spec.rank - 1:
-        # Oriflamme type n-1 is the minus family of maximal totally
-        # singular subspaces; (n-1)-dimensional ones carry type {n-1, n}.
-        return build_polar_kneser("D", spec.rank, spec.rank, spec.p, "minus")
-    if fam == "D" and k == spec.rank:
-        sel = "plus" if spec.selector is None else spec.selector
-    return build_polar_kneser(fam, spec.rank, k, spec.p, sel)
-
-
-def apartment_graph(family, n, types, p, selector="plus"):
+def apartment_graph(family, n, types, p):
     """Frame-objects-only graph, for coset cross-validation.
 
     Same geometric adjacency rules as the full builders, evaluated only on
     the coordinate-frame objects, so large buildings never need to be
     enumerated to check their apartments.
     """
-    types = tuple(sorted(set(types)))
-    if family == "A":
-        vertices = _sorted_vertices(_type_a_frames(types, n + 1, p))
-        adjacency = _flag_rows(vertices, types, p)
-        spec = BuildingSpec("A", n, p, types)
-        return KneserGraph(spec, vertices, adjacency, list(range(len(vertices))))
-    if family == "G":
-        family, n, types = "B", 3, (1,)
-    model = polar_model(family, n, p)
-    if len(types) == 2:
-        if family != "D" or set(types) != {n - 1, n}:
-            raise UsageError("unsupported polar flag type set %s" % (types,))
-        k = n - 1
-        label_sets = model.frame_label_sets(k)
-    else:
-        k = types[0]
-        if family == "D" and k >= n - 1:
-            # Oriflamme types n-1 and n are the two families of maximal
-            # totally singular subspaces, split by primed-label parity.
-            want = 0 if k == n else 1
-            label_sets = [
-                ls
-                for ls in model.frame_label_sets(n)
-                if sum(1 for l in ls if l < 0) % 2 == want
-            ]
-        else:
-            label_sets = model.frame_label_sets(k)
-    frames = [(model.frame_subspace(ls),) for ls in label_sets]
-    vertices = _sorted_vertices(frames)
-    adjacency = _polar_rows([f[0] for f in vertices], model.form.polar_gram(), p)
-    spec = BuildingSpec(family, n, p, types)
-    return KneserGraph(spec, vertices, adjacency, list(range(len(vertices))))
+    geo = geometry(BuildingSpec(family, n, p, types))
+    vertices = _sorted_vertices(geo.frames())
+    return KneserGraph(geo.spec, vertices, _rows(geo, vertices), range(len(vertices)))

@@ -14,7 +14,8 @@ import json
 import sys
 import time
 
-from .buildings import BuildingSpec, build_graph
+from .algebra import Subspace
+from .buildings import BuildingSpec, KneserGraph, build_graph
 from .coclique import check_scan_args, check_ucep
 from .crossval import cross_validate
 from .errors import (
@@ -41,8 +42,7 @@ def _spec_from_args(args):
         types = tuple(int(t) for t in args.type.split(","))
     except ValueError:
         raise UsageError("--type must be a comma-separated list of integers")
-    selector = getattr(args, "selector", None)
-    return BuildingSpec(args.family, args.rank, args.p, types, selector)
+    return BuildingSpec(args.family, args.rank, args.p, types)
 
 
 def graph_to_dict(graph):
@@ -142,34 +142,36 @@ def cmd_cross_validate(args):
     return EXIT_OK
 
 
+def _vertex_index(value, n, what):
+    if type(value) is not int or not 0 <= value < n:
+        raise UsageError("%s %r is not a vertex index in 0..%d" % (what, value, n - 1))
+    return value
+
+
 def cmd_export(args):
     with open(args.input) as handle:
         data = json.load(handle)
     if data.get("schema") != SCHEMA:
         raise UsageError("unsupported graph schema %r" % data.get("schema"))
-    from .algebra import Subspace
-    from .buildings import KneserGraph
-
-    spec = BuildingSpec(
-        data["spec"]["family"],
-        data["spec"]["rank"],
-        data["spec"]["p"],
-        tuple(data["spec"]["types"]),
-        data["spec"].get("selector"),
-    )
-    p = spec.p
-    vertices = []
-    for flag in data["vertices"]:
-        parts = []
-        for mat in flag:
-            ambient = len(mat[0])
-            parts.append(Subspace(ambient, p, tuple(tuple(r) for r in mat)))
-        vertices.append(tuple(parts))
-    adjacency = [0] * len(vertices)
+    stored = data["spec"]
+    spec = BuildingSpec(stored["family"], stored["rank"], stored["p"], tuple(stored["types"]))
+    if "selector" in stored and stored["selector"] != spec.to_dict().get("selector"):
+        raise UsageError("selector %r contradicts the type set %s"
+                         % (stored["selector"], list(spec.types)))
+    vertices = [tuple(Subspace(len(mat[0]), spec.p, tuple(map(tuple, mat))) for mat in flag)
+                for flag in data["vertices"]]
+    n = len(vertices)
+    if data.get("num_vertices") != n:
+        raise UsageError("num_vertices %r does not match the %d vertices listed"
+                         % (data.get("num_vertices"), n))
+    adjacency = [0] * n
     for i, j in data["edges"]:
+        if _vertex_index(i, n, "edge end") == _vertex_index(j, n, "edge end"):
+            raise UsageError("edge [%d, %d] is a self-loop" % (i, j))
         adjacency[i] |= 1 << j
         adjacency[j] |= 1 << i
-    graph = KneserGraph(spec, vertices, adjacency, data["sigma"])
+    sigma = [_vertex_index(v, n, "sigma entry") for v in data["sigma"]]
+    graph = KneserGraph(spec, vertices, adjacency, sigma)
     _write(_render_graph(graph, args.format), args.output)
     return EXIT_OK
 
@@ -186,7 +188,6 @@ def build_parser():
         sp.add_argument("--rank", type=int)
         sp.add_argument("--type", help="comma-separated type set, e.g. 2 or 1,3")
         sp.add_argument("--p", type=int)
-        sp.add_argument("--selector", choices=["plus", "minus"])
         sp.add_argument("--output", "-o")
 
     sp = sub.add_parser("build", help="build a Kneser graph and write it out")

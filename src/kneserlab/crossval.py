@@ -10,8 +10,7 @@ and is the anti-drift guard for the adopted general-position adjacency.
 
 from __future__ import annotations
 
-from .buildings import apartment_graph, polar_model
-from .algebra import Subspace
+from .buildings import BuildingSpec, apartment_graph, geometry
 from .coxeter import coset_kneser, weyl_group
 from .errors import UsageError
 
@@ -19,23 +18,8 @@ WEYL_FAMILY = {"A": "A", "B": "B", "C": "B", "D": "D"}
 
 
 def frame_object_for_coset(family, n, types, p, w):
-    """Frame object named by the coset representative w."""
-    if family == "A":
-        d = n + 1
-        return tuple(
-            Subspace.coordinate([w[t] - 1 for t in range(a)], d, p) for a in types
-        )
-    model = polar_model(family, n, p)
-    types = tuple(sorted(types))
-    if len(types) == 2:
-        if family != "D" or set(types) != {n - 1, n}:
-            raise UsageError("unsupported polar type set %s" % (types,))
-        labels = w[: n - 1]
-    elif types[0] == n - 1 and family == "D":
-        labels = w[: n - 1] + (-w[n - 1],)
-    else:
-        labels = w[: types[0]]
-    return (model.frame_subspace(labels),)
+    """Frame object named by the coset representative w, read as a label word."""
+    return geometry(BuildingSpec(family, n, p, types)).frame(w)
 
 
 def cross_validate(family, n, types, p):
@@ -50,8 +34,7 @@ def cross_validate(family, n, types, p):
     types = tuple(sorted(set(types)))
     group = weyl_group(WEYL_FAMILY[family], n)
     quotient = coset_kneser(group, types)
-    geo_family = family
-    geometric = apartment_graph(geo_family, n, types, p)
+    geometric = apartment_graph(family, n, types, p)
     if quotient.num_vertices != geometric.num_vertices:
         return {
             "ok": False,

@@ -22,7 +22,7 @@ import time
 import numpy as np
 
 from .algebra import Subspace, is_totally_singular, rank_mod_p
-from .buildings import flags_adjacent, polar_model
+from .buildings import BuildingSpec, flags_adjacent, geometry
 from .errors import FixtureIntegrityError, UsageError
 
 CASES = ("B3_2", "C3_3", "D4_34", "A_flags")
@@ -77,9 +77,9 @@ def _polar_adjacent(model, a, b):
 
 
 def _polar_fixture(case, family, n, p, data):
-    model = polar_model(family, n, p)
     k = data["k"]
-    d = model.dim
+    geo = geometry(BuildingSpec(family, n, p, (k,)))
+    model, d = geo.model, geo.dim
     wit = [
         Subspace.span(rows, d, p) for rows in data["witnesses"]
     ]
@@ -87,11 +87,8 @@ def _polar_fixture(case, family, n, p, data):
         _require(w.dim == k, "witness %d has dimension %d, want %d" % (i, w.dim, k))
         _require(is_totally_singular(w, model.form), "witness %d is singular" % i)
     _require(_polar_adjacent(model, wit[0], wit[1]), "witnesses are adjacent")
-    frames = {
-        ls: model.frame_subspace(ls) for ls in model.frame_label_sets(k)
-    }
     coc = [Subspace.coordinate(cols, d, p) for cols in data["coclique_cols"]]
-    frame_set = set(frames.values())
+    frame_set = {f[0] for f in geo.frames()}
     for i, c in enumerate(coc):
         _require(c in frame_set, "coclique member %d is a frame object" % i)
     for a, b in itertools.combinations(coc, 2):
@@ -117,16 +114,15 @@ def _polar_fixture(case, family, n, p, data):
 
 
 def _d4_planes_fixture(p, data):
-    model = polar_model("D", 4, p)
-    k = data["k"]
-    d = model.dim
+    geo = geometry(BuildingSpec("D", 4, p, (3, 4)))
+    model, k, d = geo.model, data["k"], geo.dim
     wit = [Subspace.span(rows, d, p) for rows in data["witnesses"]]
     for i, w in enumerate(wit):
         _require(w.dim == k, "witness %d has dimension 3" % i)
         _require(is_totally_singular(w, model.form), "witness %d is singular" % i)
     _require(_polar_adjacent(model, wit[0], wit[1]), "witnesses are adjacent")
-    label_sets = model.frame_label_sets(3)
-    frames = [model.frame_subspace(ls) for ls in label_sets]
+    label_sets = geo.frame_words()
+    frames = [geo.frame(ls)[0] for ls in label_sets]
     partner = {
         ls: tuple(sorted((-l for l in ls), key=abs)) for ls in label_sets
     }
@@ -149,7 +145,7 @@ def _d4_planes_fixture(p, data):
         pick = mate if ls in bad_set else ls
         _require(pick not in bad_set, "compatible coclique choice exists")
         chosen.append(pick)
-    coc = [model.frame_subspace(ls) for ls in chosen]
+    coc = [geo.frame(ls)[0] for ls in chosen]
     for a, b in itertools.combinations(coc, 2):
         _require(not _polar_adjacent(model, a, b), "C is a coclique")
     for i, w in enumerate(wit):
@@ -183,12 +179,7 @@ def _a_flags_fixture(n, i, p):
     _require(b.dim == n - i and b2.dim == n - i, "large parts have dimension n-i")
     _require(b.contains(a) and b2.contains(a2), "witnesses are nested flags")
     _require(flags_adjacent(f, f2, d, p), "witness flags are adjacent")
-    frames = []
-    for big in itertools.combinations(range(d), n - i):
-        for small in itertools.combinations(big, i):
-            frames.append(
-                (Subspace.coordinate(small, d, p), Subspace.coordinate(big, d, p))
-            )
+    frames = geometry(BuildingSpec("A", n - 1, p, (i, n - i))).frames()
     universe = frozenset(range(d))
 
     def labels(fr):

@@ -18,6 +18,7 @@ from kneserlab.buildings import (
     expected_sigma_size,
     flags_adjacent,
     g2_points,
+    geometry,
     polar_model,
 )
 from kneserlab.errors import UsageError
@@ -49,8 +50,6 @@ def test_spec_validation():
         BuildingSpec("A", 3, 2, (4,))
     with pytest.raises(UsageError):
         BuildingSpec("B", 3, 2, (1,))
-    with pytest.raises(UsageError):
-        BuildingSpec("A", 3, 2, (1,), selector="both")
     spec = BuildingSpec("A", 3, 2, (2, 1))
     assert spec.types == (1, 2)
 
@@ -150,7 +149,7 @@ def test_polar_kneser_d42():
     # Frame matching: {s,t} is adjacent exactly to {s',t'}.
     model = polar_model("D", 4, 2)
     idx = {g.vertices[v][0]: v for v in g.sigma}
-    for labels in model.frame_label_sets(2):
+    for labels in geometry(g.spec).frame_words():
         a = idx[model.frame_subspace(labels)]
         b = idx[model.frame_subspace(tuple(-l for l in labels))]
         assert g.is_adjacent(a, b)
@@ -216,7 +215,7 @@ def test_d4_planes_paper_witnesses():
     assert g.is_adjacent(idx[pi], idx[pi2])
     # pi is not adjacent to any frame plane through its own vector e_4.
     model = polar_model("D", 4, 2)
-    for labels in model.frame_label_sets(3):
+    for labels in geometry(g.spec).frame_words():
         if 4 in labels:
             fr = idx[model.frame_subspace(labels)]
             assert not g.is_adjacent(idx[pi], fr)
@@ -342,7 +341,7 @@ def test_kernel_rows_match_rank_oracle_all_pairs():
             if adjacent(a, b):
                 rows[a] |= 1 << b
                 rows[b] |= 1 << a
-        assert g.adjacency == rows, g.spec
+        assert g.adjacency == tuple(rows), g.spec
 
 
 def test_kernel_rows_match_rank_oracle_random_pairs():
@@ -364,3 +363,57 @@ def test_expected_num_vertices_on_grid():
     for family, n, types, p in GRID_CELLS:
         spec = BuildingSpec(family, n, p, types)
         assert expected_num_vertices(spec) == build_graph(spec).num_vertices, spec
+
+
+def test_one_graph_per_spec_across_builders():
+    # Every builder is a translation to a spec in front of build_graph's
+    # one cache, so a spec is built once per process.
+    assert build_graph(BuildingSpec("C", 3, 3, (2,))) is build_polar_kneser("C", 3, 2, 3)
+    assert build_graph(BuildingSpec("D", 4, 2, (2,))) is build_polar_kneser("D", 4, 2, 2)
+    assert build_graph(BuildingSpec("D", 4, 2, (4,))) is build_polar_kneser("D", 4, 4, 2)
+    assert build_graph(BuildingSpec("D", 4, 2, (3,))) is build_polar_kneser(
+        "D", 4, 4, 2, "minus")
+    assert build_graph(BuildingSpec("D", 4, 2, (3, 4))) is build_d4_planes(2)
+    assert build_graph(BuildingSpec("G", 2, 3, (1,))) is g2_points(3)
+    assert build_graph(BuildingSpec("A", 3, 2, (2,))) is build_projective_kneser(3, 2, 2)
+
+
+def test_cached_graphs_are_immutable():
+    g = build_graph(BuildingSpec("D", 4, 2, (2,)))
+    with pytest.raises(TypeError):
+        g.adjacency[0] = 0
+    with pytest.raises(TypeError):
+        g.sigma[0] = 0
+    with pytest.raises(AttributeError):
+        g.sigma = ()
+    with pytest.raises(AttributeError):
+        g.adjacency = ()
+    assert build_graph(BuildingSpec("D", 4, 2, (2,))).adjacency[0] != 0
+
+
+@pytest.mark.parametrize("family,n,types,p", [
+    ("D", 4, (1, 2, 3), 2), ("D", 4, (1, 2), 2), ("D", 4, (2, 4), 2),
+    ("B", 3, (2, 3), 3), ("C", 3, (1, 3), 2),
+    ("G", 2, (2,), 3), ("G", 3, (3,), 3), ("G", 2, (1, 2), 3),
+])
+def test_geometry_rejects_unnamed_specs(family, n, types, p):
+    spec = BuildingSpec(family, n, p, types)
+    with pytest.raises(UsageError, match="%s_%d type" % (family, n)):
+        geometry(spec)
+    with pytest.raises(UsageError):
+        expected_num_vertices(spec)
+
+
+def test_geometry_names_the_d_families():
+    plus, minus, planes = (geometry(BuildingSpec("D", 5, 2, t)) for t in [(5,), (4,), (4, 5)])
+    assert (plus.parts, plus.oriflamme) == ((5,), "plus")
+    assert (minus.parts, minus.oriflamme) == ((5,), "minus")
+    assert (planes.parts, planes.oriflamme) == ((4,), None)
+    assert geometry(BuildingSpec("G", 2, 3, (1,))).model is polar_model("B", 3, 3)
+    # Frames of the apartment: 2^(n-1) per family, and the even words of
+    # the minus family name odd frames.
+    for geo in (plus, minus):
+        assert len(set(geo.frames())) == len(geo.frame_words()) == 16
+    assert not set(plus.frames()) & set(minus.frames())
+    assert len(planes.frames()) == 5 * 2 ** 4
+    assert minus.frame((1, 2, 3, 4, 5)) == (plus.model.frame_subspace((1, 2, 3, 4, -5)),)

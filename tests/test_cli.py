@@ -77,6 +77,22 @@ def test_build_invalid_spec_exit_2(capsys):
     code, _, _ = run(capsys, "build", "--family", "A", "--rank", "3",
                      "--p", "2")
     assert code == EXIT_USAGE
+    # Type sets that name no object are refused before any enumeration.
+    for family, rank, types, p, name in [
+        ("D", "4", "1,2,3", "2", "D_4 type 1,2,3"),
+        ("G", "2", "2", "3", "G_2 type 2"),
+        ("G", "3", "3", "3", "G_3 type 3"),
+    ]:
+        code, out, err = run(capsys, "build", "--family", family, "--rank", rank,
+                             "--type", types, "--p", p)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert name in err
+    # The type names the D_n family; there is no --selector.
+    with pytest.raises(SystemExit) as exc:
+        main(["build", "--family", "D", "--rank", "4", "--type", "4",
+              "--p", "2", "--selector", "minus"])
+    assert exc.value.code == EXIT_USAGE
 
 
 def test_check_ucep_holds_exit_0(capsys):
@@ -249,6 +265,34 @@ def test_export_bad_schema(capsys, tmp_path):
     path.write_text('{"schema": 99}')
     code, _, _ = run(capsys, "export", "--input", str(path))
     assert code == EXIT_USAGE
+    # A well-formed file (PG(2,2) points, the complete graph K_7), then
+    # one broken field at a time.
+    code, out, _ = run(capsys, "build", "--family", "A", "--rank", "2",
+                       "--type", "1", "--p", "2")
+    assert code == EXIT_OK
+    good = json.loads(out)
+    maximal = dict(good, spec={"family": "D", "rank": 4, "p": 2, "types": [4]})
+    cases = [
+        ("edges", [[0, 7]]),
+        ("edges", [[-1, 2]]),
+        ("edges", [[3, 3]]),
+        ("sigma", [0, 7]),
+        ("num_vertices", 8),
+        ("spec", dict(good["spec"], selector="plus")),
+    ]
+    for key, value in cases:
+        path.write_text(json.dumps(dict(good, **{key: value})))
+        for fmt in ("dimacs", "json"):
+            code, out, err = run(capsys, "export", "--input", str(path), "--format", fmt)
+            assert code == EXIT_USAGE, (key, value)
+            assert out == ""
+            assert err.startswith("error: ")
+    # "selector" must agree with the type; export does not re-derive the
+    # vertices from the spec.
+    for selector, want in (("minus", EXIT_USAGE), ("plus", EXIT_OK)):
+        path.write_text(json.dumps(dict(maximal, spec=dict(maximal["spec"], selector=selector))))
+        code, _, _ = run(capsys, "export", "--input", str(path))
+        assert code == want, selector
 
 
 def test_build_deterministic_output(capsys):

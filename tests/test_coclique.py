@@ -12,6 +12,7 @@ from kneserlab.buildings import (
     build_flag_kneser_A,
     build_polar_kneser,
     build_projective_kneser,
+    g2_points,
     polar_model,
 )
 from kneserlab.coclique import (
@@ -254,3 +255,24 @@ def test_span_check_unsupported_spec():
     g = build_flag_kneser_A(2, (1, 2), 2)
     with pytest.raises(UsageError):
         span_check(g, ())
+
+
+def test_sigma_cocliques_match_networkx():
+    # Bron-Kerbosch over Sigma against networkx's maximal cliques of the
+    # complement of the Sigma-induced subgraph.
+    nx = pytest.importorskip("networkx")
+    graphs = [
+        build_projective_kneser(3, 2, 2),
+        build_flag_kneser_A(4, (2, 3), 2),
+        build_polar_kneser("C", 3, 1, 2),
+        build_polar_kneser("D", 4, 2, 2),
+        g2_points(3),
+    ]
+    for g in graphs:
+        complement = nx.Graph()
+        complement.add_nodes_from(g.sigma)
+        complement.add_edges_from(
+            (a, b) for a, b in itertools.combinations(g.sigma, 2) if not g.is_adjacent(a, b)
+        )
+        want = sorted(tuple(sorted(c)) for c in nx.find_cliques(complement))
+        assert maximal_cocliques_sigma(g) == want, g.spec

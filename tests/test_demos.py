@@ -1,0 +1,28 @@
+"""The quick demo scripts run to completion.
+
+Demos 02 (polar spaces) and 03 (counterexamples) build the D_4 graphs
+from scratch and take several seconds each, so they are run by hand.
+"""
+
+import os
+import subprocess
+import sys
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+@pytest.mark.parametrize("script", [
+    "01_projective_kneser.py",
+    "04_plucker_and_matroids.py",
+    "05_coxeter_crossval.py",
+])
+def test_demo_exits_0(script):
+    src = os.path.join(ROOT, "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    proc = subprocess.run([sys.executable, os.path.join(ROOT, "demos", script)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout
