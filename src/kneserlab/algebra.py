@@ -4,12 +4,11 @@ Subspaces of F_p^d are kept in reduced row echelon form, which makes the
 RREF basis matrix a canonical name for the subspace: two Subspace values
 are equal iff their basis tuples are equal, so they hash in O(1) and sort
 deterministically. Everything downstream (graphs, reports, golden files)
-keys off this canonical form.
+keys off this canonical form. Enumeration makes each RREF basis once, by
+canonical augmentation: appending a row to a basis one dimension lower.
 """
 
 from __future__ import annotations
-
-import itertools
 
 import numpy as np
 
@@ -311,77 +310,77 @@ def gaussian_binomial(d, k, p):
     return num // den
 
 
+# Numpy elements in one block of candidate rows or of the opposition
+# kernel's pairing (512 KiB of int64).
+_BLOCK_ELEMS = 1 << 16
+
+
+def _candidate_rows(c, d, p, form):
+    """Rows e_c + t, t over F_p^(d-1-c) in lexicographic order (given a form,
+    the singular ones, v gram v^T = 0), made in blocks of _BLOCK_ELEMS entries."""
+    count, step = p ** (d - 1 - c), max(1, _BLOCK_ELEMS // d)
+    digits = p ** np.arange(d - 2 - c, -1, -1)
+    blocks = []
+    for lo in range(0, count, step):
+        block = np.zeros((min(step, count - lo), d), dtype=np.int64)
+        block[:, c] = 1
+        block[:, c + 1:] = np.arange(lo, lo + len(block))[:, None] // digits % p
+        if form is not None:
+            block = block[(block @ np.array(form.gram) * block).sum(axis=1) % p == 0]
+        blocks.append(block)
+    return np.concatenate(blocks)
+
+
+def _augment(d, k, p, form=None):
+    """The k-subspaces of F_p^d, totally singular for a form, in canonical
+    order, each made once. The first j rows of an RREF basis are the RREF
+    basis of a j-space, so level j extends each basis of level j-1, whose
+    last pivot is l, by the rows v = e_c + t with c > l, every parent row 0
+    at column c and any t on the columns after c (for a form: v singular
+    and orthogonal to the parent rows). Each parent + (v,) is canonical;
+    taking parents in order, c descending and t ascending keeps each level
+    sorted."""
+    polar = None if form is None else np.array(form.polar_gram(), dtype=np.int64)
+    candidates, level = {}, [()]  # rows per column c; every parent pivot is left of c
+    for _ in range(k):
+        nxt = []
+        for parent in level:
+            # The last pivot is the last row's first nonzero entry, a 1.
+            last = parent[-1].index(1) if parent else -1
+            pairing = polar @ np.array(parent).T % p if form is not None and parent else None
+            for c in range(d - 1, last, -1):
+                if not any(row[c] for row in parent):
+                    if c not in candidates:
+                        candidates[c] = _candidate_rows(c, d, p, form)
+                    rows = candidates[c]
+                    if pairing is not None:
+                        rows = rows[~(rows @ pairing % p).any(axis=1)]
+                    nxt.extend(parent + (v,) for v in map(tuple, rows.tolist()))
+        level = nxt
+    return [Subspace(d, p, basis) for basis in level]
+
+
 def enumerate_subspaces(d, k, p):
     """All k-subspaces of F_p^d, in lexicographic RREF order (row-major)."""
     check_prime(p)
     if k < 0 or k > d:
         raise UsageError("need 0 <= k <= d")
-    if k == 0:
-        yield Subspace.zero(d, p)
-        return
-    out = []
-    for pivots in itertools.combinations(range(d), k):
-        free_slots = [
-            (i, j)
-            for i in range(k)
-            for j in range(pivots[i] + 1, d)
-            if j not in pivots
-        ]
-        for values in itertools.product(range(p), repeat=len(free_slots)):
-            mat = [[0] * d for _ in range(k)]
-            for i in range(k):
-                mat[i][pivots[i]] = 1
-            for (i, j), v in zip(free_slots, values):
-                mat[i][j] = v
-            out.append(tuple(tuple(row) for row in mat))
-    out.sort()
-    for basis in out:
-        yield Subspace(d, p, basis)
+    yield from _augment(d, k, p)
 
 
 def singular_points(form):
     """All singular/isotropic projective points, as canonical 1-subspaces."""
-    d, p = form.dim, form.p
-    pts = []
-    for lead in range(d):
-        tail = d - lead - 1
-        for rest in itertools.product(range(p), repeat=tail):
-            v = (0,) * lead + (1,) + rest
-            if form.eval_q(v) == 0:
-                pts.append(Subspace(d, p, (v,)))
-    pts.sort()
-    return pts
+    return _augment(form.dim, 1, form.p, form)
 
 
 def enumerate_singular_subspaces(form, k, via_filter=False):
-    """All totally singular/isotropic k-subspaces, in canonical order.
-
-    Built by extending (k-1)-spaces with singular points of their perp;
-    `via_filter=True` instead filters enumerate_subspaces, as a slow
-    independent cross-check of the same set.
+    """All totally singular/isotropic k-subspaces, in canonical order, by
+    _augment; `via_filter=True` instead filters enumerate_subspaces, as a
+    slow independent cross-check of the same set.
     """
     d, p = form.dim, form.p
     if k < 0:
         raise UsageError("need k >= 0")
     if via_filter:
         return [u for u in enumerate_subspaces(d, k, p) if is_totally_singular(u, form)]
-    if k == 0:
-        return [Subspace.zero(d, p)]
-    level = singular_points(form)
-    if k == 1:
-        return level
-    points = level
-    pt_vecs = np.array([pt.basis[0] for pt in points], dtype=np.int64)
-    g = np.array(form.polar_gram(), dtype=np.int64)
-    for _ in range(k - 1):
-        nxt = set()
-        for sub in level:
-            pairing = (sub.matrix() @ g @ pt_vecs.T) % p
-            ok = np.flatnonzero(~pairing.any(axis=0))
-            for idx in ok:
-                pt = points[idx]
-                if sub.contains_vector(pt.basis[0]):
-                    continue
-                nxt.add(Subspace.span(list(sub.basis) + [pt.basis[0]], d, p))
-        level = sorted(nxt)
-    return level
+    return _augment(d, k, p, form)

@@ -39,6 +39,7 @@ from functools import lru_cache
 import numpy as np
 
 from .algebra import (
+    _BLOCK_ELEMS,
     Subspace,
     check_prime,
     enumerate_singular_subspaces,
@@ -299,10 +300,6 @@ def _sigma_indices(vertices, frame_flags):
     return sorted(out)
 
 
-# Numpy elements in one column block of the kernel's pairing (512 KiB of int64).
-_BLOCK_ELEMS = 1 << 16
-
-
 def _point_ids(subspaces):
     """Projective points of each subspace, as an (N, (p^k-1)/(p-1)) array.
 
@@ -431,7 +428,8 @@ def _graph(spec):
     """The one graph cache, keyed by the canonical spec.
 
     Specs with more than MAX_VERTICES vertices are refused before any
-    enumeration: N vertices take N^2/8 bytes of adjacency.
+    enumeration: N vertices take N^2/8 bytes of adjacency. The enumerated
+    vertices must number the closed-form count.
     """
     count = expected_num_vertices(spec)
     if count > MAX_VERTICES:
@@ -439,6 +437,9 @@ def _graph(spec):
                          % (spec.to_dict(), count, MAX_VERTICES))
     geo = geometry(spec)
     vertices = _vertices(geo)
+    if len(vertices) != count:
+        raise RuntimeError("enumerated %d vertices for spec %s, expected %d"
+                           % (len(vertices), spec.to_dict(), count))
     sigma = _sigma_indices(vertices, geo.frames())
     return KneserGraph(spec, vertices, _rows(geo, vertices), sigma)
 

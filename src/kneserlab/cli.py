@@ -14,8 +14,8 @@ import json
 import sys
 import time
 
-from .algebra import Subspace
-from .buildings import BuildingSpec, KneserGraph, build_graph
+from .algebra import Subspace, is_totally_singular, rref
+from .buildings import BuildingSpec, KneserGraph, build_graph, geometry
 from .coclique import check_scan_args, check_ucep
 from .crossval import cross_validate
 from .errors import (
@@ -148,29 +148,67 @@ def _vertex_index(value, n, what):
     return value
 
 
+def _field(data, key):
+    if key not in data:
+        raise UsageError("stored graph has no %r" % key)
+    return data[key]
+
+
+def _stored_vertex(geo, flag, index):
+    """The flag of subspaces a stored vertex lists, checked against the
+    geometry: one canonical RREF basis per part (so entries in 0..p-1), of
+    the part's dimension in F_p^dim, nested, and for a polar spec totally
+    singular and in the named family of maximal spaces."""
+    p, d = geo.spec.p, geo.dim
+
+    def bad(why):
+        return UsageError("vertex %d %s" % (index, why))
+
+    if not isinstance(flag, list) or len(flag) != len(geo.parts):
+        raise bad("does not have %d parts" % len(geo.parts))
+    parts = []
+    for k, mat in zip(geo.parts, flag):
+        if not (isinstance(mat, list) and len(mat) == k and all(
+                isinstance(row, list) and len(row) == d and all(type(x) is int for x in row)
+                for row in mat)):
+            raise bad("is not a flag of %s-spaces of F_%d^%d" % (geo.parts, p, d))
+        basis = tuple(map(tuple, mat))
+        if rref(basis, d, p) != basis:
+            raise bad("has a basis not in reduced row echelon form over F_%d" % p)
+        parts.append(Subspace(d, p, basis))
+    if not all(w.contains(u) for u, w in zip(parts, parts[1:])):
+        raise bad("is not a nested flag")
+    if geo.model is not None and not is_totally_singular(parts[0], geo.model.form):
+        raise bad("is not totally singular")
+    if geo.oriflamme and geo.model.in_plus_family(parts[0]) != (geo.oriflamme == "plus"):
+        raise bad("is not in the %s family" % geo.oriflamme)
+    return tuple(parts)
+
+
 def cmd_export(args):
     with open(args.input) as handle:
         data = json.load(handle)
     if data.get("schema") != SCHEMA:
         raise UsageError("unsupported graph schema %r" % data.get("schema"))
-    stored = data["spec"]
-    spec = BuildingSpec(stored["family"], stored["rank"], stored["p"], tuple(stored["types"]))
+    stored = _field(data, "spec")
+    spec = BuildingSpec(*(_field(stored, key) for key in ("family", "rank", "p")),
+                        tuple(_field(stored, "types")))
     if "selector" in stored and stored["selector"] != spec.to_dict().get("selector"):
         raise UsageError("selector %r contradicts the type set %s"
                          % (stored["selector"], list(spec.types)))
-    vertices = [tuple(Subspace(len(mat[0]), spec.p, tuple(map(tuple, mat))) for mat in flag)
-                for flag in data["vertices"]]
+    geo = geometry(spec)
+    vertices = [_stored_vertex(geo, flag, i) for i, flag in enumerate(_field(data, "vertices"))]
     n = len(vertices)
     if data.get("num_vertices") != n:
         raise UsageError("num_vertices %r does not match the %d vertices listed"
                          % (data.get("num_vertices"), n))
     adjacency = [0] * n
-    for i, j in data["edges"]:
+    for i, j in _field(data, "edges"):
         if _vertex_index(i, n, "edge end") == _vertex_index(j, n, "edge end"):
             raise UsageError("edge [%d, %d] is a self-loop" % (i, j))
         adjacency[i] |= 1 << j
         adjacency[j] |= 1 << i
-    sigma = [_vertex_index(v, n, "sigma entry") for v in data["sigma"]]
+    sigma = [_vertex_index(v, n, "sigma entry") for v in _field(data, "sigma")]
     graph = KneserGraph(spec, vertices, adjacency, sigma)
     _write(_render_graph(graph, args.format), args.output)
     return EXIT_OK

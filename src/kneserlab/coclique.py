@@ -20,6 +20,7 @@ import time
 from dataclasses import dataclass, field
 
 from .algebra import rank_mod_p
+from .buildings import geometry
 from .errors import FixtureIntegrityError, SearchBudgetExceeded, UsageError
 from .exterior import all_keys, plucker
 
@@ -322,10 +323,12 @@ SPAN_SUPPORTED = ("A-single", "D-lines")
 
 
 def _span_kind(graph):
-    spec = graph.spec
-    if spec.family == "A" and len(spec.types) == 1:
+    """What geometry(spec) names: single subspaces of a type-A graph, or
+    totally singular lines of a D_n graph."""
+    geo = geometry(graph.spec)
+    if geo.model is None and len(geo.parts) == 1:
         return "A-single"
-    if spec.family == "D" and spec.types == (2,):
+    if geo.model is not None and geo.model.family == "D" and geo.parts == (2,):
         return "D-lines"
     return None
 

@@ -225,6 +225,9 @@ def test_enumerate_singular_agrees_with_filter():
         ("B", 3, 3, (1,)),
         ("C", 3, 2, (1, 2, 3)),
         ("D", 4, 2, (1, 2)),
+        ("C", 2, 5, (1, 2)),
+        ("D", 2, 7, (1, 2)),
+        ("B", 2, 5, (1, 2)),
     ]
     for family, n, p, ks in cases:
         form = polar_model(family, n, p).form
@@ -232,6 +235,29 @@ def test_enumerate_singular_agrees_with_filter():
             fast = enumerate_singular_subspaces(form, k)
             slow = enumerate_singular_subspaces(form, k, via_filter=True)
             assert fast == slow, (family, n, p, k)
+
+
+@pytest.mark.parametrize("family,n,p,ks", [
+    ("B", 3, 3, (1, 2, 3)),
+    ("C", 3, 3, (1, 2, 3)),
+    ("D", 4, 2, (1, 2, 3, 4)),
+    ("D", 5, 2, (1, 2)),
+    ("B", 4, 3, (1,)),
+])
+def test_enumerate_singular_canonical_and_complete(family, n, p, ks):
+    # Strictly increasing canonical bases, each totally singular, as many
+    # as the closed form [n, k]_p prod_{i=n-k+1..n} (p^(i+e-1) + 1) counts.
+    form = polar_model(family, n, p).form
+    e = 0 if family == "D" else 1
+    for k in ks:
+        subs = enumerate_singular_subspaces(form, k)
+        count = gaussian_binomial(n, k, p)
+        for i in range(n - k + 1, n + 1):
+            count *= p ** (i + e - 1) + 1
+        assert len(subs) == count, k
+        assert all(a.key < b.key for a, b in zip(subs, subs[1:]))
+        assert all(rref(u.basis, form.dim, p) == u.basis for u in subs)
+        assert all(is_totally_singular(u, form) for u in subs)
 
 
 def test_enumerate_singular_beyond_witt_index_empty():

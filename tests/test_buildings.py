@@ -365,6 +365,19 @@ def test_expected_num_vertices_on_grid():
         assert expected_num_vertices(spec) == build_graph(spec).num_vertices, spec
 
 
+def test_graph_checks_enumerated_count(monkeypatch):
+    # An enumerator that loses one subspace is caught by the closed-form
+    # count for every spec, not only for the tested ones.
+    import kneserlab.buildings as buildings
+
+    enumerate_all = buildings.enumerate_singular_subspaces
+    monkeypatch.setattr(buildings, "enumerate_singular_subspaces",
+                        lambda form, k: enumerate_all(form, k)[1:])
+    spec = BuildingSpec("C", 3, 2, (2,))
+    with pytest.raises(RuntimeError, match="enumerated 314 vertices .* expected 315"):
+        buildings._graph.__wrapped__(spec)
+
+
 def test_one_graph_per_spec_across_builders():
     # Every builder is a translation to a spec in front of build_graph's
     # one cache, so a spec is built once per process.

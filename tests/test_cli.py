@@ -265,30 +265,60 @@ def test_export_bad_schema(capsys, tmp_path):
     path.write_text('{"schema": 99}')
     code, _, _ = run(capsys, "export", "--input", str(path))
     assert code == EXIT_USAGE
-    # A well-formed file (PG(2,2) points, the complete graph K_7), then
+
+    def built(family, rank, types):
+        code, out, _ = run(capsys, "build", "--family", family, "--rank", str(rank),
+                           "--type", types, "--p", "2")
+        assert code == EXIT_OK
+        return json.loads(out)
+
+    def vertex_0(data, flag):
+        return dict(data, vertices=[flag] + data["vertices"][1:])
+
+    def coordinate(*cols):
+        return [[int(j == c) for j in range(8)] for c in cols]
+
+    # Well-formed files (PG(2,2) points, the complete graph K_7; PG(2,2)
+    # point-line flags; one D_4 family of maximal spaces over F_2), then
     # one broken field at a time.
-    code, out, _ = run(capsys, "build", "--family", "A", "--rank", "2",
-                       "--type", "1", "--p", "2")
-    assert code == EXIT_OK
-    good = json.loads(out)
-    maximal = dict(good, spec={"family": "D", "rank": 4, "p": 2, "types": [4]})
-    cases = [
+    good, flags, maximal = built("A", 2, "1"), built("A", 2, "1,2"), built("D", 4, "4")
+    cases = [(dict(good, **{key: value}), "error: ") for key, value in [
         ("edges", [[0, 7]]),
         ("edges", [[-1, 2]]),
         ("edges", [[3, 3]]),
         ("sigma", [0, 7]),
         ("num_vertices", 8),
         ("spec", dict(good["spec"], selector="plus")),
-    ]
-    for key, value in cases:
-        path.write_text(json.dumps(dict(good, **{key: value})))
+    ]]
+    cases += [({k: v for k, v in good.items() if k != key}, "error: stored graph has no '%s'" % key)
+              for key in ("spec", "vertices", "edges", "sigma")]
+    cases += [(vertex_0(good, flag), "error: vertex 0 ") for flag in (
+        [[[1, 0]]],                 # ambient 2, where A_2 needs 3
+        [[[1, 0, 0]], [[0, 1, 0]]],  # two parts for one type
+        [[[1, 0, 0], [0, 1, 0]]],    # a line for a point
+        [[[1, 2, 0]]],              # an entry outside F_2
+        [[[0, 0, 0]]],              # not a basis
+    )]
+    cases += [(vertex_0(flags, flag), "error: vertex 0 ") for flag in (
+        [[[0, 0, 1]], [[1, 0, 0], [0, 1, 0]]],  # the point is off the line
+        [[[1, 0, 0]], [[1, 1, 0], [0, 1, 0]]],  # not reduced
+    )]
+    cases += [(vertex_0(maximal, flag), "error: vertex 0 ") for flag in (
+        [coordinate(0, 1, 2, 3)],  # not singular, but meets <e_1, .., e_4> evenly, like plus
+        [coordinate(0, 2, 4, 7)],  # the minus family
+    )]
+    for data, want in cases:
+        path.write_text(json.dumps(data))
         for fmt in ("dimacs", "json"):
             code, out, err = run(capsys, "export", "--input", str(path), "--format", fmt)
-            assert code == EXIT_USAGE, (key, value)
+            assert code == EXIT_USAGE, data
             assert out == ""
-            assert err.startswith("error: ")
-    # "selector" must agree with the type; export does not re-derive the
-    # vertices from the spec.
+            assert err.startswith(want), err
+    for data in (good, flags, maximal):
+        path.write_text(json.dumps(data))
+        code, out, _ = run(capsys, "export", "--input", str(path), "--format", "json")
+        assert (code, json.loads(out)) == (EXIT_OK, data)
+    # "selector" must agree with the type.
     for selector, want in (("minus", EXIT_USAGE), ("plus", EXIT_OK)):
         path.write_text(json.dumps(dict(maximal, spec=dict(maximal["spec"], selector=selector))))
         code, _, _ = run(capsys, "export", "--input", str(path))

@@ -10,6 +10,7 @@ from kneserlab.algebra import Subspace, gaussian_binomial
 from kneserlab.buildings import (
     BuildingSpec,
     build_flag_kneser_A,
+    build_graph,
     build_polar_kneser,
     build_projective_kneser,
     g2_points,
@@ -255,6 +256,10 @@ def test_span_check_unsupported_spec():
     g = build_flag_kneser_A(2, (1, 2), 2)
     with pytest.raises(UsageError):
         span_check(g, ())
+    # D_3 type 2 names the minus family of maximal planes, not lines.
+    g = build_graph(BuildingSpec("D", 3, 2, (2,)))
+    with pytest.raises(UsageError):
+        span_check(g, g.sigma[:1])
 
 
 def test_sigma_cocliques_match_networkx():

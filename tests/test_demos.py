@@ -1,8 +1,4 @@
-"""The quick demo scripts run to completion.
-
-Demos 02 (polar spaces) and 03 (counterexamples) build the D_4 graphs
-from scratch and take several seconds each, so they are run by hand.
-"""
+"""The demo scripts run to completion."""
 
 import os
 import subprocess
@@ -15,6 +11,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 @pytest.mark.parametrize("script", [
     "01_projective_kneser.py",
+    "02_polar_spaces.py",
+    "03_counterexamples.py",
     "04_plucker_and_matroids.py",
     "05_coxeter_crossval.py",
 ])
