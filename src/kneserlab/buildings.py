@@ -33,6 +33,7 @@ x is the points P with x ⊂ P^⊥, so that x ~ y iff perp(x) ∩ y = 0.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -145,8 +146,10 @@ class Geometry:
     A vertex is a flag of subspaces of F_p^dim with the dimensions in
     `parts`. For a polar spec (`model` set) it is one totally singular
     subspace, taken from one D_n family of maximal ones when `oriflamme`
-    is "plus" or "minus". `self_opposite` is False only for type-A flags
-    whose type set is not self-opposite.
+    is "plus" or "minus". `self_opposite` is False for type-A flags whose
+    type set is not self-opposite, and for one family of maximal spaces
+    of D_n with n odd: two spaces of one family then meet in odd
+    dimension, so none is opposite another.
     """
 
     spec: BuildingSpec
@@ -225,7 +228,8 @@ def geometry(spec):
     if types not in objects:
         raise UsageError("%s: a polar type set is one type, or {n-1, n} in D_n" % name)
     k, oriflamme = objects[types]
-    return Geometry(spec, polar_model(family, n, spec.p), (k,), oriflamme)
+    return Geometry(spec, polar_model(family, n, spec.p), (k,), oriflamme,
+                    not (oriflamme and n % 2))
 
 
 @dataclass(frozen=True, eq=False)
@@ -445,12 +449,12 @@ def _graph(spec):
 
 
 def build_graph(spec):
-    """The Kneser graph a spec names; type-A flags need a self-opposite
-    type set (build_flag_kneser_A can allow others)."""
+    """The Kneser graph a spec names, if its type is self-opposite (see
+    Geometry; build_flag_kneser_A can allow other type-A flags)."""
     if not geometry(spec).self_opposite:
         raise UsageError(
-            "type set %s is not self-opposite; Kneser adjacency within one "
-            "type is undefined" % (spec.types,)
+            "spec %s: type set %s is not self-opposite; Kneser adjacency within "
+            "one type is undefined" % (spec.to_dict(), list(spec.types))
         )
     return _graph(spec)
 
@@ -507,8 +511,6 @@ def expected_sigma_size(spec):
     types = spec.types
     if fam == "A":
         if len(types) == 1:
-            import math
-
             return math.comb(n + 1, types[0])
         if types == (1, n):
             return n * (n + 1)
@@ -517,13 +519,9 @@ def expected_sigma_size(spec):
         return 6
     k = types[0]
     if fam == "D" and len(types) == 2:
-        import math
-
         return math.comb(n, n - 1) * 2 ** (n - 1)
     if fam == "D" and k in (n, n - 1):
         return 2 ** (n - 1)
-    import math
-
     return math.comb(n, k) * 2 ** k
 
 

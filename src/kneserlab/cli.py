@@ -112,11 +112,9 @@ def cmd_check_ucep(args):
         _write(json.dumps(report, sort_keys=True) + "\n", args.output)
         return EXIT_UCEP_FAILS
     spec = _spec_from_args(args)
-    check_scan_args(args.mode, args.samples, args.jobs)
+    check_scan_args(args.mode, args.samples)
     graph = build_graph(spec)
-    report = check_ucep(
-        graph, mode=args.mode, samples=args.samples, seed=args.seed, jobs=args.jobs
-    )
+    report = check_ucep(graph, mode=args.mode, samples=args.samples, seed=args.seed)
     _write(json.dumps(report.to_dict(), sort_keys=True) + "\n", args.output)
     return EXIT_OK if report.verdict == "holds" else EXIT_UCEP_FAILS
 
@@ -148,9 +146,12 @@ def _vertex_index(value, n, what):
     return value
 
 
-def _field(data, key):
+def _field(data, key, kind):
+    """data[key], which must be of the JSON type `kind`."""
     if key not in data:
         raise UsageError("stored graph has no %r" % key)
+    if type(data[key]) is not kind:
+        raise UsageError("stored %r is %r, not a JSON %s" % (key, data[key], kind.__name__))
     return data[key]
 
 
@@ -188,27 +189,35 @@ def _stored_vertex(geo, flag, index):
 def cmd_export(args):
     with open(args.input) as handle:
         data = json.load(handle)
-    if data.get("schema") != SCHEMA:
-        raise UsageError("unsupported graph schema %r" % data.get("schema"))
-    stored = _field(data, "spec")
-    spec = BuildingSpec(*(_field(stored, key) for key in ("family", "rank", "p")),
-                        tuple(_field(stored, "types")))
+    schema = data.get("schema") if type(data) is dict else None
+    if schema != SCHEMA:
+        raise UsageError("unsupported graph schema %r" % (schema,))
+    stored = _field(data, "spec", dict)
+    types = _field(stored, "types", list)
+    if not all(type(t) is int for t in types):
+        raise UsageError("stored 'types' %r is not a list of integers" % (types,))
+    spec = BuildingSpec(_field(stored, "family", str), _field(stored, "rank", int),
+                        _field(stored, "p", int), tuple(types))
     if "selector" in stored and stored["selector"] != spec.to_dict().get("selector"):
         raise UsageError("selector %r contradicts the type set %s"
                          % (stored["selector"], list(spec.types)))
     geo = geometry(spec)
-    vertices = [_stored_vertex(geo, flag, i) for i, flag in enumerate(_field(data, "vertices"))]
+    vertices = [_stored_vertex(geo, flag, i)
+                for i, flag in enumerate(_field(data, "vertices", list))]
     n = len(vertices)
     if data.get("num_vertices") != n:
         raise UsageError("num_vertices %r does not match the %d vertices listed"
                          % (data.get("num_vertices"), n))
     adjacency = [0] * n
-    for i, j in _field(data, "edges"):
+    for edge in _field(data, "edges", list):
+        if type(edge) is not list or len(edge) != 2:
+            raise UsageError("edge %r is not a pair of vertex indices" % (edge,))
+        i, j = edge
         if _vertex_index(i, n, "edge end") == _vertex_index(j, n, "edge end"):
             raise UsageError("edge [%d, %d] is a self-loop" % (i, j))
         adjacency[i] |= 1 << j
         adjacency[j] |= 1 << i
-    sigma = [_vertex_index(v, n, "sigma entry") for v in _field(data, "sigma")]
+    sigma = [_vertex_index(v, n, "sigma entry") for v in _field(data, "sigma", list)]
     graph = KneserGraph(spec, vertices, adjacency, sigma)
     _write(_render_graph(graph, args.format), args.output)
     return EXIT_OK
@@ -238,7 +247,6 @@ def build_parser():
     sp.add_argument("--mode", choices=["all", "sample"], default="all")
     sp.add_argument("--samples", type=int)
     sp.add_argument("--seed", type=int)
-    sp.add_argument("--jobs", type=int, default=1)
     sp.add_argument("--case-from-fixture", choices=list(CASES))
     sp.set_defaults(func=cmd_check_ucep)
 

@@ -5,24 +5,29 @@ coclique C of Sigma by a direct adjacency scan of the extension set D
 (all vertices nonadjacent to every member of C): the property holds iff
 no D contains an edge. The span criterion through the Pluecker embedding
 is sufficient but not necessary, so it lives in a separate instrument
-(span_check) and never decides the verdict.
+(span_check) and never decides the verdict. It holds psi, the N x C(d,k)
+matrix of the vertices' Pluecker coordinates, once per graph, and tests
+a coclique with one nullspace and one matrix product.
 
 All vertex sets here are bit masks over the graph's vertex indices, and
-witnesses are chosen lexicographically least so parallel runs produce
-bytewise identical reports.
+the witness is the lexicographically least violation, so reports are
+bytewise reproducible.
 """
 
 from __future__ import annotations
 
-import os
+import itertools
 import random
 import time
-from dataclasses import dataclass, field
+import weakref
+from dataclasses import dataclass
 
-from .algebra import rank_mod_p
+import numpy as np
+
+from .algebra import nullspace
 from .buildings import geometry
-from .errors import FixtureIntegrityError, SearchBudgetExceeded, UsageError
-from .exterior import all_keys, plucker
+from .errors import SearchBudgetExceeded, UsageError
+from .exterior import plucker
 
 MAX_SIGMA = 64
 
@@ -32,13 +37,6 @@ def _bits(mask):
         low = mask & -mask
         yield low.bit_length() - 1
         mask &= mask - 1
-
-
-def _mask_of(indices):
-    m = 0
-    for i in indices:
-        m |= 1 << i
-    return m
 
 
 def bron_kerbosch_pivot(adj, candidates):
@@ -93,12 +91,7 @@ def maximal_cocliques_sigma(graph):
 
 
 def is_coclique(graph, members):
-    members = list(members)
-    for a in range(len(members)):
-        for b in range(a + 1, len(members)):
-            if graph.is_adjacent(members[a], members[b]):
-                return False
-    return True
+    return not any(graph.is_adjacent(a, b) for a, b in itertools.combinations(members, 2))
 
 
 def extension_set(graph, members):
@@ -180,31 +173,24 @@ def _scan_cocliques(graph, cocliques):
     return len(cocliques), best
 
 
-def check_scan_args(mode, samples, jobs):
-    """Reject a bad mode, sample count or worker count before any work."""
+def check_scan_args(mode, samples):
+    """Reject a bad mode or sample count before any work."""
     if mode not in ("all", "sample"):
         raise UsageError("mode must be 'all' or 'sample'")
     if mode == "sample" and (samples is None or samples < 1):
         raise UsageError("sampling mode needs a sample count of at least 1, got %r" % (samples,))
-    if jobs < 1:
-        raise UsageError("jobs must be at least 1, got %r" % (jobs,))
 
 
-def check_ucep(graph, mode="all", samples=None, seed=None, jobs=1):
-    """Decide the unique coclique extension property for (Gamma, Sigma),
-    scanning on at most os.cpu_count() worker processes."""
-    check_scan_args(mode, samples, jobs)
+def check_ucep(graph, mode="all", samples=None, seed=None):
+    """Decide the unique coclique extension property for (Gamma, Sigma)."""
+    check_scan_args(mode, samples)
     start = time.perf_counter()
     if mode == "all":
         cocliques = maximal_cocliques_sigma(graph)
     else:
         seed = 0 if seed is None else seed
         cocliques = sample_maximal_cocliques(graph, samples, seed)
-    jobs = min(jobs, os.cpu_count() or 1)
-    if jobs > 1 and len(cocliques) >= 4 * jobs:
-        checked, best = _scan_parallel(graph, cocliques, jobs)
-    else:
-        checked, best = _scan_cocliques(graph, cocliques)
+    checked, best = _scan_cocliques(graph, cocliques)
     elapsed = (time.perf_counter() - start) * 1000.0
     spec_dict = graph.spec.to_dict() if hasattr(graph.spec, "to_dict") else dict(graph.spec)
     if best is None:
@@ -219,35 +205,6 @@ def check_ucep(graph, mode="all", samples=None, seed=None, jobs=1):
         "y_index": y,
     }
     return UcepReport(spec_dict, "fails", checked, mode, witness, seed, elapsed)
-
-
-_PARALLEL_GRAPH = None
-
-
-def _scan_chunk(args):
-    lo, hi, cocliques = args
-    return _scan_cocliques(_PARALLEL_GRAPH, cocliques[lo:hi])
-
-
-def _scan_parallel(graph, cocliques, jobs):
-    import multiprocessing as mp
-
-    global _PARALLEL_GRAPH
-    _PARALLEL_GRAPH = graph
-    try:
-        ctx = mp.get_context("fork")
-        chunk = (len(cocliques) + jobs - 1) // jobs
-        tasks = [
-            (lo, min(lo + chunk, len(cocliques)), cocliques)
-            for lo in range(0, len(cocliques), chunk)
-        ]
-        with ctx.Pool(jobs) as pool:
-            results = pool.map(_scan_chunk, tasks)
-    finally:
-        _PARALLEL_GRAPH = None
-    checked = sum(c for c, _ in results)
-    violations = [b for _, b in results if b is not None]
-    return checked, (min(violations) if violations else None)
 
 
 def _vertex_payload(graph, v):
@@ -319,9 +276,6 @@ def enumerate_maximal_cocliques_full(graph, max_cliques=None):
     return out
 
 
-SPAN_SUPPORTED = ("A-single", "D-lines")
-
-
 def _span_kind(graph):
     """What geometry(spec) names: single subspaces of a type-A graph, or
     totally singular lines of a D_n graph."""
@@ -333,11 +287,33 @@ def _span_kind(graph):
     return None
 
 
+# psi per graph; graphs hash by identity, and one built by hand is not
+# kept alive by its entry.
+_PSI = weakref.WeakKeyDictionary()
+
+
+def _psi(graph):
+    """Pluecker coordinates of every vertex, one row each, on the columns
+    itertools.combinations(range(d), k)."""
+    if graph not in _PSI:
+        first = graph.vertices[0][0]
+        keys = itertools.combinations(range(first.ambient), first.dim)
+        column = {key: j for j, key in enumerate(keys)}
+        psi = np.zeros((graph.num_vertices, len(column)), dtype=np.int64)
+        for i, (u,) in enumerate(graph.vertices):
+            for key, c in plucker(u).terms.items():
+                psi[i, column[key]] = c
+        _PSI[graph] = psi
+    return _PSI[graph]
+
+
 def span_check(graph, members):
     """Instrumented span criterion: psi(x) in <psi(C)> for all x in D.
 
     Only meaningful for graphs whose vertices are single subspaces with a
-    Pluecker embedding (type-A single-type graphs and D_{n,2}).
+    Pluecker embedding (type-A single-type graphs and D_{n,2}). A vector
+    lies in the row space of psi[C] iff it kills the annihilator of those
+    rows, so one product psi[D] ann^T mod p decides every x at once.
     """
     if _span_kind(graph) is None:
         raise UsageError(
@@ -345,22 +321,6 @@ def span_check(graph, members):
         )
     members = sorted(set(members))
     d_mask = extension_set(graph, members)
-    p = graph.spec.p
-    sample = graph.vertices[0][0]
-    d, m = sample.ambient, sample.dim
-    keys = all_keys(d, m)
-    key_pos = {k: i for i, k in enumerate(keys)}
-
-    def coeff_vector(v):
-        mv = plucker(graph.vertices[v][0])
-        vec = [0] * len(keys)
-        for k, c in mv.terms.items():
-            vec[key_pos[k]] = c
-        return vec
-
-    gen_rows = [coeff_vector(c) for c in members]
-    base_rank = rank_mod_p(gen_rows, len(keys), p)
-    for x in _bits(d_mask):
-        if rank_mod_p(gen_rows + [coeff_vector(x)], len(keys), p) != base_rank:
-            return False
-    return True
+    psi, p = _psi(graph), graph.spec.p
+    ann = nullspace(psi[members], p).matrix()
+    return not (psi[list(_bits(d_mask))] @ ann.T % p).any()

@@ -4,11 +4,12 @@ A subspace maps to the wedge of its canonical RREF basis rows, so the
 embedding is an actual function (not just projectively defined) and its
 coefficients are reproducible across runs. The key fact used downstream:
 two subspaces intersect nontrivially iff the wedge of their images is 0.
+`plucker` is the one definition of the coordinates: the span instrument
+(coclique.span_check) reads them into a matrix once per graph, and
+`span_membership` stays as its per-vector oracle.
 """
 
 from __future__ import annotations
-
-import itertools
 
 from .algebra import Subspace, check_prime, rank_mod_p
 from .errors import UsageError
@@ -73,11 +74,6 @@ class Multivector:
         for key, c in other.terms.items():
             terms[key] = terms.get(key, 0) + c
         return Multivector(self.ambient, self.p, terms)
-
-    def scale(self, c):
-        return Multivector(
-            self.ambient, self.p, {k: v * c for k, v in self.terms.items()}
-        )
 
     def __eq__(self, other):
         return (
@@ -152,7 +148,3 @@ def span_membership(m, generators):
 def intersects_nontrivially(u, w):
     """U ∩ W != 0, decided through the exterior algebra."""
     return wedge(plucker(u), plucker(w)).is_zero()
-
-
-def all_keys(d, m):
-    return list(itertools.combinations(range(d), m))

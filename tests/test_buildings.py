@@ -417,6 +417,32 @@ def test_geometry_rejects_unnamed_specs(family, n, types, p):
         expected_num_vertices(spec)
 
 
+@pytest.mark.parametrize("n,types,p", [(3, (3,), 2), (3, (2,), 3), (5, (5,), 2)])
+def test_build_graph_refuses_one_family_of_odd_d(n, types, p, monkeypatch):
+    # For n odd two maximal spaces of one family meet in odd dimension, so
+    # none is opposite another: the type is not self-opposite.
+    import kneserlab.buildings as buildings
+
+    spec = BuildingSpec("D", n, p, types)
+    assert not geometry(spec).self_opposite
+    monkeypatch.setattr(buildings, "_vertices", None)
+    with pytest.raises(UsageError, match="not self-opposite"):
+        build_graph(spec)
+    with pytest.raises(UsageError):
+        build_polar_kneser("D", n, n, p, "plus" if types == (n,) else "minus")
+
+
+def test_odd_d_other_types_still_build():
+    lines = build_graph(BuildingSpec("D", 3, 2, (2, 3)))
+    points = build_graph(BuildingSpec("D", 3, 2, (1,)))
+    assert (lines.num_vertices, points.num_vertices) == (105, 35)
+    assert lines.num_edges() and points.num_edges()
+    for n in (2, 4):
+        assert geometry(BuildingSpec("D", n, 2, (n,))).self_opposite
+        assert geometry(BuildingSpec("D", n, 2, (n - 1,))).self_opposite
+    assert geometry(BuildingSpec("D", 5, 2, (4, 5))).self_opposite
+
+
 def test_geometry_names_the_d_families():
     plus, minus, planes = (geometry(BuildingSpec("D", 5, 2, t)) for t in [(5,), (4,), (4, 5)])
     assert (plus.parts, plus.oriflamme) == ((5,), "plus")

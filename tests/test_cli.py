@@ -149,12 +149,16 @@ def test_check_ucep_bad_counts_rejected_before_build(capsys, monkeypatch):
             "--p", "2"]
     for extra in (["--mode", "sample", "--samples", "0"],
                   ["--mode", "sample", "--samples", "-5"],
-                  ["--mode", "sample"],
-                  ["--jobs", "0"]):
+                  ["--mode", "sample"]):
         code, out, err = run(capsys, *spec, *extra)
         assert code == EXIT_USAGE
         assert out == ""
         assert "at least 1" in err
+    # There is no worker pool, so no --jobs flag.
+    with pytest.raises(SystemExit) as exc:
+        main([*spec, "--jobs", "1"])
+    assert exc.value.code == EXIT_USAGE
+    assert "unrecognized arguments: --jobs 1" in capsys.readouterr().err
     assert built == []
 
 
@@ -170,6 +174,18 @@ def test_build_over_vertex_limit_exit_2(capsys, monkeypatch):
     assert code == EXIT_USAGE
     assert out == ""
     assert "5670690600800 vertices" in err
+
+
+def test_check_ucep_odd_d_family_exit_2(capsys, monkeypatch):
+    # One family of maximal spaces of D_3 has no opposite pairs; it was a
+    # vacuous "holds" over one coclique and 0 edges.
+    import kneserlab.buildings as buildings
+
+    monkeypatch.setattr(buildings, "_vertices", None)
+    code, out, err = run(capsys, "check-ucep", "--family", "D", "--rank", "3",
+                         "--type", "3", "--p", "2")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert "not self-opposite" in err
 
 
 def test_verify_fixtures_all(capsys):
@@ -262,9 +278,11 @@ def test_export_round_trip(capsys, tmp_path):
 
 def test_export_bad_schema(capsys, tmp_path):
     path = tmp_path / "bad.json"
-    path.write_text('{"schema": 99}')
-    code, _, _ = run(capsys, "export", "--input", str(path))
-    assert code == EXIT_USAGE
+    for text in ('{"schema": 99}', '[1, 2]'):
+        path.write_text(text)
+        code, _, err = run(capsys, "export", "--input", str(path))
+        assert code == EXIT_USAGE
+        assert err.startswith("error: unsupported graph schema")
 
     def built(family, rank, types):
         code, out, _ = run(capsys, "build", "--family", family, "--rank", str(rank),
@@ -292,6 +310,13 @@ def test_export_bad_schema(capsys, tmp_path):
     ]]
     cases += [({k: v for k, v in good.items() if k != key}, "error: stored graph has no '%s'" % key)
               for key in ("spec", "vertices", "edges", "sigma")]
+    cases += [(dict(good, spec=dict(good["spec"], **{key: value})), "error: stored '%s'" % key)
+              for key, value in [("rank", "2"), ("types", 1), ("types", ["1"]), ("p", None),
+                                 ("family", 1)]]
+    cases += [(dict(good, **{key: value}), "error: stored '%s'" % key)
+              for key, value in [("spec", []), ("vertices", 3), ("edges", {}), ("sigma", 0)]]
+    cases += [(dict(good, edges=[edge]), "error: edge %s is not a pair" % edge)
+              for edge in ([0, 1, 2], [0], 5)]
     cases += [(vertex_0(good, flag), "error: vertex 0 ") for flag in (
         [[[1, 0]]],                 # ambient 2, where A_2 needs 3
         [[[1, 0, 0]], [[0, 1, 0]]],  # two parts for one type

@@ -2,11 +2,13 @@
 procedure, exact maximum-coclique search, and the span instrument."""
 
 import itertools
+import random
 from collections import Counter
 
 import pytest
 
-from kneserlab.algebra import Subspace, gaussian_binomial
+import kneserlab.buildings as buildings
+from kneserlab.algebra import Subspace, gaussian_binomial, rank_mod_p
 from kneserlab.buildings import (
     BuildingSpec,
     build_flag_kneser_A,
@@ -14,6 +16,7 @@ from kneserlab.buildings import (
     build_polar_kneser,
     build_projective_kneser,
     g2_points,
+    geometry,
     polar_model,
 )
 from kneserlab.coclique import (
@@ -27,6 +30,7 @@ from kneserlab.coclique import (
     span_check,
 )
 from kneserlab.errors import SearchBudgetExceeded, UsageError
+from kneserlab.exterior import plucker, span_membership
 
 
 def test_matching_apartment_has_power_of_two_cocliques():
@@ -140,19 +144,6 @@ def test_check_ucep_single_vertex_graph():
     assert check_ucep(g).verdict == "holds"
 
 
-def test_check_ucep_parallel_matches_serial():
-    g = build_polar_kneser("D", 4, 2, 2)
-    serial = check_ucep(g, jobs=1)
-    parallel = check_ucep(g, jobs=4)
-    assert serial.verdict == parallel.verdict == "holds"
-    assert serial.cocliques_checked == parallel.cocliques_checked == 4096
-    g = build_flag_kneser_A(4, (2, 3), 2)
-    serial = check_ucep(g, jobs=1)
-    parallel = check_ucep(g, jobs=4)
-    assert serial.verdict == parallel.verdict == "fails"
-    assert serial.witness == parallel.witness
-
-
 def test_check_ucep_sampling_deterministic():
     g = build_polar_kneser("D", 4, 2, 2)
     r1 = check_ucep(g, mode="sample", samples=20, seed=7)
@@ -174,24 +165,44 @@ def test_check_ucep_sample_needs_count():
     for samples in (0, -5):
         with pytest.raises(UsageError, match="at least 1"):
             check_ucep(g, mode="sample", samples=samples)
-    with pytest.raises(UsageError, match="jobs"):
-        check_ucep(g, jobs=0)
 
 
-def test_check_ucep_clamps_jobs_to_cpu_count(monkeypatch):
-    import kneserlab.coclique as coclique
+def _opposite(geo, fx, fy):
+    """Opposition from basis matrices and exact ranks alone: for a polar
+    type, the pairing B_x G B_y^T is nonsingular; for type-A flags, each
+    pair of parts spans as much as general position allows."""
+    p, d = geo.spec.p, geo.dim
+    if geo.model is not None:
+        g = geo.model.form.polar_gram()
+        pairing = [[sum(a[i] * g[i][j] * b[j] for i in range(d) for j in range(d))
+                    for b in fy[0]] for a in fx[0]]
+        return rank_mod_p(pairing, len(fy[0]), p) == len(fx[0])
+    return all(rank_mod_p(u + w, d, p) == min(len(u) + len(w), d) for u in fx for w in fy)
 
-    requested = []
 
-    def record(graph, cocliques, jobs):
-        requested.append(jobs)
-        return coclique._scan_cocliques(graph, cocliques)
-
-    monkeypatch.setattr(coclique, "_scan_parallel", record)
-    monkeypatch.setattr(coclique.os, "cpu_count", lambda: 2)
-    g = build_projective_kneser(3, 2, 2)
-    assert check_ucep(g, jobs=64).cocliques_checked == 8
-    assert requested == [2]
+@pytest.mark.parametrize("family,n,types,p,count", [
+    ("B", 3, (2,), 3, 2 ** 6),
+    ("C", 3, (3,), 3, 2 ** 4),
+    ("D", 4, (3, 4), 2, 2 ** 16),
+    ("A", 4, (2, 3), 2, 2 ** 15),
+])
+def test_check_ucep_negative_grid_cells(family, n, types, p, count):
+    # Sigma is a perfect matching on these cells, so its maximal cocliques
+    # are the 2^(|Sigma|/2) transversals; the witness is re-checked from
+    # its basis matrices, never through the adjacency that produced it.
+    spec = BuildingSpec(family, n, p, types)
+    g = build_graph(spec)
+    report = check_ucep(g, mode="all")
+    assert report.verdict == "fails"
+    assert report.cocliques_checked == count == 2 ** (len(g.sigma) // 2)
+    geo, w = geometry(spec), report.witness
+    coc, x, y = w["coclique"], w["x"], w["y"]
+    assert len(coc) == len(g.sigma) // 2
+    assert _opposite(geo, x, y)
+    for a, b in itertools.combinations(coc + [x, y], 2):
+        assert (a, b) == (x, y) or not _opposite(geo, a, b)
+    frames = {tuple(u.basis for u in f) for f in geo.frames()}
+    assert all(tuple(tuple(map(tuple, part)) for part in c) in frames for c in coc)
 
 
 def test_max_coclique_values():
@@ -252,12 +263,44 @@ def test_span_check_single_vertex_complete_graph():
     assert span_check(g, (0,))
 
 
+@pytest.mark.parametrize("family,n,k,p", [
+    ("A", 3, 2, 2), ("A", 3, 2, 3), ("A", 4, 2, 2), ("D", 4, 2, 2),
+])
+def test_span_check_matches_span_membership_oracle(family, n, k, p):
+    # One product against the annihilator of psi(C), against the per-x
+    # oracle on sparse multivectors: on seeded cocliques of size 1 to 3,
+    # where the span test fails, on seeded Sigma-cocliques, and on those
+    # less one member.
+    g = build_graph(BuildingSpec(family, n, p, (k,)))
+    rng = random.Random("span:%s%d.%d.%d" % (family, n, k, p))
+    cases = rng.sample(maximal_cocliques_sigma(g), 4)
+    cases += [c[:i] + c[i + 1:] for c in cases for i in range(len(c))]
+    for _ in range(30):
+        size, members = rng.randrange(1, 4), []
+        for v in rng.sample(range(g.num_vertices), g.num_vertices):
+            if all(not g.is_adjacent(v, c) for c in members):
+                members.append(v)
+            if len(members) == size:
+                break
+        cases.append(members)
+    seen = set()
+    for members in cases:
+        gens = [plucker(g.vertices[c][0]) for c in members]
+        d_mask = extension_set(g, members)
+        want = all(span_membership(plucker(g.vertices[x][0]), gens)
+                   for x in range(g.num_vertices) if d_mask >> x & 1)
+        assert span_check(g, members) == want, members
+        seen.add(want)
+    assert seen == {True, False}
+
+
 def test_span_check_unsupported_spec():
     g = build_flag_kneser_A(2, (1, 2), 2)
     with pytest.raises(UsageError):
         span_check(g, ())
-    # D_3 type 2 names the minus family of maximal planes, not lines.
-    g = build_graph(BuildingSpec("D", 3, 2, (2,)))
+    # D_3 type 2 names the minus family of maximal planes, not lines;
+    # build_graph refuses it, so it is built through the graph cache.
+    g = buildings._graph(BuildingSpec("D", 3, 2, (2,)))
     with pytest.raises(UsageError):
         span_check(g, g.sigma[:1])
 

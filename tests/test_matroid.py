@@ -5,7 +5,8 @@ import random
 
 import pytest
 
-from kneserlab.algebra import Subspace
+import kneserlab.matroid as matroid
+from kneserlab.algebra import Subspace, rank_mod_p
 from kneserlab.errors import UsageError
 from kneserlab.matroid import ColumnMatroid, have_disjoint_bases, union_rank
 
@@ -76,6 +77,45 @@ def test_rank_examples():
     assert eye.rank(set()) == 0
     m = ColumnMatroid([[1, 1, 0], [0, 1, 1]], 2)
     assert m.rank({0, 1, 2}) == 2
+
+
+def test_rank_table_matches_rank_mod_p_on_every_mask():
+    # Seeded matrices over each field: random ones, a zero matrix, zero
+    # columns, and full-rank ones (the dual path tabulates their nullspace).
+    rng = random.Random(20261018)
+    for p in (2, 3, 5, 7):
+        mats = [[[0] * 5, [0] * 5]]
+        for _ in range(12):
+            n = rng.randrange(1, 9)
+            rows = [[rng.randrange(p) for _ in range(n)] for _ in range(rng.randrange(1, n + 2))]
+            for j in rng.sample(range(n), rng.randrange(n)):
+                for row in rows:
+                    row[j] = 0
+            mats.append(rows)
+        for n in range(2, 9):
+            while True:
+                rows = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
+                if rank_mod_p(rows, n, p) == n:
+                    break
+            mats += [rows, rows[:n - 1]]
+        for rows in mats:
+            n = len(rows[0])
+            m = ColumnMatroid(rows, p)
+            for mask in range(1 << n):
+                cols = [j for j in range(n) if mask >> j & 1]
+                want = rank_mod_p([[r[j] for j in cols] for r in rows], len(cols), p)
+                assert m.rank(cols) == want, (rows, p, cols)
+            assert m.full_rank() == rank_mod_p(rows, n, p)
+
+
+def test_column_limit(monkeypatch):
+    def never(*args):
+        raise AssertionError("rank table started")
+
+    assert ColumnMatroid([[1] * 12], 7).rank(range(12)) == 1
+    monkeypatch.setattr(matroid, "_rank_table", never)
+    with pytest.raises(UsageError, match="13 columns"):
+        ColumnMatroid([[1] * 13], 2)
 
 
 def test_rank_out_of_range():
