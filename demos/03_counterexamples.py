@@ -3,9 +3,12 @@
 Four families where UCEP fails: totally singular lines of B_3 (odd
 characteristic), totally isotropic planes of C_3 (odd characteristic),
 totally singular planes of D_4 (characteristic 2), and {i, n-i} flags
-in projective space. Each case reconstructs explicit witness objects,
-checks they are adjacent vertices, and finds a maximal apartment
-coclique compatible with both -- so the extension set is not a coclique.
+in projective space. Each case is data: two explicit witness objects
+and a maximal apartment coclique compatible with both, so the extension
+set is not a coclique. One certifier, verify_witness, checks every case
+from the basis matrices alone, by exact ranks: the witnesses are
+opposite (adjacent) vertices, the coclique is maximal in the apartment,
+and neither witness is opposite any of its members.
 """
 
 import json

@@ -58,7 +58,7 @@ from .errors import (
     UsageError,
 )
 from .exterior import Multivector, plucker, span_membership, wedge
-from .fixtures import verify_nonexample
+from .fixtures import verify_nonexample, verify_witness
 from .matroid import ColumnMatroid, have_disjoint_bases, union_rank
 
 __version__ = "0.1.0"

@@ -48,7 +48,10 @@ from .algebra import (
     Form,
     gaussian_binomial,
     intersect,
+    is_totally_singular,
     nullspace,
+    rank_mod_p,
+    rref,
 )
 from .errors import UsageError
 
@@ -197,6 +200,50 @@ class Geometry:
 
     def frames(self):
         return [self.frame(w) for w in self.frame_words()]
+
+    def vertex(self, flag, index):
+        """The flag of subspaces a list of basis matrices names, checked
+        against the geometry: one canonical RREF basis per part (so entries
+        in 0..p-1), of the part's dimension in F_p^dim, nested, and for a
+        polar spec totally singular and in the named family of maximal
+        spaces. Otherwise a UsageError names the vertex by `index`."""
+        p, d = self.spec.p, self.dim
+
+        def bad(why):
+            return UsageError("vertex %s %s" % (index, why))
+
+        if not isinstance(flag, list) or len(flag) != len(self.parts):
+            raise bad("does not have %d parts" % len(self.parts))
+        parts = []
+        for k, mat in zip(self.parts, flag):
+            if not (isinstance(mat, list) and len(mat) == k and all(
+                    isinstance(row, list) and len(row) == d and all(type(x) is int for x in row)
+                    for row in mat)):
+                raise bad("is not a flag of %s-spaces of F_%d^%d" % (self.parts, p, d))
+            basis = tuple(map(tuple, mat))
+            if rref(basis, d, p) != basis:
+                raise bad("has a basis not in reduced row echelon form over F_%d" % p)
+            parts.append(Subspace(d, p, basis))
+        if not all(w.contains(u) for u, w in zip(parts, parts[1:])):
+            raise bad("is not a nested flag")
+        if self.model is not None and not is_totally_singular(parts[0], self.model.form):
+            raise bad("is not totally singular")
+        if self.oriflamme and self.model.in_plus_family(parts[0]) != (self.oriflamme == "plus"):
+            raise bad("is not in the %s family" % self.oriflamme)
+        return tuple(parts)
+
+    def opposite(self, fx, fy):
+        """Opposition of two vertices by exact ranks of their basis matrices,
+        independent of the point-incidence kernel: for a polar type the
+        pairing B_x G B_y^T has full rank; for type-A flags every pair of
+        parts spans as much as general position allows."""
+        p, d = self.spec.p, self.dim
+        if self.model is not None:
+            (x,), (y,) = fx, fy
+            gram = np.array(self.model.form.polar_gram(), dtype=np.int64)
+            return rank_mod_p((x.matrix() @ gram @ y.matrix().T % p).tolist(), y.dim, p) == x.dim
+        return all(rank_mod_p(u.basis + w.basis, d, p) == min(u.dim + w.dim, d)
+                   for u in fx for w in fy)
 
 
 def _polar_objects(family, n):
@@ -375,18 +422,6 @@ def _flag_rows(flags, types, p):
             else:
                 conditions.append((anns[b], _matrices(parts[a])))
     return _opposition_rows(conditions, p)
-
-
-def flags_adjacent(fx, fy, d, p):
-    """General-position test for a single pair of same-type flags."""
-    from .algebra import rank_mod_p
-
-    for ux in fx:
-        for wy in fy:
-            stacked = list(ux.basis) + list(wy.basis)
-            if rank_mod_p(stacked, d, p) != min(ux.dim + wy.dim, d):
-                return False
-    return True
 
 
 def is_self_opposite_type_set(n, types):

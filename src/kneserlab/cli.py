@@ -1,10 +1,11 @@
 """Command-line surface: build graphs, run UCEP checks, verify fixtures,
 cross-validate against the coset model, and export graphs.
 
-Exit codes: 0 ok/holds, 2 usage error, 3 UCEP fails (with witness),
-4 fixture-integrity error, 5 cross-validation mismatch. All inputs come
-from flags (no environment variables), so a full command line reproduces
-a run bytewise, including the sampling seed.
+Exit codes: 0 ok/holds, 2 usage error, 3 UCEP fails (with a witness that
+verify_witness has certified), 4 fixture-integrity error (a fixture or a
+`fails` witness that does not certify), 5 cross-validation mismatch. All
+inputs come from flags (no environment variables), so a full command line
+reproduces a run bytewise, including the sampling seed.
 """
 
 from __future__ import annotations
@@ -12,9 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 
-from .algebra import Subspace, is_totally_singular, rref
 from .buildings import BuildingSpec, KneserGraph, build_graph, geometry
 from .coclique import check_scan_args, check_ucep
 from .crossval import cross_validate
@@ -24,7 +23,7 @@ from .errors import (
     KneserlabError,
     UsageError,
 )
-from .fixtures import CASES, verify_nonexample
+from .fixtures import CASES, verify_nonexample, verify_witness
 
 SCHEMA = 1
 
@@ -115,6 +114,9 @@ def cmd_check_ucep(args):
     check_scan_args(args.mode, args.samples)
     graph = build_graph(spec)
     report = check_ucep(graph, mode=args.mode, samples=args.samples, seed=args.seed)
+    if report.verdict == "fails":
+        witness = report.witness
+        verify_witness(spec, witness["coclique"], witness["x"], witness["y"])
     _write(json.dumps(report.to_dict(), sort_keys=True) + "\n", args.output)
     return EXIT_OK if report.verdict == "holds" else EXIT_UCEP_FAILS
 
@@ -155,37 +157,6 @@ def _field(data, key, kind):
     return data[key]
 
 
-def _stored_vertex(geo, flag, index):
-    """The flag of subspaces a stored vertex lists, checked against the
-    geometry: one canonical RREF basis per part (so entries in 0..p-1), of
-    the part's dimension in F_p^dim, nested, and for a polar spec totally
-    singular and in the named family of maximal spaces."""
-    p, d = geo.spec.p, geo.dim
-
-    def bad(why):
-        return UsageError("vertex %d %s" % (index, why))
-
-    if not isinstance(flag, list) or len(flag) != len(geo.parts):
-        raise bad("does not have %d parts" % len(geo.parts))
-    parts = []
-    for k, mat in zip(geo.parts, flag):
-        if not (isinstance(mat, list) and len(mat) == k and all(
-                isinstance(row, list) and len(row) == d and all(type(x) is int for x in row)
-                for row in mat)):
-            raise bad("is not a flag of %s-spaces of F_%d^%d" % (geo.parts, p, d))
-        basis = tuple(map(tuple, mat))
-        if rref(basis, d, p) != basis:
-            raise bad("has a basis not in reduced row echelon form over F_%d" % p)
-        parts.append(Subspace(d, p, basis))
-    if not all(w.contains(u) for u, w in zip(parts, parts[1:])):
-        raise bad("is not a nested flag")
-    if geo.model is not None and not is_totally_singular(parts[0], geo.model.form):
-        raise bad("is not totally singular")
-    if geo.oriflamme and geo.model.in_plus_family(parts[0]) != (geo.oriflamme == "plus"):
-        raise bad("is not in the %s family" % geo.oriflamme)
-    return tuple(parts)
-
-
 def cmd_export(args):
     with open(args.input) as handle:
         data = json.load(handle)
@@ -202,7 +173,7 @@ def cmd_export(args):
         raise UsageError("selector %r contradicts the type set %s"
                          % (stored["selector"], list(spec.types)))
     geo = geometry(spec)
-    vertices = [_stored_vertex(geo, flag, i)
+    vertices = [geo.vertex(flag, i)
                 for i, flag in enumerate(_field(data, "vertices", list))]
     n = len(vertices)
     if data.get("num_vertices") != n:

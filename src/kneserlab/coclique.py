@@ -159,18 +159,17 @@ class UcepReport:
 
 
 def _scan_cocliques(graph, cocliques):
-    """Returns (checked, least violation) over the given cocliques."""
-    best = None
+    """Returns (checked, least violation) over cocliques given in sorted
+    order: the first C whose extension set holds an edge is the least,
+    with its least edge (x, y)."""
     for coc in cocliques:
         mask = graph.full_mask
         for c in coc:
             mask &= ~graph.adjacency[c]
         pair = _first_violation(graph, mask)
         if pair is not None:
-            cand = (coc, pair[0], pair[1])
-            if best is None or cand < best:
-                best = cand
-    return len(cocliques), best
+            return len(cocliques), (coc,) + pair
+    return len(cocliques), None
 
 
 def check_scan_args(mode, samples):
@@ -189,10 +188,10 @@ def check_ucep(graph, mode="all", samples=None, seed=None):
         cocliques = maximal_cocliques_sigma(graph)
     else:
         seed = 0 if seed is None else seed
-        cocliques = sample_maximal_cocliques(graph, samples, seed)
+        cocliques = sorted(sample_maximal_cocliques(graph, samples, seed))
     checked, best = _scan_cocliques(graph, cocliques)
     elapsed = (time.perf_counter() - start) * 1000.0
-    spec_dict = graph.spec.to_dict() if hasattr(graph.spec, "to_dict") else dict(graph.spec)
+    spec_dict = graph.spec.to_dict()
     if best is None:
         return UcepReport(spec_dict, "holds", checked, mode, None, seed, elapsed)
     coc, x, y = best
@@ -276,15 +275,13 @@ def enumerate_maximal_cocliques_full(graph, max_cliques=None):
     return out
 
 
-def _span_kind(graph):
-    """What geometry(spec) names: single subspaces of a type-A graph, or
+def _span_supported(graph):
+    """Whether geometry(spec) names single subspaces of a type-A graph, or
     totally singular lines of a D_n graph."""
     geo = geometry(graph.spec)
-    if geo.model is None and len(geo.parts) == 1:
-        return "A-single"
-    if geo.model is not None and geo.model.family == "D" and geo.parts == (2,):
-        return "D-lines"
-    return None
+    if geo.model is None:
+        return len(geo.parts) == 1
+    return geo.model.family == "D" and geo.parts == (2,)
 
 
 # psi per graph; graphs hash by identity, and one built by hand is not
@@ -315,7 +312,7 @@ def span_check(graph, members):
     lies in the row space of psi[C] iff it kills the annihilator of those
     rows, so one product psi[D] ann^T mod p decides every x at once.
     """
-    if _span_kind(graph) is None:
+    if not _span_supported(graph):
         raise UsageError(
             "span_check supports single-type A graphs and D_{n,2} only"
         )

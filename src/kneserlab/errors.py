@@ -24,10 +24,12 @@ class DegenerateFormError(KneserlabError):
 
 
 class FixtureIntegrityError(KneserlabError):
-    """A counterexample fixture failed an assertion it is guaranteed to pass.
+    """A UCEP witness failed verify_witness: a counterexample fixture, which
+    is guaranteed to certify, or the witness of a check-ucep `fails` report,
+    which the UCEP scan found in the built graph.
 
-    This always signals a bug in the geometry kernel (or a corrupted
-    fixture), never a mathematical discovery. Exit code 4.
+    This always signals a bug in the geometry kernel or the scan (or a
+    corrupted fixture), never a mathematical discovery. Exit code 4.
     """
 
 

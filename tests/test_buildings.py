@@ -16,13 +16,11 @@ from kneserlab.buildings import (
     build_projective_kneser,
     expected_num_vertices,
     expected_sigma_size,
-    flags_adjacent,
     g2_points,
     geometry,
     polar_model,
 )
 from kneserlab.errors import UsageError
-from kneserlab.fixtures import _polar_adjacent
 
 # The 15 positive and 4 negative cells of the UCEP grid.
 GRID_CELLS = [
@@ -137,8 +135,9 @@ def test_flag_kneser_paper_witnesses_adjacent():
     b = Subspace.span([u, [0, 0, 1, 0, 0], [0, 0, 0, 0, 1]], d, p)
     b2 = Subspace.span([v, [0, 0, 0, 1, 0], [0, 1, 0, 0, 0]], d, p)
     assert b.contains(a) and b2.contains(a2)
-    assert flags_adjacent((a, b), (a2, b2), d, p)
-    assert not flags_adjacent((a, b), (a, b), d, p)
+    geo = geometry(BuildingSpec("A", d - 1, p, (2, 3)))
+    assert geo.opposite((a, b), (a2, b2))
+    assert not geo.opposite((a, b), (a, b))
 
 
 def test_polar_kneser_d42():
@@ -309,19 +308,11 @@ def test_vertex_counts_vs_filter_oracle():
 
 
 def rank_oracle(graph):
-    """Per-pair adjacency from rank computations on the basis matrices:
-    general position of flags, or full rank of B_x G B_y^T for polar
-    types. Independent of the point-incidence kernel."""
-    spec = graph.spec
-    verts = graph.vertices
-    if spec.family == "A":
-        d = spec.rank + 1
-        return lambda a, b: flags_adjacent(verts[a], verts[b], d, spec.p)
-    if spec.family == "G":
-        model = polar_model("B", 3, spec.p)
-    else:
-        model = polar_model(spec.family, spec.rank, spec.p)
-    return lambda a, b: _polar_adjacent(model, verts[a][0], verts[b][0])
+    """Per-pair adjacency from Geometry.opposite: exact ranks of the basis
+    matrices (general position of flags, or full rank of B_x G B_y^T for
+    polar types), independent of the point-incidence kernel."""
+    geo, verts = geometry(graph.spec), graph.vertices
+    return lambda a, b: geo.opposite(verts[a], verts[b])
 
 
 def test_kernel_rows_match_rank_oracle_all_pairs():

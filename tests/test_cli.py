@@ -118,6 +118,28 @@ def test_check_ucep_fails_exit_3(capsys):
     assert "witness" in report
 
 
+def test_check_ucep_corrupted_witness_exit_4(capsys, monkeypatch):
+    # A fails report whose coclique lost a member is not maximal in Sigma,
+    # so verify_witness refuses it and nothing is written.
+    import kneserlab.cli as cli
+
+    real = cli.check_ucep
+
+    def corrupted(graph, **kwargs):
+        report = real(graph, **kwargs)
+        report.witness["coclique"] = report.witness["coclique"][1:]
+        return report
+
+    monkeypatch.setattr(cli, "check_ucep", corrupted)
+    code, out, err = run(
+        capsys, "check-ucep", "--family", "A", "--rank", "4", "--type",
+        "2,3", "--p", "2"
+    )
+    assert code == EXIT_FIXTURE
+    assert "C is maximal in the apartment" in err
+    assert out == ""
+
+
 def test_check_ucep_fixture_case_exit_3(capsys):
     code, out, _ = run(
         capsys, "check-ucep", "--case-from-fixture", "B3_2", "--p", "3"

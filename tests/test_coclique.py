@@ -31,6 +31,7 @@ from kneserlab.coclique import (
 )
 from kneserlab.errors import SearchBudgetExceeded, UsageError
 from kneserlab.exterior import plucker, span_membership
+from kneserlab.fixtures import verify_witness
 
 
 def test_matching_apartment_has_power_of_two_cocliques():
@@ -189,7 +190,8 @@ def _opposite(geo, fx, fy):
 def test_check_ucep_negative_grid_cells(family, n, types, p, count):
     # Sigma is a perfect matching on these cells, so its maximal cocliques
     # are the 2^(|Sigma|/2) transversals; the witness is re-checked from
-    # its basis matrices, never through the adjacency that produced it.
+    # its basis matrices, never through the adjacency that produced it:
+    # by the oracle here and by verify_witness.
     spec = BuildingSpec(family, n, p, types)
     g = build_graph(spec)
     report = check_ucep(g, mode="all")
@@ -203,6 +205,7 @@ def test_check_ucep_negative_grid_cells(family, n, types, p, count):
         assert (a, b) == (x, y) or not _opposite(geo, a, b)
     frames = {tuple(u.basis for u in f) for f in geo.frames()}
     assert all(tuple(tuple(map(tuple, part)) for part in c) in frames for c in coc)
+    verify_witness(spec, coc, x, y)
 
 
 def test_max_coclique_values():
