@@ -1,17 +1,18 @@
 """Kneser graphs on subspaces of a projective space.
 
-Builds the graph on 2-subspaces of F_2^5 (lines of PG(4,2), adjacent
-when disjoint), looks at its apartment -- the coordinate lines, which
+Builds the graph that BuildingSpec("A", 4, 2, (2,)) names: type 2 of
+A_4 over F_2, the 2-subspaces of F_2^5 (lines of PG(4,2)), adjacent
+when disjoint. Looks at its apartment -- the coordinate lines, which
 form a Petersen graph -- and decides the unique coclique extension
 property exhaustively over all maximal apartment cocliques.
 """
 
 from collections import Counter
 
-from kneserlab import build_projective_kneser, check_ucep, max_coclique
+from kneserlab import BuildingSpec, build_graph, check_ucep, max_coclique
 from kneserlab.coclique import maximal_cocliques_sigma
 
-graph = build_projective_kneser(4, 2, 2)
+graph = build_graph(BuildingSpec("A", 4, 2, (2,)))
 print("vertices (2-subspaces of F_2^5):", graph.num_vertices)
 print("edges:", graph.num_edges())
 print("apartment size:", len(graph.sigma))

@@ -8,13 +8,13 @@ and a maximal apartment coclique compatible with both, so the extension
 set is not a coclique. One certifier, verify_witness, checks every case
 from the basis matrices alone, by exact ranks: the witnesses are
 opposite (adjacent) vertices, the coclique is maximal in the apartment,
-and neither witness is opposite any of its members.
+and neither witness is opposite any of its members. The D_4 planes are
+then checked exhaustively, as BuildingSpec("D", 4, 2, (3, 4)).
 """
 
 import json
 
-from kneserlab import verify_nonexample
-from kneserlab.buildings import build_d4_planes
+from kneserlab import BuildingSpec, build_graph, verify_nonexample
 from kneserlab.coclique import check_ucep
 
 for case in ("B3_2", "C3_3", "D4_34", "A_flags"):
@@ -25,7 +25,7 @@ for case in ("B3_2", "C3_3", "D4_34", "A_flags"):
     print("  compatible apartment coclique size:", len(report["coclique"]))
 
 print("\nfull exhaustive check on the D_4 planes graph:")
-graph = build_d4_planes(2)
+graph = build_graph(BuildingSpec("D", 4, 2, (3, 4)))
 report = check_ucep(graph, mode="all")
 print("vertices:", graph.num_vertices, "| verdict:", report.verdict)
 print("least violating pair found inside an extension set:")

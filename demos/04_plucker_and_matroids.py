@@ -2,16 +2,18 @@
 
 The wedge of two subspace images vanishes exactly when the subspaces
 meet nontrivially, which turns coclique questions into linear-span
-questions (span_check). Independently, two disjoint subspaces always
+questions (span_check), shown on the lines of PG(3,2), the graph of
+BuildingSpec("A", 3, 2, (2,)). Independently, two disjoint subspaces always
 induce column matroids with disjoint bases, via the union-rank formula.
 """
 
 import random
 
 from kneserlab import (
+    BuildingSpec,
     ColumnMatroid,
     Subspace,
-    build_projective_kneser,
+    build_graph,
     have_disjoint_bases,
     plucker,
     span_membership,
@@ -27,7 +29,7 @@ print("psi(W) =", plucker(w).terms)
 print("psi(U) ^ psi(W) =", wedge(plucker(u), plucker(w)).terms,
       "-> intersect:", (u & w).dim > 0)
 
-graph = build_projective_kneser(3, 2, 2)
+graph = build_graph(BuildingSpec("A", 3, 2, (2,)))
 coclique = maximal_cocliques_sigma(graph)[0]
 print("\napartment coclique:", coclique)
 print("span criterion (every extension-set member lies in <psi C>):",

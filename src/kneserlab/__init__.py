@@ -22,12 +22,7 @@ from .buildings import (
     BuildingSpec,
     KneserGraph,
     apartment_graph,
-    build_d4_planes,
-    build_flag_kneser_A,
     build_graph,
-    build_polar_kneser,
-    build_projective_kneser,
-    g2_points,
     polar_model,
 )
 from .coclique import (
@@ -42,8 +37,6 @@ from .coxeter import (
     ParabolicQuotient,
     WeylGroup,
     check_lifting,
-    coset_kneser,
-    longest_element,
     phi_map,
     shortest_double_coset,
     weyl_group,

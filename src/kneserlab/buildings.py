@@ -6,8 +6,9 @@ and the apartment subgraph is the set of coordinate-frame objects.
 
 `geometry(spec)` is the one place that knows what a spec names: the
 subspaces that make up a vertex, the form they are singular for, and
-the label words that name its frame objects. The builders, apartment
-graphs, vertex counts and the coset cross-validation all read it, and
+the label words that name its frame objects. A BuildingSpec is the only
+name of a geometry: `build_graph`, apartment graphs, vertex counts and
+the coset cross-validation all take one and read `geometry(spec)`, and
 `build_graph` holds the one graph cache, keyed by the canonical spec.
 
 Standard forms, fixed once per family:
@@ -59,6 +60,9 @@ FAMILIES = ("A", "B", "C", "D", "G")
 
 # Largest graph build_graph makes: 2^15 vertices take 128 MiB of adjacency.
 MAX_VERTICES = 1 << 15
+
+# Version of every JSON payload: graphs, UCEP reports and fixture reports.
+SCHEMA = 1
 
 
 @dataclass(frozen=True)
@@ -206,7 +210,8 @@ class Geometry:
         against the geometry: one canonical RREF basis per part (so entries
         in 0..p-1), of the part's dimension in F_p^dim, nested, and for a
         polar spec totally singular and in the named family of maximal
-        spaces. Otherwise a UsageError names the vertex by `index`."""
+        spaces. Otherwise a UsageError names the vertex by `index`. It is
+        the inverse of vertex_lists."""
         p, d = self.spec.p, self.dim
 
         def bad(why):
@@ -246,22 +251,19 @@ class Geometry:
                    for u in fx for w in fy)
 
 
-def _polar_objects(family, n):
-    """Polar type set -> (dimension, oriflamme family) of the totally
-    singular spaces it names: type k names the k-spaces, except in D_n,
-    where type n is the plus and type n-1 the minus family of maximal
-    ones, and type {n-1, n} the (n-1)-spaces."""
-    objects = {(k,): (k, None) for k in range(1, n + 1)}
-    if family == "D":
-        objects.update({(n,): (n, "plus"), (n - 1,): (n, "minus"), (n - 1, n): (n - 1, None)})
-    return objects
+def vertex_lists(flag):
+    """A vertex as every output writes it: one basis matrix per part, as
+    lists of rows."""
+    return [[list(row) for row in part.basis] for part in flag]
 
 
 @lru_cache(maxsize=None)
 def geometry(spec):
     """The one spec normaliser. Type A: flags of the type dimensions in
     F_p^{n+1}. G_2 type 1: the points of the B_3 model. B_n, C_n, D_n:
-    the spaces of _polar_objects. Every other spec is a UsageError."""
+    type k names the totally singular k-spaces, except in D_n, where type
+    n is the plus and type n-1 the minus family of maximal ones, and type
+    {n-1, n} the (n-1)-spaces. Every other spec is a UsageError."""
     family, n, types = spec.family, spec.rank, spec.types
     name = "%s_%d type %s over F_%d" % (family, n, ",".join(map(str, types)), spec.p)
     if family == "A":
@@ -271,7 +273,9 @@ def geometry(spec):
         if (n, types) != (2, (1,)):
             raise UsageError("%s: the G_2 model has rank 2 and type 1 (points) only" % name)
         family, n = "B", 3
-    objects = _polar_objects(family, n)
+    objects = {(k,): (k, None) for k in range(1, n + 1)}
+    if family == "D":
+        objects.update({(n,): (n, "plus"), (n - 1,): (n, "minus"), (n - 1, n): (n - 1, None)})
     if types not in objects:
         raise UsageError("%s: a polar type set is one type, or {n-1, n} in D_n" % name)
     k, oriflamme = objects[types]
@@ -485,58 +489,14 @@ def _graph(spec):
 
 def build_graph(spec):
     """The Kneser graph a spec names, if its type is self-opposite (see
-    Geometry; build_flag_kneser_A can allow other type-A flags)."""
+    Geometry). _graph also builds the others, such as type-A flags whose
+    type set is not self-opposite."""
     if not geometry(spec).self_opposite:
         raise UsageError(
             "spec %s: type set %s is not self-opposite; Kneser adjacency within "
             "one type is undefined" % (spec.to_dict(), list(spec.types))
         )
     return _graph(spec)
-
-
-def build_projective_kneser(n, i, p):
-    """Kneser graph of i-subspaces of F_p^{n+1}, adjacent when opposite.
-
-    Opposition is disjointness for 2i <= n+1, and disjointness of the
-    annihilators for 2i > n+1.
-    """
-    return build_graph(BuildingSpec("A", n, p, (i,)))
-
-
-def build_flag_kneser_A(n, types, p, allow_non_self_opposite=False):
-    """Kneser graph on type-J flags of PG(n, p), J self-opposite.
-
-    Adjacency is general position: dim(F_a ∩ G_b) = max(0, a+b-(n+1))
-    for all a, b in J. For J = {1, n} this is exactly "P not in I and
-    Q not in H". Non-self-opposite J is rejected unless explicitly
-    allowed (used for the type-varying transfer checks).
-    """
-    spec = BuildingSpec("A", n, p, types)
-    return _graph(spec) if allow_non_self_opposite else build_graph(spec)
-
-
-def build_polar_kneser(family, n, k, p, selector="plus"):
-    """Kneser graph on totally singular k-subspaces of a polar space.
-
-    Adjacency is x ~ y iff perp(x) ∩ y = 0. Where the k-spaces form two
-    oriflamme families (D_n, k = n), `selector` names the one to build.
-    """
-    if family not in ("B", "C", "D"):
-        raise UsageError("polar family must be B, C or D")
-    for types, named in _polar_objects(family, n).items():
-        if named in ((k, None), (k, selector)):
-            return build_graph(BuildingSpec(family, n, p, types))
-    raise UsageError("need 1 <= k <= Witt index %d and selector 'plus' or 'minus'" % n)
-
-
-def build_d4_planes(p):
-    """Totally singular planes of the hyperbolic D_4 space, type {3,4}."""
-    return build_polar_kneser("D", 4, 3, p)
-
-
-def g2_points(p):
-    """Points of the G_2 hexagon, realized as the B_3 point graph."""
-    return build_graph(BuildingSpec("G", 2, p, (1,)))
 
 
 def expected_sigma_size(spec):
@@ -580,13 +540,13 @@ def expected_num_vertices(spec):
     return count // (2 if geo.oriflamme else 1)
 
 
-def apartment_graph(family, n, types, p):
+def apartment_graph(spec):
     """Frame-objects-only graph, for coset cross-validation.
 
-    Same geometric adjacency rules as the full builders, evaluated only on
-    the coordinate-frame objects, so large buildings never need to be
+    Same geometric adjacency rules as build_graph, evaluated only on the
+    coordinate-frame objects, so large buildings never need to be
     enumerated to check their apartments.
     """
-    geo = geometry(BuildingSpec(family, n, p, types))
+    geo = geometry(spec)
     vertices = _sorted_vertices(geo.frames())
     return KneserGraph(geo.spec, vertices, _rows(geo, vertices), range(len(vertices)))

@@ -14,7 +14,7 @@ import argparse
 import json
 import sys
 
-from .buildings import BuildingSpec, KneserGraph, build_graph, geometry
+from .buildings import SCHEMA, BuildingSpec, KneserGraph, build_graph, geometry, vertex_lists
 from .coclique import check_scan_args, check_ucep
 from .crossval import cross_validate
 from .errors import (
@@ -24,8 +24,6 @@ from .errors import (
     UsageError,
 )
 from .fixtures import CASES, verify_nonexample, verify_witness
-
-SCHEMA = 1
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -49,10 +47,7 @@ def graph_to_dict(graph):
         "schema": SCHEMA,
         "spec": graph.spec.to_dict(),
         "num_vertices": graph.num_vertices,
-        "vertices": [
-            [[list(row) for row in part.basis] for part in flag]
-            for flag in graph.vertices
-        ],
+        "vertices": [vertex_lists(flag) for flag in graph.vertices],
         "sigma": list(graph.sigma),
         "edges": [[i, j] for i, j in graph.edges()],
     }
@@ -105,11 +100,6 @@ def cmd_build(args):
 
 
 def cmd_check_ucep(args):
-    if args.case_from_fixture:
-        report = verify_nonexample(args.case_from_fixture, p=args.p)
-        report["ucep"] = "fails"
-        _write(json.dumps(report, sort_keys=True) + "\n", args.output)
-        return EXIT_UCEP_FAILS
     spec = _spec_from_args(args)
     check_scan_args(args.mode, args.samples)
     graph = build_graph(spec)
@@ -135,7 +125,7 @@ def cmd_cross_validate(args):
     spec = _spec_from_args(args)
     if spec.rank > 4:
         raise UsageError("cross-validation is limited to rank <= 4")
-    report = cross_validate(spec.family, spec.rank, spec.types, spec.p)
+    report = cross_validate(spec)
     _write(json.dumps(report, sort_keys=True) + "\n", args.output)
     if not report["ok"]:
         raise CrossValidationError(report["mismatch"])
@@ -218,7 +208,6 @@ def build_parser():
     sp.add_argument("--mode", choices=["all", "sample"], default="all")
     sp.add_argument("--samples", type=int)
     sp.add_argument("--seed", type=int)
-    sp.add_argument("--case-from-fixture", choices=list(CASES))
     sp.set_defaults(func=cmd_check_ucep)
 
     sp = sub.add_parser("verify-fixtures", help="certify the counterexample fixtures")

@@ -25,11 +25,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import nullspace
-from .buildings import geometry
+from .buildings import SCHEMA, geometry, vertex_lists
 from .errors import SearchBudgetExceeded, UsageError
 from .exterior import plucker
 
 MAX_SIGMA = 64
+
+# Largest sample count: every sampled coclique is kept and sorted. 2^16 is
+# the most maximal cocliques of Σ on the grid (D4 planes over F_2).
+MAX_SAMPLES = 1 << 16
 
 
 def _bits(mask):
@@ -140,11 +144,10 @@ class UcepReport:
     witness: dict = None
     seed: int = None
     elapsed_ms: float = 0.0
-    schema: int = 1
 
     def to_dict(self):
         d = {
-            "schema": self.schema,
+            "schema": SCHEMA,
             "spec": self.spec,
             "verdict": self.verdict,
             "cocliques_checked": self.cocliques_checked,
@@ -178,6 +181,8 @@ def check_scan_args(mode, samples):
         raise UsageError("mode must be 'all' or 'sample'")
     if mode == "sample" and (samples is None or samples < 1):
         raise UsageError("sampling mode needs a sample count of at least 1, got %r" % (samples,))
+    if mode == "sample" and samples > MAX_SAMPLES:
+        raise UsageError("sample count %d is more than the limit of %d" % (samples, MAX_SAMPLES))
 
 
 def check_ucep(graph, mode="all", samples=None, seed=None):
@@ -196,18 +201,14 @@ def check_ucep(graph, mode="all", samples=None, seed=None):
         return UcepReport(spec_dict, "holds", checked, mode, None, seed, elapsed)
     coc, x, y = best
     witness = {
-        "coclique": [_vertex_payload(graph, v) for v in coc],
+        "coclique": [vertex_lists(graph.vertices[v]) for v in coc],
         "coclique_indices": list(coc),
-        "x": _vertex_payload(graph, x),
-        "y": _vertex_payload(graph, y),
+        "x": vertex_lists(graph.vertices[x]),
+        "y": vertex_lists(graph.vertices[y]),
         "x_index": x,
         "y_index": y,
     }
     return UcepReport(spec_dict, "fails", checked, mode, witness, seed, elapsed)
-
-
-def _vertex_payload(graph, v):
-    return [[list(row) for row in part.basis] for part in graph.vertices[v]]
 
 
 def max_coclique(graph, budget=None):

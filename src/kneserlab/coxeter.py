@@ -131,10 +131,6 @@ def weyl_group(family, n):
     return WeylGroup(family, n)
 
 
-def longest_element(group):
-    return group.w0
-
-
 class ParabolicQuotient:
     """Cosets wX of X = <R minus J>, with the double-coset adjacency."""
 
@@ -185,10 +181,6 @@ class ParabolicQuotient:
                 j = (bits & -bits).bit_length() - 1
                 yield (i, j)
                 bits &= bits - 1
-
-
-def coset_kneser(group, types):
-    return ParabolicQuotient(group, types)
 
 
 def phi_map(fine, coarse):

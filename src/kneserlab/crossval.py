@@ -10,31 +10,27 @@ and is the anti-drift guard for the adopted general-position adjacency.
 
 from __future__ import annotations
 
-from .buildings import BuildingSpec, apartment_graph, geometry
-from .coxeter import coset_kneser, weyl_group
+from .buildings import apartment_graph, geometry
+from .coxeter import ParabolicQuotient, weyl_group
 from .errors import UsageError
 
 WEYL_FAMILY = {"A": "A", "B": "B", "C": "B", "D": "D"}
 
 
-def frame_object_for_coset(family, n, types, p, w):
-    """Frame object named by the coset representative w, read as a label word."""
-    return geometry(BuildingSpec(family, n, p, types)).frame(w)
-
-
-def cross_validate(family, n, types, p):
+def cross_validate(spec):
     """Compare coset and geometric apartment graphs; returns a report.
 
-    The report's "ok" field is False iff the vertex bijection breaks or
-    some pair differs in adjacency, in which case "mismatch" holds the
-    first offending pair.
+    A coset representative w, read as a label word, names the frame object
+    geometry(spec).frame(w). The report's "ok" field is False iff the
+    vertex bijection breaks or some pair differs in adjacency, in which
+    case "mismatch" holds the first offending pair.
     """
+    family, n, types = spec.family, spec.rank, spec.types
     if family not in WEYL_FAMILY:
         raise UsageError("cross-validation supports families A, B, C, D")
-    types = tuple(sorted(set(types)))
     group = weyl_group(WEYL_FAMILY[family], n)
-    quotient = coset_kneser(group, types)
-    geometric = apartment_graph(family, n, types, p)
+    quotient = ParabolicQuotient(group, types)
+    geometric = apartment_graph(spec)
     if quotient.num_vertices != geometric.num_vertices:
         return {
             "ok": False,
@@ -44,10 +40,11 @@ def cross_validate(family, n, types, p):
                 "geometric": geometric.num_vertices,
             },
         }
+    geo = geometry(spec)
     index_of = {flag: i for i, flag in enumerate(geometric.vertices)}
     mapping = []
     for w in quotient.representatives:
-        flag = frame_object_for_coset(family, n, types, p, w)
+        flag = geo.frame(w)
         if flag not in index_of:
             return {
                 "ok": False,
@@ -76,7 +73,7 @@ def cross_validate(family, n, types, p):
         "family": family,
         "rank": n,
         "types": list(types),
-        "p": p,
+        "p": spec.p,
         "vertices": nverts,
         "edges": geometric.num_edges(),
     }

@@ -21,7 +21,7 @@ import itertools
 import time
 
 from .algebra import Subspace
-from .buildings import BuildingSpec, geometry
+from .buildings import SCHEMA, BuildingSpec, geometry, vertex_lists
 from .errors import FixtureIntegrityError, UsageError
 
 CASES = ("B3_2", "C3_3", "D4_34", "A_flags")
@@ -128,11 +128,8 @@ def _a_flags(n, i, p):
     swapped = {(1, *range(3, i + 2), 2, *range(i + 2, n - i + 1)),
                (1, *range(n - i + 1, n), *range(i + 2, n - i + 1), n)}
     words = [w for w in geo.frame_words() if min(w[:i]) < min(labels - set(w))]
-    coclique = [
-        [[list(r) for r in part.basis] for part in geo.frame(
-            tuple(sorted(labels - set(w))) + w[i:] if w in swapped else w)]
-        for w in words
-    ]
+    coclique = [vertex_lists(geo.frame(tuple(sorted(labels - set(w))) + w[i:]
+                                       if w in swapped else w)) for w in words]
     return spec, coclique, x, y
 
 
@@ -170,7 +167,7 @@ def verify_nonexample(case, p=None, n=None, i=None, fixture=None):
     if case in ("D4_34", "A_flags"):
         body["sigma_vertices_blocked"] = facts["sigma_vertices_blocked"]
     body.update({
-        "schema": 1,
+        "schema": SCHEMA,
         "case": case,
         "p": p,
         "verdict": "violation_certified",

@@ -7,14 +7,11 @@ from collections import Counter
 
 import pytest
 
+import kneserlab.buildings as buildings
 from kneserlab.algebra import Subspace, intersect
 from kneserlab.buildings import (
     BuildingSpec,
-    build_flag_kneser_A,
     build_graph,
-    build_polar_kneser,
-    build_projective_kneser,
-    g2_points,
 )
 from kneserlab.cli import EXIT_OK, main
 from kneserlab.coclique import (
@@ -28,7 +25,7 @@ from kneserlab.coclique import (
 )
 from kneserlab.coxeter import (
     check_lifting,
-    coset_kneser,
+    ParabolicQuotient,
     phi_map,
     shortest_double_coset,
     weyl_group,
@@ -98,14 +95,14 @@ def test_criterion_02_negative_grid_fixtures():
 
 
 def test_criterion_03_size_oracles():
-    ok = max_coclique(build_projective_kneser(3, 2, 2))[0] == 7
-    ok = ok and max_coclique(build_projective_kneser(4, 2, 2))[0] == 15
-    ok = ok and max_coclique(build_flag_kneser_A(2, (1, 2), 2))[0] == 5
-    ok = ok and max_coclique(build_flag_kneser_A(3, (1, 3), 2))[0] == 17
+    ok = max_coclique(build_graph(BuildingSpec("A", 3, 2, (2,))))[0] == 7
+    ok = ok and max_coclique(build_graph(BuildingSpec("A", 4, 2, (2,))))[0] == 15
+    ok = ok and max_coclique(build_graph(BuildingSpec("A", 2, 2, (1, 2))))[0] == 5
+    ok = ok and max_coclique(build_graph(BuildingSpec("A", 3, 2, (1, 3))))[0] == 17
     # The star construction C = {(i, N\j) : i < j} attains the flag sizes.
     for n, want in [(2, 5), (3, 17)]:
         d = n + 1
-        graph = build_flag_kneser_A(n, (1, n), 2)
+        graph = build_graph(BuildingSpec("A", n, 2, (1, n)))
         idx = {v: i for i, v in enumerate(graph.vertices)}
         members = []
         for i, j in itertools.combinations(range(d), 2):
@@ -118,7 +115,7 @@ def test_criterion_03_size_oracles():
 
 
 def test_criterion_04_apartment_identities():
-    petersen = build_projective_kneser(4, 2, 2)
+    petersen = build_graph(BuildingSpec("A", 4, 2, (2,)))
     mask = petersen.sigma_mask()
     degrees = sorted(
         bin(petersen.adjacency[v] & mask).count("1") for v in petersen.sigma
@@ -127,15 +124,15 @@ def test_criterion_04_apartment_identities():
     profile = Counter(len(c) for c in maximal_cocliques_sigma(petersen))
     ok = ok and profile == Counter({3: 10, 4: 5})
 
-    d42 = build_polar_kneser("D", 4, 2, 2)
+    d42 = build_graph(BuildingSpec("D", 4, 2, (2,)))
     mask = d42.sigma_mask()
     ok = ok and len(d42.sigma) == 24
     ok = ok and all(
         bin(d42.adjacency[v] & mask).count("1") == 1 for v in d42.sigma
     )
 
-    for graph in (build_polar_kneser("C", 3, 1, 2),
-                  build_polar_kneser("B", 3, 1, 3)):
+    for graph in (build_graph(BuildingSpec("C", 3, 2, (1,))),
+                  build_graph(BuildingSpec("B", 3, 3, (1,)))):
         mask = graph.sigma_mask()
         ok = ok and len(graph.sigma) == 6
         ok = ok and all(
@@ -143,7 +140,7 @@ def test_criterion_04_apartment_identities():
             for v in graph.sigma
         )
 
-    flags = build_flag_kneser_A(2, (1, 2), 2)
+    flags = build_graph(BuildingSpec("A", 2, 2, (1, 2)))
     mask = flags.sigma_mask()
     ok = ok and len(flags.sigma) == 6
     ok = ok and all(
@@ -155,9 +152,9 @@ def test_criterion_04_apartment_identities():
 def test_criterion_05_span_instrumentation():
     ok = True
     for graph in (
-        build_projective_kneser(3, 2, 2),
-        build_projective_kneser(4, 2, 2),
-        build_polar_kneser("D", 4, 2, 2),
+        build_graph(BuildingSpec("A", 3, 2, (2,))),
+        build_graph(BuildingSpec("A", 4, 2, (2,))),
+        build_graph(BuildingSpec("D", 4, 2, (2,))),
     ):
         cocliques = maximal_cocliques_sigma(graph)
         ok = ok and all(span_check(graph, c) for c in cocliques)
@@ -282,10 +279,10 @@ def test_criterion_08_coset_cross_validation(capsys):
 
 def test_criterion_09_transfer_certification():
     group = weyl_group("A", 3)
-    chambers = coset_kneser(group, (1, 2, 3))
+    chambers = ParabolicQuotient(group, (1, 2, 3))
     ok = True
     for coarse_types in ((2,), (1, 3)):
-        coarse = coset_kneser(group, coarse_types)
+        coarse = ParabolicQuotient(group, coarse_types)
         phi_map(chambers, coarse)
         lifted, counterexample = check_lifting(chambers, coarse)
         ok = ok and lifted and counterexample is None
@@ -294,8 +291,8 @@ def test_criterion_09_transfer_certification():
     ok = ok and shortest_double_coset(group, (1, 2)) == shortest_double_coset(
         group, (2,)
     )
-    fine = build_flag_kneser_A(3, (1, 2), 2, allow_non_self_opposite=True)
-    coarse = build_projective_kneser(3, 2, 2)
+    fine = buildings._graph(BuildingSpec("A", 3, 2, (1, 2)))
+    coarse = build_graph(BuildingSpec("A", 3, 2, (2,)))
     index = {v[0]: i for i, v in enumerate(coarse.vertices)}
     projection = [index[f[1]] for f in fine.vertices]
     fibers = {}
@@ -321,7 +318,7 @@ def test_criterion_10_second_largest_coclique():
     # Kneser graph equals 15 - 4*3 + 4 = 7; full enumeration is cheap
     # because the only maximal intersecting families are stars and the
     # line sets of planes.
-    graph = build_projective_kneser(4, 2, 2)
+    graph = build_graph(BuildingSpec("A", 4, 2, (2,)))
     sizes = Counter(
         bin(c).count("1") for c in enumerate_maximal_cocliques_full(graph)
     )

@@ -5,18 +5,14 @@ import random
 
 import pytest
 
+import kneserlab.buildings as buildings
 from kneserlab.algebra import Subspace, gaussian_binomial, intersect, perp
 from kneserlab.buildings import (
     BuildingSpec,
     apartment_graph,
-    build_d4_planes,
-    build_flag_kneser_A,
     build_graph,
-    build_polar_kneser,
-    build_projective_kneser,
     expected_num_vertices,
     expected_sigma_size,
-    g2_points,
     geometry,
     polar_model,
 )
@@ -53,7 +49,7 @@ def test_spec_validation():
 
 
 def test_projective_kneser_a32():
-    g = build_projective_kneser(3, 2, 2)
+    g = build_graph(BuildingSpec("A", 3, 2, (2,)))
     assert g.num_vertices == 35
     assert len(g.sigma) == 6
     assert sigma_degrees(g) == [1] * 6
@@ -61,7 +57,7 @@ def test_projective_kneser_a32():
 
 
 def test_projective_kneser_points_complete():
-    g = build_projective_kneser(2, 1, 2)
+    g = build_graph(BuildingSpec("A", 2, 2, (1,)))
     assert g.num_vertices == 7
     assert g.num_edges() == 21
 
@@ -70,7 +66,7 @@ def test_projective_sigma_is_set_kneser():
     # Explicit bijection K <-> coordinate subspace, never isomorphism
     # search: frame objects are adjacent iff the index sets are disjoint.
     for n, i, p in [(3, 2, 2), (4, 2, 2), (4, 2, 3)]:
-        g = build_projective_kneser(n, i, p)
+        g = build_graph(BuildingSpec("A", n, p, (i,)))
         d = n + 1
         labels = {}
         for v in g.sigma:
@@ -86,8 +82,8 @@ def test_projective_sigma_is_set_kneser():
 
 
 def test_projective_kneser_duality():
-    g = build_projective_kneser(4, 3, 2)
-    h = build_projective_kneser(4, 2, 2)
+    g = build_graph(BuildingSpec("A", 4, 2, (3,)))
+    h = build_graph(BuildingSpec("A", 4, 2, (2,)))
     assert g.num_vertices == h.num_vertices == 155
     assert g.num_edges() == h.num_edges()
     assert all(v[0].dim == 3 for v in g.vertices)
@@ -99,7 +95,7 @@ def test_projective_kneser_duality():
 
 
 def test_flag_kneser_pg22():
-    g = build_flag_kneser_A(2, (1, 2), 2)
+    g = build_graph(BuildingSpec("A", 2, 2, (1, 2)))
     assert g.num_vertices == 21
     assert len(g.sigma) == 6
     assert sigma_degrees(g) == [1] * 6
@@ -110,7 +106,7 @@ def test_flag_kneser_pg22():
 
 
 def test_flag_kneser_point_hyperplane_rule():
-    g = build_flag_kneser_A(3, (1, 3), 2)
+    g = build_graph(BuildingSpec("A", 3, 2, (1, 3)))
     for a in range(g.num_vertices):
         pa, ha = g.vertices[a]
         for b in range(a + 1, g.num_vertices):
@@ -121,8 +117,8 @@ def test_flag_kneser_point_hyperplane_rule():
 
 def test_flag_kneser_rejects_non_self_opposite():
     with pytest.raises(UsageError):
-        build_flag_kneser_A(3, (1, 2), 2)
-    g = build_flag_kneser_A(3, (1, 2), 2, allow_non_self_opposite=True)
+        build_graph(BuildingSpec("A", 3, 2, (1, 2)))
+    g = buildings._graph(BuildingSpec("A", 3, 2, (1, 2)))
     assert g.num_vertices == 105
 
 
@@ -141,7 +137,7 @@ def test_flag_kneser_paper_witnesses_adjacent():
 
 
 def test_polar_kneser_d42():
-    g = build_polar_kneser("D", 4, 2, 2)
+    g = build_graph(BuildingSpec("D", 4, 2, (2,)))
     assert g.num_vertices == 1575
     assert len(g.sigma) == 24
     assert sigma_degrees(g) == [1] * 24
@@ -155,22 +151,22 @@ def test_polar_kneser_d42():
 
 
 def test_polar_kneser_c31():
-    g = build_polar_kneser("C", 3, 1, 2)
+    g = build_graph(BuildingSpec("C", 3, 2, (1,)))
     assert g.num_vertices == 63
     assert len(g.sigma) == 6
     assert sigma_degrees(g) == [1] * 6
 
 
 def test_polar_kneser_b3_counts():
-    assert build_polar_kneser("B", 3, 1, 3).num_vertices == 364
-    assert build_polar_kneser("B", 3, 2, 3).num_vertices == 3640
-    assert build_polar_kneser("B", 3, 3, 3).num_vertices == 1120
+    assert build_graph(BuildingSpec("B", 3, 3, (1,))).num_vertices == 364
+    assert build_graph(BuildingSpec("B", 3, 3, (2,))).num_vertices == 3640
+    assert build_graph(BuildingSpec("B", 3, 3, (3,))).num_vertices == 1120
 
 
 def test_polar_adjacency_reflexive_pairing():
     # perp(L) meets M trivially iff L meets perp(M) trivially, on all
     # totally singular line pairs of the hyperbolic D_4 space.
-    g = build_polar_kneser("D", 4, 2, 2)
+    g = build_graph(BuildingSpec("D", 4, 2, (2,)))
     form = polar_model("D", 4, 2).form
     import random
 
@@ -184,8 +180,8 @@ def test_polar_adjacency_reflexive_pairing():
 
 
 def test_d4_maximal_families():
-    plus = build_polar_kneser("D", 4, 4, 2, "plus")
-    minus = build_polar_kneser("D", 4, 4, 2, "minus")
+    plus = build_graph(BuildingSpec("D", 4, 2, (4,)))
+    minus = build_graph(BuildingSpec("D", 4, 2, (3,)))
     assert plus.num_vertices == minus.num_vertices == 135
     assert len(plus.sigma) == len(minus.sigma) == 8
     model = polar_model("D", 4, 2)
@@ -197,7 +193,7 @@ def test_d4_maximal_families():
 
 
 def test_d4_planes_paper_witnesses():
-    g = build_d4_planes(2)
+    g = build_graph(BuildingSpec("D", 4, 2, (3, 4)))
     assert g.num_vertices == 2025
     assert len(g.sigma) == 32
     assert sigma_degrees(g) == [1] * 32
@@ -221,15 +217,15 @@ def test_d4_planes_paper_witnesses():
 
 
 def test_g2_alias():
-    g = g2_points(3)
-    b = build_polar_kneser("B", 3, 1, 3)
+    g = build_graph(BuildingSpec("G", 2, 3, (1,)))
+    b = build_graph(BuildingSpec("B", 3, 3, (1,)))
     assert g.spec.family == "G"
     assert g.num_vertices == 364
     assert g.adjacency == b.adjacency
     assert g.sigma == b.sigma
     assert sigma_degrees(g) == [1] * 6
     with pytest.raises(UsageError):
-        g2_points(2)
+        build_graph(BuildingSpec("G", 2, 2, (1,)))
 
 
 def test_expected_sigma_sizes():
@@ -261,11 +257,11 @@ def test_build_graph_dispatch():
 
 def test_all_graphs_symmetric_irreflexive():
     graphs = [
-        build_projective_kneser(3, 2, 2),
-        build_flag_kneser_A(2, (1, 2), 2),
-        build_polar_kneser("C", 3, 1, 2),
-        build_polar_kneser("D", 4, 4, 2),
-        g2_points(3),
+        build_graph(BuildingSpec("A", 3, 2, (2,))),
+        build_graph(BuildingSpec("A", 2, 2, (1, 2))),
+        build_graph(BuildingSpec("C", 3, 2, (1,))),
+        build_graph(BuildingSpec("D", 4, 2, (4,))),
+        build_graph(BuildingSpec("G", 2, 3, (1,))),
     ]
     for g in graphs:
         assert g.check_symmetric_irreflexive()
@@ -274,15 +270,15 @@ def test_all_graphs_symmetric_irreflexive():
 def test_apartment_graph_matches_full_builder_sigma():
     # The frame-only graph induces the same subgraph as the apartment of
     # the fully built graph.
-    cases = [
-        ("A", 3, (2,), 2),
-        ("A", 2, (1, 2), 2),
-        ("C", 3, (1,), 2),
-        ("D", 4, (2,), 2),
+    specs = [
+        BuildingSpec("A", 3, 2, (2,)),
+        BuildingSpec("A", 2, 2, (1, 2)),
+        BuildingSpec("C", 3, 2, (1,)),
+        BuildingSpec("D", 4, 2, (2,)),
     ]
-    for family, n, types, p in cases:
-        apt = apartment_graph(family, n, types, p)
-        full = build_graph(BuildingSpec(family, n, p, types))
+    for spec in specs:
+        apt = apartment_graph(spec)
+        full = build_graph(spec)
         assert apt.num_vertices == len(full.sigma)
         idx = {flag: i for i, flag in enumerate(apt.vertices)}
         for a_pos, a in enumerate(full.sigma):
@@ -304,7 +300,7 @@ def test_vertex_counts_vs_filter_oracle():
         for u in enumerate_subspaces(6, 2, 2)
         if is_totally_singular(u, model.form)
     )
-    assert build_polar_kneser("C", 3, 2, 2).num_vertices == slow
+    assert build_graph(BuildingSpec("C", 3, 2, (2,))).num_vertices == slow
 
 
 def rank_oracle(graph):
@@ -316,14 +312,14 @@ def rank_oracle(graph):
 
 
 def test_kernel_rows_match_rank_oracle_all_pairs():
-    graphs = [build_projective_kneser(3, i, 2) for i in (1, 2, 3)] + [
-        build_flag_kneser_A(3, (1, 3), 2),
-        build_flag_kneser_A(3, (1, 2), 2, allow_non_self_opposite=True),
-        build_polar_kneser("C", 3, 1, 2),
-        build_polar_kneser("D", 4, 1, 2),
-        build_polar_kneser("D", 4, 4, 2, "plus"),
-        build_polar_kneser("D", 4, 4, 2, "minus"),
-        g2_points(3),
+    graphs = [build_graph(BuildingSpec("A", 3, 2, (i,))) for i in (1, 2, 3)] + [
+        build_graph(BuildingSpec("A", 3, 2, (1, 3))),
+        buildings._graph(BuildingSpec("A", 3, 2, (1, 2))),
+        build_graph(BuildingSpec("C", 3, 2, (1,))),
+        build_graph(BuildingSpec("D", 4, 2, (1,))),
+        build_graph(BuildingSpec("D", 4, 2, (4,))),
+        build_graph(BuildingSpec("D", 4, 2, (3,))),
+        build_graph(BuildingSpec("G", 2, 3, (1,))),
     ]
     for g in graphs:
         adjacent = rank_oracle(g)
@@ -338,10 +334,10 @@ def test_kernel_rows_match_rank_oracle_all_pairs():
 def test_kernel_rows_match_rank_oracle_random_pairs():
     rng = random.Random(20261018)
     graphs = [
-        build_polar_kneser("B", 3, 2, 3),
-        build_d4_planes(2),
-        build_flag_kneser_A(4, (2, 3), 2),
-        build_projective_kneser(4, 3, 2),
+        build_graph(BuildingSpec("B", 3, 3, (2,))),
+        build_graph(BuildingSpec("D", 4, 2, (3, 4))),
+        build_graph(BuildingSpec("A", 4, 2, (2, 3))),
+        build_graph(BuildingSpec("A", 4, 2, (3,))),
     ]
     for g in graphs:
         adjacent = rank_oracle(g)
@@ -359,8 +355,6 @@ def test_expected_num_vertices_on_grid():
 def test_graph_checks_enumerated_count(monkeypatch):
     # An enumerator that loses one subspace is caught by the closed-form
     # count for every spec, not only for the tested ones.
-    import kneserlab.buildings as buildings
-
     enumerate_all = buildings.enumerate_singular_subspaces
     monkeypatch.setattr(buildings, "enumerate_singular_subspaces",
                         lambda form, k: enumerate_all(form, k)[1:])
@@ -370,16 +364,10 @@ def test_graph_checks_enumerated_count(monkeypatch):
 
 
 def test_one_graph_per_spec_across_builders():
-    # Every builder is a translation to a spec in front of build_graph's
-    # one cache, so a spec is built once per process.
-    assert build_graph(BuildingSpec("C", 3, 3, (2,))) is build_polar_kneser("C", 3, 2, 3)
-    assert build_graph(BuildingSpec("D", 4, 2, (2,))) is build_polar_kneser("D", 4, 2, 2)
-    assert build_graph(BuildingSpec("D", 4, 2, (4,))) is build_polar_kneser("D", 4, 4, 2)
-    assert build_graph(BuildingSpec("D", 4, 2, (3,))) is build_polar_kneser(
-        "D", 4, 4, 2, "minus")
-    assert build_graph(BuildingSpec("D", 4, 2, (3, 4))) is build_d4_planes(2)
-    assert build_graph(BuildingSpec("G", 2, 3, (1,))) is g2_points(3)
-    assert build_graph(BuildingSpec("A", 3, 2, (2,))) is build_projective_kneser(3, 2, 2)
+    # build_graph's one cache is keyed by the canonical spec, so a spec is
+    # built once per process however its type set is spelled.
+    planes = build_graph(BuildingSpec("D", 4, 2, (4, 3)))
+    assert planes is build_graph(BuildingSpec("D", 4, 2, (3, 4)))
 
 
 def test_cached_graphs_are_immutable():
@@ -412,15 +400,11 @@ def test_geometry_rejects_unnamed_specs(family, n, types, p):
 def test_build_graph_refuses_one_family_of_odd_d(n, types, p, monkeypatch):
     # For n odd two maximal spaces of one family meet in odd dimension, so
     # none is opposite another: the type is not self-opposite.
-    import kneserlab.buildings as buildings
-
     spec = BuildingSpec("D", n, p, types)
     assert not geometry(spec).self_opposite
     monkeypatch.setattr(buildings, "_vertices", None)
     with pytest.raises(UsageError, match="not self-opposite"):
         build_graph(spec)
-    with pytest.raises(UsageError):
-        build_polar_kneser("D", n, n, p, "plus" if types == (n,) else "minus")
 
 
 def test_odd_d_other_types_still_build():

@@ -140,14 +140,16 @@ def test_check_ucep_corrupted_witness_exit_4(capsys, monkeypatch):
     assert out == ""
 
 
-def test_check_ucep_fixture_case_exit_3(capsys):
-    code, out, _ = run(
-        capsys, "check-ucep", "--case-from-fixture", "B3_2", "--p", "3"
-    )
-    assert code == EXIT_UCEP_FAILS
-    report = json.loads(out)
+def test_verify_fixtures_case_report(capsys):
+    code, out, _ = run(capsys, "verify-fixtures", "--case", "B3_2", "--p", "3")
+    assert code == EXIT_OK
+    report = json.loads(out)["fixtures"][0]
     assert report["verdict"] == "violation_certified"
     assert report["witnesses"]
+    # Fixtures are certified by verify-fixtures only.
+    with pytest.raises(SystemExit) as exc:
+        main(["check-ucep", "--case-from-fixture", "B3_2", "--p", "3"])
+    assert exc.value.code == EXIT_USAGE
 
 
 def test_check_ucep_deterministic_reports(capsys):
@@ -164,18 +166,21 @@ def test_check_ucep_deterministic_reports(capsys):
 
 def test_check_ucep_bad_counts_rejected_before_build(capsys, monkeypatch):
     import kneserlab.cli as cli
+    from kneserlab.coclique import MAX_SAMPLES
 
     built = []
     monkeypatch.setattr(cli, "build_graph", built.append)
     spec = ["check-ucep", "--family", "A", "--rank", "4", "--type", "2,3",
             "--p", "2"]
-    for extra in (["--mode", "sample", "--samples", "0"],
-                  ["--mode", "sample", "--samples", "-5"],
-                  ["--mode", "sample"]):
+    over = "sample count %d is more than the limit of %d" % (MAX_SAMPLES + 1, MAX_SAMPLES)
+    for extra, why in ((["--mode", "sample", "--samples", "0"], "at least 1"),
+                       (["--mode", "sample", "--samples", "-5"], "at least 1"),
+                       (["--mode", "sample"], "at least 1"),
+                       (["--mode", "sample", "--samples", str(MAX_SAMPLES + 1)], over)):
         code, out, err = run(capsys, *spec, *extra)
         assert code == EXIT_USAGE
         assert out == ""
-        assert "at least 1" in err
+        assert why in err
     # There is no worker pool, so no --jobs flag.
     with pytest.raises(SystemExit) as exc:
         main([*spec, "--jobs", "1"])
@@ -266,7 +271,7 @@ def test_cross_validate_rank_limit(capsys):
 def test_cross_validate_mismatch_exit_5(capsys, monkeypatch):
     import kneserlab.cli as cli
 
-    def mismatch(family, n, types, p):
+    def mismatch(spec):
         return {"ok": False, "mismatch": {"kind": "adjacency"}}
 
     monkeypatch.setattr(cli, "cross_validate", mismatch)

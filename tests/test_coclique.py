@@ -11,15 +11,12 @@ import kneserlab.buildings as buildings
 from kneserlab.algebra import Subspace, gaussian_binomial, rank_mod_p
 from kneserlab.buildings import (
     BuildingSpec,
-    build_flag_kneser_A,
     build_graph,
-    build_polar_kneser,
-    build_projective_kneser,
-    g2_points,
     geometry,
     polar_model,
 )
 from kneserlab.coclique import (
+    MAX_SAMPLES,
     check_ucep,
     enumerate_maximal_cocliques_full,
     extension_set,
@@ -36,18 +33,18 @@ from kneserlab.fixtures import verify_witness
 
 def test_matching_apartment_has_power_of_two_cocliques():
     # Sigma = nK_2: one endpoint per edge, 2^n maximal cocliques.
-    g = build_projective_kneser(3, 2, 2)
+    g = build_graph(BuildingSpec("A", 3, 2, (2,)))
     cocliques = maximal_cocliques_sigma(g)
     assert len(cocliques) == 2 ** 3
     assert all(len(c) == 3 for c in cocliques)
-    g = build_polar_kneser("D", 4, 2, 2)
+    g = build_graph(BuildingSpec("D", 4, 2, (2,)))
     cocliques = maximal_cocliques_sigma(g)
     assert len(cocliques) == 2 ** 12
     assert all(len(c) == 12 for c in cocliques)
 
 
 def test_petersen_apartment_coclique_profile():
-    g = build_projective_kneser(4, 2, 2)
+    g = build_graph(BuildingSpec("A", 4, 2, (2,)))
     cocliques = maximal_cocliques_sigma(g)
     assert len(cocliques) == 15
     assert Counter(len(c) for c in cocliques) == Counter({3: 10, 4: 5})
@@ -56,7 +53,7 @@ def test_petersen_apartment_coclique_profile():
 
 
 def test_edgeless_sigma_single_coclique():
-    g = build_projective_kneser(3, 1, 2)
+    g = build_graph(BuildingSpec("A", 3, 2, (1,)))
     # Points of PG(3,2): distinct points are disjoint, so Sigma is a
     # complete graph and every maximal coclique is a single vertex.
     cocliques = maximal_cocliques_sigma(g)
@@ -65,7 +62,7 @@ def test_edgeless_sigma_single_coclique():
 
 
 def test_extension_set_contains_coclique():
-    g = build_projective_kneser(4, 2, 2)
+    g = build_graph(BuildingSpec("A", 4, 2, (2,)))
     for c in maximal_cocliques_sigma(g):
         mask = extension_set(g, c)
         for v in c:
@@ -73,12 +70,12 @@ def test_extension_set_contains_coclique():
 
 
 def test_extension_set_empty_coclique_is_everything():
-    g = build_projective_kneser(3, 2, 2)
+    g = build_graph(BuildingSpec("A", 3, 2, (2,)))
     assert extension_set(g, ()) == g.full_mask
 
 
 def test_extension_set_rejects_non_coclique():
-    g = build_projective_kneser(3, 2, 2)
+    g = build_graph(BuildingSpec("A", 3, 2, (2,)))
     a, b = next(g.edges())
     with pytest.raises(UsageError):
         extension_set(g, (a, b))
@@ -87,7 +84,7 @@ def test_extension_set_rejects_non_coclique():
 def test_extension_set_of_polar_point_frame_is_maximal_subspace():
     # One frame point per hyperbolic pair spans a maximal totally
     # isotropic subspace; D is exactly the point set of that subspace.
-    g = build_polar_kneser("C", 3, 1, 2)
+    g = build_graph(BuildingSpec("C", 3, 2, (1,)))
     model = polar_model("C", 3, 2)
     idx = {v[0]: i for i, v in enumerate(g.vertices)}
     c = [idx[model.frame_subspace((l,))] for l in (1, 2, 3)]
@@ -106,7 +103,7 @@ def test_extension_set_star_family_sizes():
     # pins D at sizes 1 + 2q and 1 + 2q + 3q^2 for n = 2, 3 at q = 2.
     for n, want in [(2, 5), (3, 17)]:
         d = n + 1
-        g = build_flag_kneser_A(n, (1, n), 2)
+        g = build_graph(BuildingSpec("A", n, 2, (1, n)))
         idx = {v: i for i, v in enumerate(g.vertices)}
         c = []
         for i, j in itertools.combinations(range(d), 2):
@@ -118,14 +115,14 @@ def test_extension_set_star_family_sizes():
 
 
 def test_check_ucep_holds_and_fails():
-    assert check_ucep(build_projective_kneser(3, 2, 2)).verdict == "holds"
-    report = check_ucep(build_polar_kneser("B", 3, 2, 3))
+    assert check_ucep(build_graph(BuildingSpec("A", 3, 2, (2,)))).verdict == "holds"
+    report = check_ucep(build_graph(BuildingSpec("B", 3, 3, (2,))))
     assert report.verdict == "fails"
     assert report.witness is not None
 
 
 def test_check_ucep_witness_is_machine_checkable():
-    g = build_flag_kneser_A(4, (2, 3), 2)
+    g = build_graph(BuildingSpec("A", 4, 2, (2, 3)))
     report = check_ucep(g)
     assert report.verdict == "fails"
     w = report.witness
@@ -146,7 +143,7 @@ def test_check_ucep_single_vertex_graph():
 
 
 def test_check_ucep_sampling_deterministic():
-    g = build_polar_kneser("D", 4, 2, 2)
+    g = build_graph(BuildingSpec("D", 4, 2, (2,)))
     r1 = check_ucep(g, mode="sample", samples=20, seed=7)
     r2 = check_ucep(g, mode="sample", samples=20, seed=7)
     assert r1.verdict == r2.verdict == "holds"
@@ -158,7 +155,7 @@ def test_check_ucep_sampling_deterministic():
 
 
 def test_check_ucep_sample_needs_count():
-    g = build_projective_kneser(3, 2, 2)
+    g = build_graph(BuildingSpec("A", 3, 2, (2,)))
     with pytest.raises(UsageError):
         check_ucep(g, mode="sample")
     with pytest.raises(UsageError):
@@ -166,6 +163,8 @@ def test_check_ucep_sample_needs_count():
     for samples in (0, -5):
         with pytest.raises(UsageError, match="at least 1"):
             check_ucep(g, mode="sample", samples=samples)
+    with pytest.raises(UsageError, match="limit of %d" % MAX_SAMPLES):
+        check_ucep(g, mode="sample", samples=MAX_SAMPLES + 1)
 
 
 def _opposite(geo, fx, fy):
@@ -209,29 +208,29 @@ def test_check_ucep_negative_grid_cells(family, n, types, p, count):
 
 
 def test_max_coclique_values():
-    assert max_coclique(build_projective_kneser(3, 2, 2))[0] == 7
-    assert max_coclique(build_flag_kneser_A(2, (1, 2), 2))[0] == 5
-    assert max_coclique(build_flag_kneser_A(3, (1, 3), 2))[0] == 17
+    assert max_coclique(build_graph(BuildingSpec("A", 3, 2, (2,))))[0] == 7
+    assert max_coclique(build_graph(BuildingSpec("A", 2, 2, (1, 2))))[0] == 5
+    assert max_coclique(build_graph(BuildingSpec("A", 3, 2, (1, 3))))[0] == 17
     # Complete graph: points of PG(2,2).
-    assert max_coclique(build_projective_kneser(2, 1, 2))[0] == 1
+    assert max_coclique(build_graph(BuildingSpec("A", 2, 2, (1,))))[0] == 1
 
 
 def test_max_coclique_witness_is_coclique():
-    g = build_projective_kneser(3, 2, 2)
+    g = build_graph(BuildingSpec("A", 3, 2, (2,)))
     size, witness = max_coclique(g)
     assert len(witness) == size
     assert is_coclique(g, witness)
 
 
 def test_max_coclique_budget():
-    g = build_projective_kneser(4, 2, 2)
+    g = build_graph(BuildingSpec("A", 4, 2, (2,)))
     with pytest.raises(SearchBudgetExceeded) as exc:
         max_coclique(g, budget=3)
     assert exc.value.lower <= exc.value.upper
 
 
 def test_enumerate_maximal_cocliques_full_profile():
-    g = build_projective_kneser(4, 2, 2)
+    g = build_graph(BuildingSpec("A", 4, 2, (2,)))
     sizes = Counter(
         bin(c).count("1") for c in enumerate_maximal_cocliques_full(g)
     )
@@ -243,7 +242,7 @@ def test_enumerate_maximal_cocliques_full_profile():
 
 
 def test_span_check_positive_cases():
-    g = build_projective_kneser(3, 2, 2)
+    g = build_graph(BuildingSpec("A", 3, 2, (2,)))
     for c in maximal_cocliques_sigma(g):
         assert span_check(g, c)
 
@@ -253,14 +252,14 @@ def test_span_check_implies_no_violation():
     # no edge inside D.
     from kneserlab.coclique import _first_violation
 
-    g = build_projective_kneser(4, 2, 2)
+    g = build_graph(BuildingSpec("A", 4, 2, (2,)))
     for c in maximal_cocliques_sigma(g):
         if span_check(g, c):
             assert _first_violation(g, extension_set(g, c)) is None
 
 
 def test_span_check_single_vertex_complete_graph():
-    g = build_projective_kneser(2, 1, 2)
+    g = build_graph(BuildingSpec("A", 2, 2, (1,)))
     mask = extension_set(g, (0,))
     assert mask == 1
     assert span_check(g, (0,))
@@ -298,7 +297,7 @@ def test_span_check_matches_span_membership_oracle(family, n, k, p):
 
 
 def test_span_check_unsupported_spec():
-    g = build_flag_kneser_A(2, (1, 2), 2)
+    g = build_graph(BuildingSpec("A", 2, 2, (1, 2)))
     with pytest.raises(UsageError):
         span_check(g, ())
     # D_3 type 2 names the minus family of maximal planes, not lines;
@@ -313,11 +312,11 @@ def test_sigma_cocliques_match_networkx():
     # complement of the Sigma-induced subgraph.
     nx = pytest.importorskip("networkx")
     graphs = [
-        build_projective_kneser(3, 2, 2),
-        build_flag_kneser_A(4, (2, 3), 2),
-        build_polar_kneser("C", 3, 1, 2),
-        build_polar_kneser("D", 4, 2, 2),
-        g2_points(3),
+        build_graph(BuildingSpec("A", 3, 2, (2,))),
+        build_graph(BuildingSpec("A", 4, 2, (2, 3))),
+        build_graph(BuildingSpec("C", 3, 2, (1,))),
+        build_graph(BuildingSpec("D", 4, 2, (2,))),
+        build_graph(BuildingSpec("G", 2, 3, (1,))),
     ]
     for g in graphs:
         complement = nx.Graph()

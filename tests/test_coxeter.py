@@ -10,11 +10,9 @@ from kneserlab.coxeter import (
     WeylGroup,
     check_lifting,
     compose,
-    coset_kneser,
     identity,
     inverse,
     is_self_opposite,
-    longest_element,
     phi_map,
     shortest_double_coset,
     weyl_group,
@@ -35,12 +33,12 @@ def test_group_orders():
 
 
 def test_longest_elements():
-    assert longest_element(weyl_group("A", 3)) == (4, 3, 2, 1)
-    assert longest_element(weyl_group("B", 3)) == (-1, -2, -3)
-    assert longest_element(weyl_group("D", 4)) == (-1, -2, -3, -4)
+    assert weyl_group("A", 3).w0 == (4, 3, 2, 1)
+    assert weyl_group("B", 3).w0 == (-1, -2, -3)
+    assert weyl_group("D", 4).w0 == (-1, -2, -3, -4)
     # D_3 has odd rank, so -identity is not in the group; w0 fixes a sign
     # pattern with an even number of flips.
-    w0 = longest_element(weyl_group("D", 3))
+    w0 = weyl_group("D", 3).w0
     assert sum(1 for x in w0 if x < 0) % 2 == 0
 
 
@@ -69,18 +67,18 @@ def test_compose_inverse():
 
 def test_coset_counts():
     g = weyl_group("A", 3)
-    q = coset_kneser(g, (2,))
+    q = ParabolicQuotient(g, (2,))
     assert q.num_vertices == 6
     assert q.num_vertices * len(q.subgroup) == g.order
 
 
 def test_a3_two_subsets_is_perfect_matching():
-    q = coset_kneser(weyl_group("A", 3), (2,))
+    q = ParabolicQuotient(weyl_group("A", 3), (2,))
     assert graph_degrees(q) == [1] * 6
 
 
 def test_a4_two_subsets_is_petersen():
-    q = coset_kneser(weyl_group("A", 4), (2,))
+    q = ParabolicQuotient(weyl_group("A", 4), (2,))
     assert q.num_vertices == 10
     assert graph_degrees(q) == [3] * 10
     # Petersen: 3-regular, girth 5 (no triangles, no 4-cycles).
@@ -89,7 +87,7 @@ def test_a4_two_subsets_is_petersen():
 
 
 def test_a2_chambers_unique_opposite():
-    q = coset_kneser(weyl_group("A", 2), (1, 2))
+    q = ParabolicQuotient(weyl_group("A", 2), (1, 2))
     assert q.num_vertices == 6
     assert graph_degrees(q) == [1] * 6
     g = weyl_group("A", 2)
@@ -105,7 +103,7 @@ def test_coset_bijection_to_set_kneser():
     for n in (2, 3, 4):
         for i in range(1, n + 1):
             g = weyl_group("A", n)
-            q = coset_kneser(g, (i,))
+            q = ParabolicQuotient(g, (i,))
             labels = [frozenset(w[:i]) for w in q.representatives]
             assert len(set(labels)) == q.num_vertices
             overlap = max(0, 2 * i - (n + 1))
@@ -117,28 +115,28 @@ def test_coset_bijection_to_set_kneser():
 
 def test_phi_map_identity_and_chambers():
     g = weyl_group("A", 3)
-    chambers = coset_kneser(g, (1, 2, 3))
-    mid = coset_kneser(g, (2,))
+    chambers = ParabolicQuotient(g, (1, 2, 3))
+    mid = ParabolicQuotient(g, (2,))
     mapping = phi_map(chambers, mid)
     assert len(mapping) == 24
     assert phi_map(mid, mid) == list(range(mid.num_vertices))
-    sub = coset_kneser(g, (1,))
-    fine13 = coset_kneser(g, (1, 3))
+    sub = ParabolicQuotient(g, (1,))
+    fine13 = ParabolicQuotient(g, (1, 3))
     assert len(phi_map(fine13, sub)) == fine13.num_vertices
 
 
 def test_phi_map_requires_nested_types():
     g = weyl_group("A", 3)
     with pytest.raises(UsageError):
-        phi_map(coset_kneser(g, (1,)), coset_kneser(g, (2,)))
+        phi_map(ParabolicQuotient(g, (1,)), ParabolicQuotient(g, (2,)))
 
 
 def test_check_lifting_a3():
     g = weyl_group("A", 3)
-    chambers = coset_kneser(g, (1, 2, 3))
-    ok, cex = check_lifting(chambers, coset_kneser(g, (2,)))
+    chambers = ParabolicQuotient(g, (1, 2, 3))
+    ok, cex = check_lifting(chambers, ParabolicQuotient(g, (2,)))
     assert ok and cex is None
-    ok, cex = check_lifting(chambers, coset_kneser(g, (1, 3)))
+    ok, cex = check_lifting(chambers, ParabolicQuotient(g, (1, 3)))
     assert ok and cex is None
     ok, cex = check_lifting(chambers, chambers)
     assert ok and cex is None
@@ -148,7 +146,7 @@ def test_check_lifting_rejects_non_stable_types():
     g = weyl_group("A", 3)
     assert not is_self_opposite(g, (1,))
     with pytest.raises(UsageError):
-        check_lifting(coset_kneser(g, (1, 2, 3)), coset_kneser(g, (1,)))
+        check_lifting(ParabolicQuotient(g, (1, 2, 3)), ParabolicQuotient(g, (1,)))
 
 
 def test_shortest_double_coset():

@@ -1,8 +1,15 @@
 """Tests for the coset-vs-geometry apartment cross-validation."""
 
+import contextlib
+import hashlib
+import io
+
 import pytest
 
-from kneserlab.crossval import cross_validate, frame_object_for_coset
+from kneserlab.buildings import BuildingSpec, geometry
+from kneserlab.cli import main
+from kneserlab.coxeter import ParabolicQuotient, weyl_group
+from kneserlab.crossval import cross_validate
 from kneserlab.errors import UsageError
 
 
@@ -40,7 +47,7 @@ GRID = [
 @pytest.mark.parametrize("family,n,types", GRID)
 @pytest.mark.parametrize("p", [2, 3])
 def test_cross_validation_grid(family, n, types, p):
-    report = cross_validate(family, n, types, p)
+    report = cross_validate(BuildingSpec(family, n, p, types))
     assert report["ok"], report["mismatch"]
     assert report["vertices"] > 0
 
@@ -48,20 +55,33 @@ def test_cross_validation_grid(family, n, types, p):
 @pytest.mark.parametrize("types", [(1,), (2,), (3,)])
 @pytest.mark.parametrize("p", [3, 5])
 def test_cross_validation_b3_odd_characteristic(types, p):
-    report = cross_validate("B", 3, types, p)
+    report = cross_validate(BuildingSpec("B", 3, p, types))
     assert report["ok"], report["mismatch"]
 
 
 def test_frame_object_labeling_is_injective():
-    from kneserlab.coxeter import coset_kneser, weyl_group
-
-    q = coset_kneser(weyl_group("D", 4), (3,))
-    flags = {
-        frame_object_for_coset("D", 4, (3,), 2, w) for w in q.representatives
-    }
+    q = ParabolicQuotient(weyl_group("D", 4), (3,))
+    geo = geometry(BuildingSpec("D", 4, 2, (3,)))
+    flags = {geo.frame(w) for w in q.representatives}
     assert len(flags) == q.num_vertices
+
+
+# sha256 of the concatenated cross-validate stdout below, recorded before
+# the named builders were folded into build_graph(spec).
+CLI_PIN = "1e2b31bd6a25d541d43fda66913a97b51e16be3209f45ab8a0e6de9a615e86aa"
+
+
+def test_cross_validate_cli_bytes_pinned():
+    cells = [(f, n, t, p) for f, n, t in GRID for p in (2, 3)]
+    cells += [("B", 3, (t,), 3) for t in (1, 2, 3)]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        for family, n, types, p in cells:
+            assert main(["cross-validate", "--family", family, "--rank", str(n),
+                         "--type", ",".join(map(str, types)), "--p", str(p)]) == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == CLI_PIN
 
 
 def test_unknown_family_rejected():
     with pytest.raises(UsageError):
-        cross_validate("G", 2, (1,), 3)
+        cross_validate(BuildingSpec("G", 2, 3, (1,)))

@@ -65,4 +65,4 @@ def test_build_graph_bytes_pinned(cell):
 
 
 def test_apartment_graph_bytes_pinned():
-    assert digest(apartment_graph("D", 4, (3, 4), 2)) == APARTMENT_D4_PLANES_F2
+    assert digest(apartment_graph(BuildingSpec("D", 4, 2, (3, 4)))) == APARTMENT_D4_PLANES_F2
