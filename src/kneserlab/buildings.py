@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -309,7 +310,9 @@ class KneserGraph:
         return (1 << len(self.vertices)) - 1
 
     def is_adjacent(self, i, j):
-        return i != j and bool(self.adjacency[i] >> j & 1)
+        """Also for numpy integers, such as the entries of edges(): a row
+        shifted by a numpy integer is cast to int64 and overflows."""
+        return i != j and bool(self.adjacency[i] >> int(j) & 1)
 
     def degree(self, i):
         return bin(self.adjacency[i]).count("1")
@@ -318,12 +321,24 @@ class KneserGraph:
         return sum(self.degree(i) for i in range(self.num_vertices)) // 2
 
     def edges(self):
-        for i, row in enumerate(self.adjacency):
-            bits = row >> (i + 1) << (i + 1)
-            while bits:
-                j = (bits & -bits).bit_length() - 1
-                yield (i, j)
-                bits &= bits - 1
+        """The edges i < j as an (E, 2) array, in row order (i, then j).
+
+        Each row keeps its bits above the diagonal and is unpacked to one
+        byte per vertex, in blocks of rows of at most _BLOCK_ELEMS bytes.
+        """
+        n = self.num_vertices
+        width, step = _row_blocks(n)
+        blocks = [np.empty((0, 2), dtype=np.intp)]
+        for lo in range(0, n, step):
+            rows = self.adjacency[lo:lo + step]
+            packed = b"".join((row >> i << i).to_bytes(width, "little")
+                              for i, row in enumerate(rows, lo + 1))
+            bits = np.unpackbits(np.frombuffer(packed, np.uint8).reshape(len(rows), width),
+                                 axis=1, count=n, bitorder="little")
+            pairs = np.argwhere(bits)
+            pairs[:, 0] += lo
+            blocks.append(pairs)
+        return np.concatenate(blocks)
 
     def sigma_mask(self):
         m = 0
@@ -332,13 +347,32 @@ class KneserGraph:
         return m
 
     def check_symmetric_irreflexive(self):
-        for i, row in enumerate(self.adjacency):
-            if row >> i & 1:
-                return False
-        for i, j in self.edges():
-            if not self.adjacency[j] >> i & 1:
-                return False
-        return True
+        """Whether the rows equal the rows rebuilt from their edges above the
+        diagonal: then every bit has its mirror and none is on the diagonal."""
+        return all(map(operator.eq, self.adjacency, edge_rows(self.num_vertices, self.edges())))
+
+
+def _row_blocks(n):
+    """Bytes in a packed row of n bits, and how many rows make a block of
+    at most _BLOCK_ELEMS bytes when unpacked to one byte per bit."""
+    width = -(-n // 8)
+    return width, max(1, _BLOCK_ELEMS // (8 * width or 1))
+
+
+def edge_rows(n, edges):
+    """Adjacency rows, as ints, of the graph on n vertices whose edges are
+    the (E, 2) array `edges`, each set both ways. The bits are set in one
+    block of unpacked rows at a time, then packed."""
+    width, step = _row_blocks(n)
+    stride = 8 * width
+    i, j = edges.T
+    ends = np.sort(np.concatenate([i * stride + j, j * stride + i]))
+    cuts = np.searchsorted(ends, np.arange(0, n + step, step) * stride).tolist()
+    for lo, a, b in zip(range(0, n, step), cuts, cuts[1:]):
+        bits = np.zeros(min(step, n - lo) * stride, dtype=np.uint8)
+        bits[ends[a:b] - lo * stride] = 1
+        for row in np.packbits(bits, bitorder="little").reshape(-1, width):
+            yield int.from_bytes(row.tobytes(), "little")
 
 
 def _sorted_vertices(flags):

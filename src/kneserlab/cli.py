@@ -11,10 +11,22 @@ reproduces a run bytewise, including the sampling seed.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
 import json
 import sys
 
-from .buildings import SCHEMA, BuildingSpec, KneserGraph, build_graph, geometry, vertex_lists
+import numpy as np
+
+from .buildings import (
+    SCHEMA,
+    BuildingSpec,
+    KneserGraph,
+    build_graph,
+    edge_rows,
+    geometry,
+    vertex_lists,
+)
 from .coclique import check_scan_args, check_ucep
 from .crossval import cross_validate
 from .errors import (
@@ -49,18 +61,26 @@ def graph_to_dict(graph):
         "num_vertices": graph.num_vertices,
         "vertices": [vertex_lists(flag) for flag in graph.vertices],
         "sigma": list(graph.sigma),
-        "edges": [[i, j] for i, j in graph.edges()],
+        "edges": graph.edges().tolist(),
     }
 
 
 def graph_to_dimacs(graph):
+    """DIMACS text: 1-based vertex labels, one `e i j` line per edge in row
+    order, each row's lines made by one join."""
+    n = graph.num_vertices
+    labels = [str(i + 1) for i in range(n)]
     lines = ["c kneserlab graph"]
     lines.append("c spec %s" % json.dumps(graph.spec.to_dict(), sort_keys=True))
-    lines.append("c sigma %s" % " ".join(str(i + 1) for i in graph.sigma))
-    edges = list(graph.edges())
-    lines.append("p edge %d %d" % (graph.num_vertices, len(edges)))
-    for i, j in edges:
-        lines.append("e %d %d" % (i + 1, j + 1))
+    lines.append("c sigma %s" % " ".join(labels[i] for i in graph.sigma))
+    edges = graph.edges()
+    lines.append("p edge %d %d" % (n, len(edges)))
+    heads = edges[:, 1].tolist()
+    starts = np.searchsorted(edges[:, 0], np.arange(n + 1)).tolist()
+    for tail, a, b in zip(labels, starts, starts[1:]):
+        if a < b:
+            prefix = "e %s " % tail
+            lines.append(prefix + ("\n" + prefix).join(map(labels.__getitem__, heads[a:b])))
     return "\n".join(lines) + "\n"
 
 
@@ -101,7 +121,7 @@ def cmd_build(args):
 
 def cmd_check_ucep(args):
     spec = _spec_from_args(args)
-    check_scan_args(args.mode, args.samples)
+    check_scan_args(args.mode, args.samples, args.seed)
     graph = build_graph(spec)
     report = check_ucep(graph, mode=args.mode, samples=args.samples, seed=args.seed)
     if report.verdict == "fails":
@@ -112,10 +132,12 @@ def cmd_check_ucep(args):
 
 
 def cmd_verify_fixtures(args):
+    if args.p is not None and not args.case:
+        raise UsageError("--p needs --case: each fixture is certified at its own p")
     cases = [args.case] if args.case else list(CASES)
     reports = []
     for case in cases:
-        reports.append(verify_nonexample(case, p=args.p if args.case else None))
+        reports.append(verify_nonexample(case, p=args.p))
     payload = {"schema": SCHEMA, "fixtures": reports, "certified": len(reports)}
     _write(json.dumps(payload, sort_keys=True) + "\n", args.output)
     return EXIT_OK
@@ -136,6 +158,31 @@ def _vertex_index(value, n, what):
     if type(value) is not int or not 0 <= value < n:
         raise UsageError("%s %r is not a vertex index in 0..%d" % (what, value, n - 1))
     return value
+
+
+def _check_edge(edge, n):
+    if type(edge) is not list or len(edge) != 2:
+        raise UsageError("edge %r is not a pair of vertex indices" % (edge,))
+    i, j = edge
+    if _vertex_index(i, n, "edge end") == _vertex_index(j, n, "edge end"):
+        raise UsageError("edge [%d, %d] is a self-loop" % (i, j))
+
+
+def _edge_pairs(edges, n):
+    """The stored edges as an (E, 2) array. Pair shape and JSON int types
+    are checked in one pass, range and self-loops on the array; if any edge
+    is bad, _check_edge names the first in file order."""
+    pairs = None
+    if all(type(e) is list and len(e) == 2 and type(e[0]) is int and type(e[1]) is int
+           for e in edges):
+        with contextlib.suppress(OverflowError):  # beyond int64, so out of range
+            pairs = np.fromiter(itertools.chain.from_iterable(edges), dtype=np.int64,
+                                count=2 * len(edges)).reshape(-1, 2)
+    if pairs is None or not (((pairs >= 0) & (pairs < n)).all()
+                             and (pairs[:, 0] != pairs[:, 1]).all()):
+        for edge in edges:
+            _check_edge(edge, n)
+    return pairs
 
 
 def _field(data, key, kind):
@@ -169,15 +216,7 @@ def cmd_export(args):
     if data.get("num_vertices") != n:
         raise UsageError("num_vertices %r does not match the %d vertices listed"
                          % (data.get("num_vertices"), n))
-    adjacency = [0] * n
-    for edge in _field(data, "edges", list):
-        if type(edge) is not list or len(edge) != 2:
-            raise UsageError("edge %r is not a pair of vertex indices" % (edge,))
-        i, j = edge
-        if _vertex_index(i, n, "edge end") == _vertex_index(j, n, "edge end"):
-            raise UsageError("edge [%d, %d] is a self-loop" % (i, j))
-        adjacency[i] |= 1 << j
-        adjacency[j] |= 1 << i
+    adjacency = list(edge_rows(n, _edge_pairs(_field(data, "edges", list), n)))
     sigma = [_vertex_index(v, n, "sigma entry") for v in _field(data, "sigma", list)]
     graph = KneserGraph(spec, vertices, adjacency, sigma)
     _write(_render_graph(graph, args.format), args.output)

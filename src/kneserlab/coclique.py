@@ -175,10 +175,14 @@ def _scan_cocliques(graph, cocliques):
     return len(cocliques), None
 
 
-def check_scan_args(mode, samples):
-    """Reject a bad mode or sample count before any work."""
+def check_scan_args(mode, samples, seed):
+    """Reject a bad mode or sample count, or a sample count or seed outside
+    sampling mode, before any work."""
     if mode not in ("all", "sample"):
         raise UsageError("mode must be 'all' or 'sample'")
+    if mode == "all" and (samples is not None or seed is not None):
+        raise UsageError("exhaustive mode takes no sample count or seed, got samples=%r, seed=%r"
+                         % (samples, seed))
     if mode == "sample" and (samples is None or samples < 1):
         raise UsageError("sampling mode needs a sample count of at least 1, got %r" % (samples,))
     if mode == "sample" and samples > MAX_SAMPLES:
@@ -187,7 +191,7 @@ def check_scan_args(mode, samples):
 
 def check_ucep(graph, mode="all", samples=None, seed=None):
     """Decide the unique coclique extension property for (Gamma, Sigma)."""
-    check_scan_args(mode, samples)
+    check_scan_args(mode, samples, seed)
     start = time.perf_counter()
     if mode == "all":
         cocliques = maximal_cocliques_sigma(graph)

@@ -255,16 +255,66 @@ def test_build_graph_dispatch():
     assert not any(model.in_plus_family(v[0]) for v in minus.vertices)
 
 
+# Graphs whose adjacency rows are checked bit by bit.
+CHECKED_SPECS = [
+    BuildingSpec("A", 3, 2, (2,)),
+    BuildingSpec("A", 2, 2, (1, 2)),
+    BuildingSpec("C", 3, 2, (1,)),
+    BuildingSpec("D", 4, 2, (4,)),
+    BuildingSpec("G", 2, 3, (1,)),
+]
+
+
+def edges_by_bits(graph):
+    """Oracle for KneserGraph.edges(): the pairs i < j, one row bit at a
+    time, in row order."""
+    out = []
+    for i, row in enumerate(graph.adjacency):
+        bits = row >> (i + 1) << (i + 1)
+        while bits:
+            j = (bits & -bits).bit_length() - 1
+            out.append([i, j])
+            bits &= bits - 1
+    return out
+
+
 def test_all_graphs_symmetric_irreflexive():
-    graphs = [
-        build_graph(BuildingSpec("A", 3, 2, (2,))),
-        build_graph(BuildingSpec("A", 2, 2, (1, 2))),
-        build_graph(BuildingSpec("C", 3, 2, (1,))),
-        build_graph(BuildingSpec("D", 4, 2, (4,))),
-        build_graph(BuildingSpec("G", 2, 3, (1,))),
-    ]
+    for spec in CHECKED_SPECS:
+        assert build_graph(spec).check_symmetric_irreflexive()
+
+
+@pytest.mark.parametrize("block", [buildings._BLOCK_ELEMS, 64])
+def test_edges_match_per_bit_oracle(monkeypatch, block):
+    # With 64-byte blocks the rows go one or two at a time; A_2 {1,2} F_2
+    # (21 vertices, two rows a block) ends on a partial block.
+    graphs = [build_graph(spec) for spec in CHECKED_SPECS]
+    monkeypatch.setattr(buildings, "_BLOCK_ELEMS", block)
     for g in graphs:
+        edges = g.edges()
+        assert edges.shape == (g.num_edges(), 2)
+        assert edges.tolist() == edges_by_bits(g)
         assert g.check_symmetric_irreflexive()
+        i, j = edges[-1]
+        assert g.is_adjacent(i, j) and g.is_adjacent(j, i)
+
+
+@pytest.mark.parametrize("block", [buildings._BLOCK_ELEMS, 64])
+def test_check_symmetric_irreflexive_finds_bad_bits(monkeypatch, block):
+    g = build_graph(BuildingSpec("A", 3, 2, (2,)))
+    monkeypatch.setattr(buildings, "_BLOCK_ELEMS", block)
+    i, j = g.edges()[-1].tolist()
+    k = next(v for v in range(g.num_vertices) if not g.adjacency[v] >> v + 1 & 1)
+
+    def changed(row, bit):
+        rows = list(g.adjacency)
+        rows[row] ^= 1 << bit
+        return buildings.KneserGraph(g.spec, g.vertices, rows, g.sigma)
+
+    assert not changed(0, 0).check_symmetric_irreflexive()      # self-loop
+    assert not changed(i, j).check_symmetric_irreflexive()      # upper bit without its mirror
+    assert not changed(j, i).check_symmetric_irreflexive()      # lower bit without its mirror
+    assert not changed(k, k + 1).check_symmetric_irreflexive()  # new upper bit, no mirror
+    assert not changed(k + 1, k).check_symmetric_irreflexive()  # new lower bit, no mirror
 
 
 def test_apartment_graph_matches_full_builder_sigma():

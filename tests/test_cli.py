@@ -176,7 +176,10 @@ def test_check_ucep_bad_counts_rejected_before_build(capsys, monkeypatch):
     for extra, why in ((["--mode", "sample", "--samples", "0"], "at least 1"),
                        (["--mode", "sample", "--samples", "-5"], "at least 1"),
                        (["--mode", "sample"], "at least 1"),
-                       (["--mode", "sample", "--samples", str(MAX_SAMPLES + 1)], over)):
+                       (["--mode", "sample", "--samples", str(MAX_SAMPLES + 1)], over),
+                       (["--mode", "all", "--samples", "-5", "--seed", "9"], "exhaustive mode"),
+                       (["--mode", "all", "--samples", "3"], "got samples=3, seed=None"),
+                       (["--seed", "9"], "got samples=None, seed=9")):
         code, out, err = run(capsys, *spec, *extra)
         assert code == EXIT_USAGE
         assert out == ""
@@ -234,6 +237,16 @@ def test_verify_fixtures_single_case(capsys):
 def test_verify_fixtures_bad_characteristic_exit_usage(capsys):
     code, _, _ = run(capsys, "verify-fixtures", "--case", "B3_2", "--p", "2")
     assert code == EXIT_USAGE
+
+
+def test_verify_fixtures_p_without_case_exit_usage(capsys, monkeypatch):
+    import kneserlab.cli as cli
+
+    certified = []
+    monkeypatch.setattr(cli, "verify_nonexample", lambda *a, **k: certified.append(a))
+    code, out, err = run(capsys, "verify-fixtures", "--p", "5")
+    assert (code, out, certified) == (EXIT_USAGE, "", [])
+    assert "--p needs --case" in err
 
 
 def test_fixture_integrity_exit_4(capsys, monkeypatch):
@@ -375,6 +388,26 @@ def test_export_bad_schema(capsys, tmp_path):
         path.write_text(json.dumps(dict(maximal, spec=dict(maximal["spec"], selector=selector))))
         code, _, _ = run(capsys, "export", "--input", str(path))
         assert code == want, selector
+
+
+def test_export_names_first_bad_edge_in_file_order(capsys, tmp_path):
+    path = tmp_path / "graph.json"
+    code, out, _ = run(capsys, "build", "--family", "A", "--rank", "2", "--type", "1",
+                       "--p", "2")
+    assert code == EXIT_OK
+    good = json.loads(out)
+    for edges, want in [
+        ([[0, 1], [3, 3], [0, 7], [1, 2, 3]], "error: edge [3, 3] is a self-loop"),
+        ([[0, 1], [0, 7], [3, 3]], "error: edge end 7 is not a vertex index in 0..6"),
+        ([[0, 1], [2 ** 70, 1], [3, 3]], "error: edge end %d is not" % 2 ** 70),
+        ([[0, 1], [1, True], [3, 3]], "error: edge end True is not"),
+        ([[0, 1], [0, 1.0], [3, 3]], "error: edge end 1.0 is not"),
+        ([[0, 1], [0, 1, 2], [2 ** 70, 1]], "error: edge [0, 1, 2] is not a pair"),
+    ]:
+        path.write_text(json.dumps(dict(good, edges=edges)))
+        code, out, err = run(capsys, "export", "--input", str(path))
+        assert (code, out) == (EXIT_USAGE, ""), edges
+        assert err.startswith(want), err
 
 
 def test_build_deterministic_output(capsys):

@@ -76,7 +76,7 @@ def test_extension_set_empty_coclique_is_everything():
 
 def test_extension_set_rejects_non_coclique():
     g = build_graph(BuildingSpec("A", 3, 2, (2,)))
-    a, b = next(g.edges())
+    a, b = g.edges()[0]
     with pytest.raises(UsageError):
         extension_set(g, (a, b))
 
