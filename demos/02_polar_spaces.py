@@ -9,7 +9,7 @@ hexagon over F_3 are type 1 of each.
 """
 
 from kneserlab import BuildingSpec, build_graph, check_ucep
-from kneserlab.buildings import polar_model
+from kneserlab.buildings import geometry
 
 lines = build_graph(BuildingSpec("D", 4, 2, (2,)))
 print("totally singular lines of D_4 over F_2:", lines.num_vertices)
@@ -21,7 +21,6 @@ print("apartment: %d frame lines, %d edges among them"
 print("UCEP over all 2^12 apartment cocliques:",
       check_ucep(lines, mode="all").verdict)
 
-model = polar_model("D", 4, 2)
 plus = build_graph(BuildingSpec("D", 4, 2, (4,)))
 minus = build_graph(BuildingSpec("D", 4, 2, (3,)))
 print("\noriflamme families of maximal totally singular subspaces:")
@@ -29,7 +28,7 @@ print("  plus family:", plus.num_vertices, "members,",
       check_ucep(plus).verdict)
 print("  minus family:", minus.num_vertices, "members,",
       check_ucep(minus).verdict)
-print("  reference space:", model.reference_maximal().basis)
+print("  reference space:", geometry(plus.spec).coordinate((1, 2, 3, 4)).basis)
 
 points = build_graph(BuildingSpec("B", 3, 3, (1,)))
 print("\nsingular points of the B_3 quadric over F_3:", points.num_vertices)

@@ -23,7 +23,6 @@ from .buildings import (
     KneserGraph,
     apartment_graph,
     build_graph,
-    polar_model,
 )
 from .coclique import (
     UcepReport,

@@ -169,11 +169,11 @@ class Form:
 
     For a quadratic form the `gram` matrix is the upper-triangular
     coefficient matrix of Q; its polar form is b(x,y) = Q(x+y)-Q(x)-Q(y),
-    with Gram matrix G + G^T, which is the right notion in every
-    characteristic including 2.
+    with Gram matrix `polar` = G + G^T, which is the right notion in every
+    characteristic including 2. Both are read-only int64 arrays.
     """
 
-    __slots__ = ("kind", "dim", "p", "gram", "_polar")
+    __slots__ = ("kind", "dim", "p", "gram", "polar")
 
     KINDS = ("symmetric", "alternating", "quadratic")
 
@@ -181,65 +181,31 @@ class Form:
         if kind not in self.KINDS:
             raise UsageError("unknown form kind %r" % kind)
         check_prime(p)
-        g = tuple(tuple(int(x) % p for x in row) for row in gram)
-        d = len(g)
-        if any(len(row) != d for row in g):
+        d = len(gram)
+        if any(len(row) != d for row in gram):
             raise UsageError("gram matrix must be square")
+        g = np.array([[int(x) % p for x in row] for row in gram], dtype=np.int64).reshape(d, d)
         if kind == "symmetric":
-            if any(g[i][j] != g[j][i] for i in range(d) for j in range(d)):
+            if (g != g.T).any():
                 raise UsageError("symmetric form needs a symmetric gram matrix")
         elif kind == "alternating":
-            if any(g[i][i] != 0 for i in range(d)):
+            if g.diagonal().any():
                 raise UsageError("alternating form needs zero diagonal")
-            if any((g[i][j] + g[j][i]) % p != 0 for i in range(d) for j in range(d)):
+            if ((g + g.T) % p).any():
                 raise UsageError("alternating form needs gram = -gram^T")
-        else:
-            if any(g[i][j] != 0 for i in range(d) for j in range(i)):
-                raise UsageError("quadratic form needs an upper-triangular gram matrix")
+        elif np.tril(g, -1).any():
+            raise UsageError("quadratic form needs an upper-triangular gram matrix")
+        polar = (g + g.T) % p if kind == "quadratic" else g
+        g.setflags(write=False)
+        polar.setflags(write=False)
         self.kind = kind
         self.dim = d
         self.p = p
         self.gram = g
-        self._polar = None
-
-    def polar_gram(self):
-        """Gram matrix of the associated bilinear form."""
-        if self._polar is None:
-            d, p = self.dim, self.p
-            if self.kind == "quadratic":
-                g = tuple(
-                    tuple((self.gram[i][j] + self.gram[j][i]) % p for j in range(d))
-                    for i in range(d)
-                )
-            else:
-                g = self.gram
-            self._polar = g
-        return self._polar
-
-    def eval_q(self, v):
-        """Q(v) for quadratic forms, b(v,v) otherwise."""
-        p = self.p
-        if self.kind == "quadratic":
-            total = 0
-            for i in range(self.dim):
-                if v[i]:
-                    for j in range(i, self.dim):
-                        total += self.gram[i][j] * v[i] * v[j]
-            return total % p
-        return self.eval_b(v, v)
-
-    def eval_b(self, u, v):
-        g = self.polar_gram()
-        p = self.p
-        total = 0
-        for i in range(self.dim):
-            if u[i]:
-                row = g[i]
-                total += u[i] * sum(row[j] * v[j] for j in range(self.dim) if v[j])
-        return total % p
+        self.polar = polar
 
     def polar_rank(self):
-        return rank_mod_p([list(r) for r in self.polar_gram()], self.dim, self.p)
+        return rank_mod_p(self.polar.tolist(), self.dim, self.p)
 
     def radical_dim(self):
         return self.dim - self.polar_rank()
@@ -255,9 +221,7 @@ def perp(u, form):
     d, p = u.ambient, u.p
     if u.dim == 0:
         return Subspace.span([[1 if i == j else 0 for j in range(d)] for i in range(d)], d, p)
-    g = np.array(form.polar_gram(), dtype=np.int64)
-    m = (u.matrix() @ g) % p
-    return nullspace(m, p)
+    return nullspace(u.matrix() @ form.polar % p, p)
 
 
 def nullspace(m, p):
@@ -284,19 +248,14 @@ def nullspace(m, p):
 
 
 def is_totally_singular(u, form):
-    """True iff the form vanishes identically on U."""
+    """True iff the form vanishes identically on U: Q on each basis row
+    (for a quadratic form), and the polar form on each pair, B polar B^T = 0."""
     if u.ambient != form.dim or u.p != form.p:
         raise UsageError("subspace and form live in different spaces")
-    rows = u.basis
-    if form.kind == "quadratic":
-        if any(form.eval_q(r) != 0 for r in rows):
-            return False
-    for i in range(len(rows)):
-        lo = i if form.kind == "symmetric" else i + 1
-        for j in range(lo, len(rows)):
-            if form.eval_b(rows[i], rows[j]) != 0:
-                return False
-    return True
+    b, p = u.matrix(), u.p
+    if form.kind == "quadratic" and ((b @ form.gram * b).sum(axis=1) % p).any():
+        return False
+    return not (b @ form.polar @ b.T % p).any()
 
 
 def gaussian_binomial(d, k, p):
@@ -326,7 +285,7 @@ def _candidate_rows(c, d, p, form):
         block[:, c] = 1
         block[:, c + 1:] = np.arange(lo, lo + len(block))[:, None] // digits % p
         if form is not None:
-            block = block[(block @ np.array(form.gram) * block).sum(axis=1) % p == 0]
+            block = block[(block @ form.gram * block).sum(axis=1) % p == 0]
         blocks.append(block)
     return np.concatenate(blocks)
 
@@ -340,14 +299,13 @@ def _augment(d, k, p, form=None):
     and orthogonal to the parent rows). Each parent + (v,) is canonical;
     taking parents in order, c descending and t ascending keeps each level
     sorted."""
-    polar = None if form is None else np.array(form.polar_gram(), dtype=np.int64)
     candidates, level = {}, [()]  # rows per column c; every parent pivot is left of c
     for _ in range(k):
         nxt = []
         for parent in level:
             # The last pivot is the last row's first nonzero entry, a 1.
             last = parent[-1].index(1) if parent else -1
-            pairing = polar @ np.array(parent).T % p if form is not None and parent else None
+            pairing = form.polar @ np.array(parent).T % p if form is not None and parent else None
             for c in range(d - 1, last, -1):
                 if not any(row[c] for row in parent):
                     if c not in candidates:

@@ -37,7 +37,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -48,8 +48,6 @@ from .algebra import (
     enumerate_singular_subspaces,
     enumerate_subspaces,
     Form,
-    gaussian_binomial,
-    intersect,
     is_totally_singular,
     nullspace,
     rank_mod_p,
@@ -101,81 +99,62 @@ class BuildingSpec:
         return d
 
 
-class PolarModel:
-    """Fixed standard form plus hyperbolic-pair frame bookkeeping."""
-
-    def __init__(self, family, n, p):
-        check_prime(p)
-        if family not in ("B", "C", "D"):
-            raise UsageError("polar family must be B, C or D")
-        if n < 2:
-            raise UsageError("polar rank must be at least 2")
-        if family == "B" and p % 2 == 0:
-            raise UsageError("B model requires odd characteristic")
-        self.family = family
-        self.n = n
-        self.p = p
-        self.dim = d = 2 * n + (family == "B")
-        gram = [[0] * d for _ in range(d)]
-        for i in range(n):
-            gram[2 * i][2 * i + 1] = 1
-            if family == "C":
-                gram[2 * i + 1][2 * i] = p - 1
-        if family == "B":
-            gram[d - 1][d - 1] = p - 1
-        self.form = Form("alternating" if family == "C" else "quadratic", gram, p)
-
-    def col(self, label):
-        """Column of frame label l (positive) or its partner -l (primed)."""
-        if label == 0 or abs(label) > self.n:
-            raise UsageError("frame label out of range")
-        return 2 * (label - 1) if label > 0 else 2 * (-label - 1) + 1
-
-    def frame_subspace(self, labels):
-        return Subspace.coordinate([self.col(l) for l in labels], self.dim, self.p)
-
-    def reference_maximal(self):
-        return self.frame_subspace(tuple(range(1, self.n + 1)))
-
-    def in_plus_family(self, sub):
-        """D-family membership: dim(A ∩ A0) congruent to n mod 2."""
-        return intersect(sub, self.reference_maximal()).dim % 2 == self.n % 2
-
-
-@lru_cache(maxsize=None)
-def polar_model(family, n, p):
-    return PolarModel(family, n, p)
-
-
 @dataclass(frozen=True)
 class Geometry:
     """What a spec names, without its vertices.
 
     A vertex is a flag of subspaces of F_p^dim with the dimensions in
-    `parts`. For a polar spec (`model` set) it is one totally singular
-    subspace, taken from one D_n family of maximal ones when `oriflamme`
-    is "plus" or "minus". `self_opposite` is False for type-A flags whose
-    type set is not self-opposite, and for one family of maximal spaces
-    of D_n with n odd: two spaces of one family then meet in odd
-    dimension, so none is opposite another.
+    `parts`. For a polar spec (one that has a `form`) it is one totally
+    singular subspace, taken from one D_n family of maximal ones when
+    `oriflamme` is "plus" or "minus"; the form has dim // 2 hyperbolic
+    pairs. `self_opposite` is False for type-A flags whose type set is not
+    self-opposite, and for one family of maximal spaces of D_n with n odd:
+    two spaces of one family then meet in odd dimension, so none is
+    opposite another.
     """
 
     spec: BuildingSpec
-    model: PolarModel
+    dim: int
     parts: tuple
     oriflamme: str = None
     self_opposite: bool = True
 
-    @property
-    def dim(self):
-        return self.spec.rank + 1 if self.model is None else self.model.dim
+    @cached_property
+    def form(self):
+        """The standard form of the spec's polar family (module notes),
+        made on first use; None in type A."""
+        family, d, p = self.spec.family, self.dim, self.spec.p
+        if family == "A":
+            return None
+        gram = np.zeros((d, d), dtype=np.int64)
+        pairs = np.arange(0, d - 1, 2)
+        gram[pairs, pairs + 1] = 1
+        if family == "C":
+            gram[pairs + 1, pairs] = p - 1
+            return Form("alternating", gram, p)
+        if d % 2:
+            gram[d - 1, d - 1] = p - 1
+        return Form("quadratic", gram, p)
 
     def coordinate(self, labels):
         """Coordinate subspace on frame labels: label l is column l-1 in
-        type A, and hyperbolic-pair label ±l for a polar form."""
-        if self.model is None:
-            return Subspace.coordinate([l - 1 for l in labels], self.dim, self.spec.p)
-        return self.model.frame_subspace(labels)
+        type A; for a polar form, hyperbolic-pair label l is column 2l-2
+        and its partner -l column 2l-1."""
+        if self.spec.family == "A":
+            cols = [l - 1 for l in labels if 0 < l <= self.dim]
+        else:
+            cols = [2 * abs(l) - 1 - (l > 0) for l in labels if 0 < abs(l) <= self.dim // 2]
+        if len(cols) != len(labels):
+            raise UsageError("frame label out of range")
+        return Subspace.coordinate(cols, self.dim, self.spec.p)
+
+    def in_family(self, sub):
+        """Whether a maximal totally singular space A is in this D_n
+        family. A is in the plus family iff dim(A ∩ A0) = n mod 2, for A0
+        the span of the unprimed columns; A ∩ A0 is the kernel of A's
+        primed columns, so that is iff those columns have even rank."""
+        even = rank_mod_p(sub.matrix()[:, 1::2].tolist(), self.dim // 2, self.spec.p) % 2 == 0
+        return even == (self.oriflamme == "plus")
 
     def frame(self, labels):
         """Frame object of a label word, such as a Weyl group element in
@@ -191,10 +170,10 @@ class Geometry:
         """One label word per frame object: a set of new labels for each
         part, never a label beside its partner, and for D_n maximal spaces
         an even number of primed labels, as in the Weyl group of D_n."""
-        if self.model is None:
+        if self.spec.family == "A":
             alphabet = range(1, self.dim + 1)
         else:
-            alphabet = [s * a for a in range(1, self.model.n + 1) for s in (1, -1)]
+            alphabet = [s * a for a in range(1, self.dim // 2 + 1) for s in (1, -1)]
         words, below = [()], 0
         for k in self.parts:
             words = [w + c for w in words for c in itertools.combinations(
@@ -232,9 +211,9 @@ class Geometry:
             parts.append(Subspace(d, p, basis))
         if not all(w.contains(u) for u, w in zip(parts, parts[1:])):
             raise bad("is not a nested flag")
-        if self.model is not None and not is_totally_singular(parts[0], self.model.form):
+        if self.form is not None and not is_totally_singular(parts[0], self.form):
             raise bad("is not totally singular")
-        if self.oriflamme and self.model.in_plus_family(parts[0]) != (self.oriflamme == "plus"):
+        if self.oriflamme and not self.in_family(parts[0]):
             raise bad("is not in the %s family" % self.oriflamme)
         return tuple(parts)
 
@@ -244,10 +223,10 @@ class Geometry:
         pairing B_x G B_y^T has full rank; for type-A flags every pair of
         parts spans as much as general position allows."""
         p, d = self.spec.p, self.dim
-        if self.model is not None:
+        if self.form is not None:
             (x,), (y,) = fx, fy
-            gram = np.array(self.model.form.polar_gram(), dtype=np.int64)
-            return rank_mod_p((x.matrix() @ gram @ y.matrix().T % p).tolist(), y.dim, p) == x.dim
+            return rank_mod_p((x.matrix() @ self.form.polar @ y.matrix().T % p).tolist(),
+                              y.dim, p) == x.dim
         return all(rank_mod_p(u.basis + w.basis, d, p) == min(u.dim + w.dim, d)
                    for u in fx for w in fy)
 
@@ -268,20 +247,21 @@ def geometry(spec):
     family, n, types = spec.family, spec.rank, spec.types
     name = "%s_%d type %s over F_%d" % (family, n, ",".join(map(str, types)), spec.p)
     if family == "A":
-        return Geometry(spec, None, types, None,
+        return Geometry(spec, n + 1, types, None,
                         len(types) == 1 or is_self_opposite_type_set(n, types))
     if family == "G":
         if (n, types) != (2, (1,)):
             raise UsageError("%s: the G_2 model has rank 2 and type 1 (points) only" % name)
         family, n = "B", 3
+    if n < 2:
+        raise UsageError("%s: polar rank must be at least 2" % name)
     objects = {(k,): (k, None) for k in range(1, n + 1)}
     if family == "D":
         objects.update({(n,): (n, "plus"), (n - 1,): (n, "minus"), (n - 1, n): (n - 1, None)})
     if types not in objects:
         raise UsageError("%s: a polar type set is one type, or {n-1, n} in D_n" % name)
     k, oriflamme = objects[types]
-    return Geometry(spec, polar_model(family, n, spec.p), (k,), oriflamme,
-                    not (oriflamme and n % 2))
+    return Geometry(spec, 2 * n + (family == "B"), (k,), oriflamme, not (oriflamme and n % 2))
 
 
 @dataclass(frozen=True, eq=False)
@@ -315,7 +295,7 @@ class KneserGraph:
         return i != j and bool(self.adjacency[i] >> int(j) & 1)
 
     def degree(self, i):
-        return bin(self.adjacency[i]).count("1")
+        return self.adjacency[i].bit_count()
 
     def num_edges(self):
         return sum(self.degree(i) for i in range(self.num_vertices)) // 2
@@ -479,25 +459,21 @@ def _nested_flags(levels):
 def _vertices(geo):
     """Canonical vertices of a geometry, sorted by their bases."""
     p = geo.spec.p
-    if geo.model is None:
+    if geo.form is None:
         flags = _nested_flags([list(enumerate_subspaces(geo.dim, k, p)) for k in geo.parts])
     else:
-        subs = enumerate_singular_subspaces(geo.model.form, geo.parts[0])
-        if geo.oriflamme:
-            plus = geo.oriflamme == "plus"
-            subs = [s for s in subs if geo.model.in_plus_family(s) == plus]
-        flags = [(s,) for s in subs]
+        subs = enumerate_singular_subspaces(geo.form, geo.parts[0])
+        flags = [(s,) for s in subs if not geo.oriflamme or geo.in_family(s)]
     return _sorted_vertices(flags)
 
 
 def _rows(geo, vertices):
     """Flags: general position. Polar types: x ~ y iff perp(x) ∩ y = 0,
     where P lies in perp(x) iff (B_x G) P^T = 0."""
-    if geo.model is None:
+    if geo.form is None:
         return _flag_rows(vertices, geo.parts, geo.spec.p)
     subspaces = [f[0] for f in vertices]
-    paired = _matrices(subspaces) @ np.array(geo.model.form.polar_gram(), dtype=np.int64)
-    return _opposition_rows([(subspaces, paired)], geo.spec.p)
+    return _opposition_rows([(subspaces, _matrices(subspaces) @ geo.form.polar)], geo.spec.p)
 
 
 @lru_cache(maxsize=None)
@@ -505,13 +481,13 @@ def _graph(spec):
     """The one graph cache, keyed by the canonical spec.
 
     Specs with more than MAX_VERTICES vertices are refused before any
-    enumeration: N vertices take N^2/8 bytes of adjacency. The enumerated
-    vertices must number the closed-form count.
+    enumeration or form: N vertices take N^2/8 bytes of adjacency. The
+    enumerated vertices must number the closed-form count.
     """
-    count = expected_num_vertices(spec)
-    if count > MAX_VERTICES:
-        raise UsageError("spec %s has %d vertices, more than the limit of %d"
-                         % (spec.to_dict(), count, MAX_VERTICES))
+    count = _bounded_count(spec)
+    if count is None or count > MAX_VERTICES:
+        raise UsageError("spec %s has %s vertices, more than the limit of %d"
+                         % (spec.to_dict(), count or "over 10^18", MAX_VERTICES))
     geo = geometry(spec)
     vertices = _vertices(geo)
     if len(vertices) != count:
@@ -554,24 +530,53 @@ def expected_sigma_size(spec):
     return math.comb(n, k) * 2 ** k
 
 
-def expected_num_vertices(spec):
-    """Closed-form vertex count of build_graph(spec): Gaussian binomials
-    along the flag for type A, [n, k]_q prod_{i=n-k+1..n} (q^(i+e-1) + 1)
-    totally singular k-spaces for polar types (e = 0 for D_n, 1 for B_n
-    and C_n), halved for one D_n family of maximal ones."""
+def _partial_counts(spec):
+    """The closed-form vertex count of build_graph(spec), multiplied up
+    one factor at a time: every value yielded is a partial product, none
+    is less than the one before, and the last is the count.
+
+    Type A multiplies Gaussian binomials along the flag. Polar types count
+    [n, k]_q prod_{i=n-k+1..n} (q^(i+e-1) + 1) totally singular k-spaces
+    (e = 0 for D_n, 1 for B_n and C_n); one D_n family of maximal ones is
+    half of them, which leaves out the factor i = 1, a 2. Each [d, k]_q is
+    made as [d, j+1]_q = [d, j]_q (q^(d-j) - 1) / (q^(j+1) - 1) for
+    j < min(k, d-k), which never decreases.
+    """
     geo, q = geometry(spec), spec.p
-    if geo.model is None:
-        count, below = 1, 0
+    if spec.family == "A":
+        below, binomials, factors = 0, [], ()
         for a in geo.parts:
-            count *= gaussian_binomial(spec.rank + 1 - below, a - below, q)
+            binomials.append((spec.rank + 1 - below, a - below))
             below = a
-        return count
-    n, k = geo.model.n, geo.parts[0]
-    e = 0 if geo.model.family == "D" else 1
-    count = gaussian_binomial(n, k, q)
-    for i in range(n - k + 1, n + 1):
-        count *= q ** (i + e - 1) + 1
-    return count // (2 if geo.oriflamme else 1)
+    else:
+        n, k = geo.dim // 2, geo.parts[0]
+        e = 0 if spec.family == "D" else 1
+        binomials = [(n, k)]
+        factors = (q ** (i + e - 1) + 1 for i in range(n - k + 1 + bool(geo.oriflamme), n + 1))
+    count = 1
+    yield count
+    for d, k in binomials:
+        for j in range(min(k, d - k)):
+            count = count * (q ** (d - j) - 1) // (q ** (j + 1) - 1)
+            yield count
+    for factor in factors:
+        count *= factor
+        yield count
+
+
+def expected_num_vertices(spec):
+    """Closed-form vertex count of build_graph(spec); see _partial_counts."""
+    *_, count = _partial_counts(spec)
+    return count
+
+
+def _bounded_count(spec):
+    """expected_num_vertices(spec), or None if it is more than 10^18. The
+    partial products never decrease, so they stop at the first one above."""
+    for count in _partial_counts(spec):
+        if count > 10 ** 18:
+            return None
+    return count
 
 
 def apartment_graph(spec):

@@ -53,7 +53,7 @@ def bron_kerbosch_pivot(adj, candidates):
         pivot_pool = p | x
         best_u, best_cover = -1, -1
         for u in _bits(pivot_pool):
-            cover = bin(p & adj[u]).count("1")
+            cover = (p & adj[u]).bit_count()
             if cover > best_cover:
                 best_u, best_cover = u, cover
         for v in _bits(p & ~adj[best_u]):
@@ -283,10 +283,8 @@ def enumerate_maximal_cocliques_full(graph, max_cliques=None):
 def _span_supported(graph):
     """Whether geometry(spec) names single subspaces of a type-A graph, or
     totally singular lines of a D_n graph."""
-    geo = geometry(graph.spec)
-    if geo.model is None:
-        return len(geo.parts) == 1
-    return geo.model.family == "D" and geo.parts == (2,)
+    spec, parts = graph.spec, geometry(graph.spec).parts
+    return len(parts) == 1 if spec.family == "A" else spec.family == "D" and parts == (2,)
 
 
 # psi per graph; graphs hash by identity, and one built by hand is not

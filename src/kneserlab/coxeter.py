@@ -140,8 +140,7 @@ class ParabolicQuotient:
             raise UsageError("type set not contained in the diagram nodes")
         self.group = group
         self.types = types
-        complement = [i for i in range(1, group.rank + 1) if i not in types]
-        self.subgroup = group.subgroup(complement)
+        self.subgroup, self.double_coset = _double_coset(group, types)
         reps = []
         self.coset_index = {}
         for w in sorted(group.elements, key=group.sort_key):
@@ -152,17 +151,11 @@ class ParabolicQuotient:
             for x in self.subgroup:
                 self.coset_index[compose(w, x)] = idx
         self.representatives = reps
-        double = set()
-        for x1 in self.subgroup:
-            base = compose(x1, group.w0)
-            for x2 in self.subgroup:
-                double.add(compose(base, x2))
-        self.double_coset = frozenset(double)
         nverts = len(reps)
         adj = [0] * nverts
         for i, u in enumerate(reps):
             for j in range(i + 1, nverts):
-                if compose(inverse(reps[j]), u) in double:
+                if compose(inverse(reps[j]), u) in self.double_coset:
                     adj[i] |= 1 << j
                     adj[j] |= 1 << i
         self.adjacency = adj
@@ -233,15 +226,13 @@ def check_lifting(fine, coarse):
     return True, None
 
 
+def _double_coset(group, types):
+    """X = <R minus J> and its double coset X w0 X."""
+    sub = group.subgroup([i for i in range(1, group.rank + 1) if i not in set(types)])
+    return sub, frozenset(compose(compose(x1, group.w0), x2) for x1 in sub for x2 in sub)
+
+
 def shortest_double_coset(group, types):
-    """The minimal-length element of X w0 X for X = <R minus J>."""
-    complement = [i for i in range(1, group.rank + 1) if i not in set(types)]
-    sub = group.subgroup(complement)
-    best = None
-    for x1 in sub:
-        base = compose(x1, group.w0)
-        for x2 in sub:
-            w = compose(base, x2)
-            if best is None or group.sort_key(w) < group.sort_key(best):
-                best = w
-    return best
+    """The least element of X w0 X for X = <R minus J>, by length, then
+    one-line notation."""
+    return min(_double_coset(group, types)[1], key=group.sort_key)

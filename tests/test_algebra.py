@@ -23,8 +23,13 @@ from kneserlab.algebra import (
     singular_points,
     sum_spaces,
 )
-from kneserlab.buildings import polar_model
+from kneserlab.buildings import BuildingSpec, geometry
 from kneserlab.errors import DegenerateFormError, UsageError
+
+
+def standard_form(family, n, p):
+    """The form of the polar family's points, as geometry(spec) gives it."""
+    return geometry(BuildingSpec(family, n, p, (1,))).form
 
 
 def random_subspace(rng, d, k, p):
@@ -125,26 +130,26 @@ def test_modular_law_of_dimensions():
 
 def test_perp_hyperbolic_point():
     # perp of <e_1> under the hyperbolic form misses only direction 1'.
-    model = polar_model("D", 4, 2)
+    form = standard_form("D", 4, 2)
     e1 = Subspace.coordinate([0], 8, 2)
-    pp = perp(e1, model.form)
+    pp = perp(e1, form)
     assert pp.dim == 7
     assert pp.contains(e1)
     assert not pp.contains_vector([0, 1, 0, 0, 0, 0, 0, 0])
 
 
 def test_perp_full_space_is_zero():
-    model = polar_model("C", 3, 3)
+    form = standard_form("C", 3, 3)
     full = Subspace.coordinate(range(6), 6, 3)
-    assert perp(full, model.form) == Subspace.zero(6, 3)
+    assert perp(full, form) == Subspace.zero(6, 3)
 
 
 def test_perp_symplectic_line():
     # Symplectic pairs (0,1),(2,3),(4,5): perp of <e1,e3> contains both
     # spanning vectors plus the last hyperbolic pair.
-    model = polar_model("C", 3, 3)
+    form = standard_form("C", 3, 3)
     u = Subspace.coordinate([0, 2], 6, 3)
-    assert perp(u, model.form) == Subspace.coordinate([0, 2, 4, 5], 6, 3)
+    assert perp(u, form) == Subspace.coordinate([0, 2, 4, 5], 6, 3)
 
 
 def test_perp_degenerate_form_rejected():
@@ -158,31 +163,61 @@ def test_perp_degenerate_form_rejected():
 
 def test_perp_involution_and_dimension():
     rng = random.Random(20240603)
-    model2 = polar_model("D", 4, 2)
-    model3 = polar_model("C", 3, 3)
+    form2 = standard_form("D", 4, 2)
+    form3 = standard_form("C", 3, 3)
     for _ in range(1000):
-        model = rng.choice((model2, model3))
-        d, p = model.dim, model.p
+        form = rng.choice((form2, form3))
+        d, p = form.dim, form.p
         u = random_subspace(rng, d, rng.randrange(0, d + 1), p)
-        pp = perp(u, model.form)
+        pp = perp(u, form)
         assert u.dim + pp.dim == d
-        assert perp(pp, model.form) == u
+        assert perp(pp, form) == u
 
 
 def test_is_totally_singular_paper_lines():
-    model = polar_model("D", 4, 2)
-    assert is_totally_singular(Subspace.coordinate([0, 4], 8, 2), model.form)
+    form = standard_form("D", 4, 2)
+    assert is_totally_singular(Subspace.coordinate([0, 4], 8, 2), form)
     assert not is_totally_singular(
-        Subspace.coordinate([0, 1], 8, 2), model.form
+        Subspace.coordinate([0, 1], 8, 2), form
     )
 
 
 def test_is_totally_singular_b3_vector():
-    model = polar_model("B", 3, 3)
+    form = standard_form("B", 3, 3)
     v = Subspace.span([[0, 0, 1, 1, 0, 0, 1]], 7, 3)
-    assert is_totally_singular(v, model.form)
+    assert is_totally_singular(v, form)
     w = Subspace.span([[0, 0, 0, 0, 0, 0, 1]], 7, 3)
-    assert not is_totally_singular(w, model.form)
+    assert not is_totally_singular(w, form)
+
+
+def singular_oracle(u, form):
+    """Total singularity by a per-row Python evaluation of Q (for a
+    quadratic form, from its upper-triangular gram) and of the polar form
+    b on every pair of basis rows."""
+    g, d, p = form.gram.tolist(), form.dim, form.p
+    quadratic = form.kind == "quadratic"
+    polar = [[g[i][j] + g[j][i] if quadratic else g[i][j] for j in range(d)] for i in range(d)]
+    for r in u.basis:
+        if quadratic and sum(g[i][j] * r[i] * r[j] for i in range(d) for j in range(i, d)) % p:
+            return False
+        paired = [sum(polar[i][j] * r[j] for j in range(d)) for i in range(d)]
+        if any(sum(x * y for x, y in zip(paired, s)) % p for s in u.basis):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("family,n,p", [
+    ("D", 4, 2), ("D", 3, 3), ("C", 3, 2), ("C", 3, 3),
+    ("B", 3, 3), ("D", 2, 5), ("C", 2, 7), ("B", 2, 5),
+])
+def test_is_totally_singular_vs_python_oracle(family, n, p):
+    form = standard_form(family, n, p)
+    rng = random.Random(20261018)
+    subs = [random_subspace(rng, form.dim, k, p) for k in range(form.dim + 1) for _ in range(40)]
+    singular = [u for k in range(1, n + 1) for u in enumerate_singular_subspaces(form, k)]
+    for u in subs + singular:
+        assert is_totally_singular(u, form) == singular_oracle(u, form), u
+    assert all(singular_oracle(u, form) for u in singular)
 
 
 def test_enumerate_subspaces_counts():
@@ -209,9 +244,9 @@ def test_gaussian_binomial_symmetry():
 
 
 def test_singular_point_counts():
-    assert len(enumerate_singular_subspaces(polar_model("D", 4, 2).form, 1)) == 135
-    assert len(enumerate_singular_subspaces(polar_model("C", 3, 2).form, 1)) == 63
-    assert len(enumerate_singular_subspaces(polar_model("B", 3, 3).form, 1)) == 364
+    assert len(enumerate_singular_subspaces(standard_form("D", 4, 2), 1)) == 135
+    assert len(enumerate_singular_subspaces(standard_form("C", 3, 2), 1)) == 63
+    assert len(enumerate_singular_subspaces(standard_form("B", 3, 3), 1)) == 364
 
 
 def test_enumerate_singular_agrees_with_filter():
@@ -230,7 +265,7 @@ def test_enumerate_singular_agrees_with_filter():
         ("B", 2, 5, (1, 2)),
     ]
     for family, n, p, ks in cases:
-        form = polar_model(family, n, p).form
+        form = standard_form(family, n, p)
         for k in ks:
             fast = enumerate_singular_subspaces(form, k)
             slow = enumerate_singular_subspaces(form, k, via_filter=True)
@@ -247,7 +282,7 @@ def test_enumerate_singular_agrees_with_filter():
 def test_enumerate_singular_canonical_and_complete(family, n, p, ks):
     # Strictly increasing canonical bases, each totally singular, as many
     # as the closed form [n, k]_p prod_{i=n-k+1..n} (p^(i+e-1) + 1) counts.
-    form = polar_model(family, n, p).form
+    form = standard_form(family, n, p)
     e = 0 if family == "D" else 1
     for k in ks:
         subs = enumerate_singular_subspaces(form, k)
@@ -261,12 +296,12 @@ def test_enumerate_singular_canonical_and_complete(family, n, p, ks):
 
 
 def test_enumerate_singular_beyond_witt_index_empty():
-    form = polar_model("C", 2, 2).form
+    form = standard_form("C", 2, 2)
     assert enumerate_singular_subspaces(form, 3) == []
 
 
 def test_singular_points_are_projective_points():
-    form = polar_model("C", 3, 3).form
+    form = standard_form("C", 3, 3)
     pts = singular_points(form)
     assert len(pts) == len(set(pts))
     assert all(pt.dim == 1 for pt in pts)

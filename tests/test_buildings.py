@@ -6,7 +6,13 @@ import random
 import pytest
 
 import kneserlab.buildings as buildings
-from kneserlab.algebra import Subspace, gaussian_binomial, intersect, perp
+from kneserlab.algebra import (
+    Subspace,
+    enumerate_singular_subspaces,
+    gaussian_binomial,
+    intersect,
+    perp,
+)
 from kneserlab.buildings import (
     BuildingSpec,
     apartment_graph,
@@ -14,7 +20,6 @@ from kneserlab.buildings import (
     expected_num_vertices,
     expected_sigma_size,
     geometry,
-    polar_model,
 )
 from kneserlab.errors import UsageError
 
@@ -142,11 +147,11 @@ def test_polar_kneser_d42():
     assert len(g.sigma) == 24
     assert sigma_degrees(g) == [1] * 24
     # Frame matching: {s,t} is adjacent exactly to {s',t'}.
-    model = polar_model("D", 4, 2)
+    geo = geometry(g.spec)
     idx = {g.vertices[v][0]: v for v in g.sigma}
-    for labels in geometry(g.spec).frame_words():
-        a = idx[model.frame_subspace(labels)]
-        b = idx[model.frame_subspace(tuple(-l for l in labels))]
+    for labels in geo.frame_words():
+        a = idx[geo.coordinate(labels)]
+        b = idx[geo.coordinate(tuple(-l for l in labels))]
         assert g.is_adjacent(a, b)
 
 
@@ -167,8 +172,7 @@ def test_polar_adjacency_reflexive_pairing():
     # perp(L) meets M trivially iff L meets perp(M) trivially, on all
     # totally singular line pairs of the hyperbolic D_4 space.
     g = build_graph(BuildingSpec("D", 4, 2, (2,)))
-    form = polar_model("D", 4, 2).form
-    import random
+    form = geometry(g.spec).form
 
     rng = random.Random(20240631)
     verts = [v[0] for v in g.vertices]
@@ -184,12 +188,24 @@ def test_d4_maximal_families():
     minus = build_graph(BuildingSpec("D", 4, 2, (3,)))
     assert plus.num_vertices == minus.num_vertices == 135
     assert len(plus.sigma) == len(minus.sigma) == 8
-    model = polar_model("D", 4, 2)
-    assert all(model.in_plus_family(v[0]) for v in plus.vertices)
-    assert not any(model.in_plus_family(v[0]) for v in minus.vertices)
+    plus_family = geometry(plus.spec)
+    assert all(plus_family.in_family(v[0]) for v in plus.vertices)
+    assert not any(plus_family.in_family(v[0]) for v in minus.vertices)
     # Within one family adjacency is plain disjointness.
     for a, b in itertools.islice(plus.edges(), 100):
         assert intersect(plus.vertices[a][0], plus.vertices[b][0]).dim == 0
+
+
+@pytest.mark.parametrize("n,p", [(2, 2), (3, 2), (4, 2), (5, 2), (2, 3), (3, 3), (4, 3)])
+def test_d_family_split_vs_intersection_oracle(n, p):
+    # A maximal space A is in the plus family iff dim(A ∩ A0) = n mod 2,
+    # for A0 the span of the unprimed columns.
+    plus, minus = (geometry(BuildingSpec("D", n, p, (t,))) for t in (n, n - 1))
+    a0 = plus.coordinate(range(1, n + 1))
+    for a in enumerate_singular_subspaces(plus.form, n):
+        in_plus = intersect(a, a0).dim % 2 == n % 2
+        assert plus.in_family(a) == in_plus
+        assert minus.in_family(a) != in_plus
 
 
 def test_d4_planes_paper_witnesses():
@@ -209,10 +225,10 @@ def test_d4_planes_paper_witnesses():
     assert pi in idx and pi2 in idx
     assert g.is_adjacent(idx[pi], idx[pi2])
     # pi is not adjacent to any frame plane through its own vector e_4.
-    model = polar_model("D", 4, 2)
-    for labels in geometry(g.spec).frame_words():
+    geo = geometry(g.spec)
+    for labels in geo.frame_words():
         if 4 in labels:
-            fr = idx[model.frame_subspace(labels)]
+            fr = idx[geo.coordinate(labels)]
             assert not g.is_adjacent(idx[pi], fr)
 
 
@@ -250,9 +266,9 @@ def test_build_graph_dispatch():
     plus = build_graph(BuildingSpec("D", 4, 2, (4,)))
     minus = build_graph(BuildingSpec("D", 4, 2, (3,)))
     assert plus.num_vertices == minus.num_vertices == 135
-    model = polar_model("D", 4, 2)
-    assert all(model.in_plus_family(v[0]) for v in plus.vertices)
-    assert not any(model.in_plus_family(v[0]) for v in minus.vertices)
+    plus_family = geometry(plus.spec)
+    assert all(plus_family.in_family(v[0]) for v in plus.vertices)
+    assert not any(plus_family.in_family(v[0]) for v in minus.vertices)
 
 
 # Graphs whose adjacency rows are checked bit by bit.
@@ -344,13 +360,13 @@ def test_vertex_counts_vs_filter_oracle():
     # singularity instead of the incremental builder.
     from kneserlab.algebra import enumerate_subspaces, is_totally_singular
 
-    model = polar_model("C", 3, 2)
+    spec = BuildingSpec("C", 3, 2, (2,))
     slow = sum(
         1
         for u in enumerate_subspaces(6, 2, 2)
-        if is_totally_singular(u, model.form)
+        if is_totally_singular(u, geometry(spec).form)
     )
-    assert build_graph(BuildingSpec("C", 3, 2, (2,))).num_vertices == slow
+    assert build_graph(spec).num_vertices == slow
 
 
 def rank_oracle(graph):
@@ -473,11 +489,13 @@ def test_geometry_names_the_d_families():
     assert (plus.parts, plus.oriflamme) == ((5,), "plus")
     assert (minus.parts, minus.oriflamme) == ((5,), "minus")
     assert (planes.parts, planes.oriflamme) == ((4,), None)
-    assert geometry(BuildingSpec("G", 2, 3, (1,))).model is polar_model("B", 3, 3)
+    g2, b3 = (geometry(BuildingSpec(f, n, 3, (1,))) for f, n in [("G", 2), ("B", 3)])
+    assert g2.dim == b3.dim == 7
+    assert (g2.form.kind, g2.form.gram.tolist()) == (b3.form.kind, b3.form.gram.tolist())
     # Frames of the apartment: 2^(n-1) per family, and the even words of
     # the minus family name odd frames.
     for geo in (plus, minus):
         assert len(set(geo.frames())) == len(geo.frame_words()) == 16
     assert not set(plus.frames()) & set(minus.frames())
     assert len(planes.frames()) == 5 * 2 ** 4
-    assert minus.frame((1, 2, 3, 4, 5)) == (plus.model.frame_subspace((1, 2, 3, 4, -5)),)
+    assert minus.frame((1, 2, 3, 4, 5)) == (plus.coordinate((1, 2, 3, 4, -5)),)

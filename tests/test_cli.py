@@ -2,6 +2,7 @@
 and report determinism."""
 
 import json
+import time
 
 import pytest
 
@@ -82,6 +83,7 @@ def test_build_invalid_spec_exit_2(capsys):
         ("D", "4", "1,2,3", "2", "D_4 type 1,2,3"),
         ("G", "2", "2", "3", "G_2 type 2"),
         ("G", "3", "3", "3", "G_3 type 3"),
+        ("C", "1", "1", "2", "C_1 type 1"),
     ]:
         code, out, err = run(capsys, "build", "--family", family, "--rank", rank,
                              "--type", types, "--p", p)
@@ -204,6 +206,23 @@ def test_build_over_vertex_limit_exit_2(capsys, monkeypatch):
     assert code == EXIT_USAGE
     assert out == ""
     assert "5670690600800 vertices" in err
+
+
+@pytest.mark.parametrize("family,rank,types,p", [
+    ("A", "300", "150", "2"),
+    ("D", "2000", "1", "2"),
+])
+@pytest.mark.parametrize("command", ["build", "check-ucep"])
+def test_oversized_spec_refused_quickly(capsys, command, family, rank, types, p):
+    # The count is bounded before it is printed or any form is made: these
+    # specs have far more than 10^18 vertices.
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, command, "--family", family, "--rank", rank,
+                         "--type", types, "--p", p)
+    assert time.perf_counter() - t0 < 1
+    assert (code, out) == (EXIT_USAGE, "")
+    assert "'family': '%s', 'rank': %s" % (family, rank) in err
+    assert "over 10^18 vertices, more than the limit of 32768" in err
 
 
 def test_check_ucep_odd_d_family_exit_2(capsys, monkeypatch):

@@ -13,7 +13,6 @@ from kneserlab.buildings import (
     BuildingSpec,
     build_graph,
     geometry,
-    polar_model,
 )
 from kneserlab.coclique import (
     MAX_SAMPLES,
@@ -85,12 +84,12 @@ def test_extension_set_of_polar_point_frame_is_maximal_subspace():
     # One frame point per hyperbolic pair spans a maximal totally
     # isotropic subspace; D is exactly the point set of that subspace.
     g = build_graph(BuildingSpec("C", 3, 2, (1,)))
-    model = polar_model("C", 3, 2)
+    geo = geometry(g.spec)
     idx = {v[0]: i for i, v in enumerate(g.vertices)}
-    c = [idx[model.frame_subspace((l,))] for l in (1, 2, 3)]
+    c = [idx[geo.coordinate((l,))] for l in (1, 2, 3)]
     assert is_coclique(g, c)
     d_mask = extension_set(g, c)
-    span = model.frame_subspace((1, 2, 3))
+    span = geo.coordinate((1, 2, 3))
     expected = {
         i for i, v in enumerate(g.vertices) if span.contains(v[0])
     }
@@ -172,8 +171,8 @@ def _opposite(geo, fx, fy):
     type, the pairing B_x G B_y^T is nonsingular; for type-A flags, each
     pair of parts spans as much as general position allows."""
     p, d = geo.spec.p, geo.dim
-    if geo.model is not None:
-        g = geo.model.form.polar_gram()
+    if geo.form is not None:
+        g = geo.form.polar.tolist()
         pairing = [[sum(a[i] * g[i][j] * b[j] for i in range(d) for j in range(d))
                     for b in fy[0]] for a in fx[0]]
         return rank_mod_p(pairing, len(fy[0]), p) == len(fx[0])

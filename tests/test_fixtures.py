@@ -77,7 +77,7 @@ def test_verify_witness_refuses_single_corruptions(case):
     refused("opposite no member of C", x=frame_flag(blocked[0]))
     # A basis that is not in RREF: x's first part with its rows reversed.
     refused("reduced row echelon form", x=[x[0][::-1]] + x[1:])
-    if geo.model is not None:
+    if geo.form is not None:
         # The coordinate subspace on a hyperbolic pair is not singular.
         k = geo.parts[0]
         refused("not totally singular",

@@ -17,21 +17,33 @@ def matroid_representatives(max_rows, ncols):
     Enumerates every matrix with up to max_rows rows and exactly ncols
     columns over F_2 (columns encoded as bit integers) and deduplicates
     by the full rank-function fingerprint, so checks quantified over all
-    such matrices only need one run per matroid.
+    such matrices only need one run per matroid. A binary matrix's column
+    matroid is fixed by its row space, so a matrix whose row space was
+    seen before is skipped unfingerprinted.
     """
 
-    def col_rank(cols):
+    def echelon(vectors):
         basis = []
-        for c in cols:
+        for c in vectors:
             for b in basis:
                 c = min(c, c ^ b)
             if c:
                 basis.append(c)
-        return len(basis)
+        return basis
 
-    reps = {}
+    def col_rank(cols):
+        return len(echelon(cols))
+
+    reps, spaces = {}, set()
     for rows in range(1, max_rows + 1):
         for mat in itertools.product(range(1 << rows), repeat=ncols):
+            # Eliminating again in ascending order reduces the echelon
+            # basis to the row space's unique reduced one.
+            space = tuple(echelon(sorted(echelon(
+                [sum((mat[j] >> i & 1) << j for j in range(ncols)) for i in range(rows)]))))
+            if space in spaces:
+                continue
+            spaces.add(space)
             fp = tuple(
                 col_rank([mat[j] for j in range(ncols) if (s >> j) & 1])
                 for s in range(1 << ncols)
@@ -42,6 +54,13 @@ def matroid_representatives(max_rows, ncols):
                     for i in range(rows)
                 ]
     return list(reps.values())
+
+
+def test_matroid_representatives_counts():
+    # One per row space of dimension at most 3 in F_2^ncols: binary
+    # matroids have a unique binary row space.
+    counts = [len(matroid_representatives(3, ncols)) for ncols in range(1, 6)]
+    assert counts == [2, 5, 16, 66, 342]
 
 
 def brute_union_max(m1, m2, k):
