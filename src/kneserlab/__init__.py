@@ -11,12 +11,9 @@ from .algebra import (
     Subspace,
     enumerate_singular_subspaces,
     enumerate_subspaces,
-    gaussian_binomial,
     intersect,
     is_totally_singular,
-    perp,
     rref,
-    sum_spaces,
 )
 from .buildings import (
     BuildingSpec,
@@ -43,7 +40,6 @@ from .coxeter import (
 from .crossval import cross_validate
 from .errors import (
     CrossValidationError,
-    DegenerateFormError,
     FixtureIntegrityError,
     KneserlabError,
     SearchBudgetExceeded,

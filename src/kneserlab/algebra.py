@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegenerateFormError, UsageError
+from .errors import UsageError
 
 SUPPORTED_PRIMES = (2, 3, 5, 7)
 
@@ -110,11 +110,6 @@ class Subspace:
     def matrix(self):
         return np.array(self.basis, dtype=np.int64).reshape(len(self.basis), self.ambient)
 
-    def contains_vector(self, v):
-        if all(x % self.p == 0 for x in v):
-            return True
-        return rank_mod_p(list(self.basis) + [v], self.ambient, self.p) == self.dim
-
     def contains(self, other):
         self._check_compatible(other)
         stacked = list(self.basis) + list(other.basis)
@@ -141,9 +136,6 @@ class Subspace:
     def __and__(self, other):
         return intersect(self, other)
 
-    def __add__(self, other):
-        return sum_spaces(self, other)
-
     def __repr__(self):
         return "Subspace(d=%d, p=%d, basis=%r)" % (self.ambient, self.p, self.basis)
 
@@ -159,13 +151,8 @@ def intersect(u, w):
     return Subspace.span(inter, d, p) if inter else Subspace.zero(d, p)
 
 
-def sum_spaces(u, w):
-    u._check_compatible(w)
-    return Subspace.span(list(u.basis) + list(w.basis), u.ambient, u.p)
-
-
 class Form:
-    """A bilinear or quadratic form on F_p^d.
+    """An alternating or quadratic form on F_p^d.
 
     For a quadratic form the `gram` matrix is the upper-triangular
     coefficient matrix of Q; its polar form is b(x,y) = Q(x+y)-Q(x)-Q(y),
@@ -175,7 +162,7 @@ class Form:
 
     __slots__ = ("kind", "dim", "p", "gram", "polar")
 
-    KINDS = ("symmetric", "alternating", "quadratic")
+    KINDS = ("alternating", "quadratic")
 
     def __init__(self, kind, gram, p):
         if kind not in self.KINDS:
@@ -185,10 +172,7 @@ class Form:
         if any(len(row) != d for row in gram):
             raise UsageError("gram matrix must be square")
         g = np.array([[int(x) % p for x in row] for row in gram], dtype=np.int64).reshape(d, d)
-        if kind == "symmetric":
-            if (g != g.T).any():
-                raise UsageError("symmetric form needs a symmetric gram matrix")
-        elif kind == "alternating":
+        if kind == "alternating":
             if g.diagonal().any():
                 raise UsageError("alternating form needs zero diagonal")
             if ((g + g.T) % p).any():
@@ -203,25 +187,6 @@ class Form:
         self.p = p
         self.gram = g
         self.polar = polar
-
-    def polar_rank(self):
-        return rank_mod_p(self.polar.tolist(), self.dim, self.p)
-
-    def radical_dim(self):
-        return self.dim - self.polar_rank()
-
-
-def perp(u, form):
-    """The perp of U under the (polar form of the) given form."""
-    if u.ambient != form.dim or u.p != form.p:
-        raise UsageError("subspace and form live in different spaces")
-    rad = form.radical_dim()
-    if rad:
-        raise DegenerateFormError(rad)
-    d, p = u.ambient, u.p
-    if u.dim == 0:
-        return Subspace.span([[1 if i == j else 0 for j in range(d)] for i in range(d)], d, p)
-    return nullspace(u.matrix() @ form.polar % p, p)
 
 
 def nullspace(m, p):
@@ -256,17 +221,6 @@ def is_totally_singular(u, form):
     if form.kind == "quadratic" and ((b @ form.gram * b).sum(axis=1) % p).any():
         return False
     return not (b @ form.polar @ b.T % p).any()
-
-
-def gaussian_binomial(d, k, p):
-    """Number of k-subspaces of F_p^d."""
-    if k < 0 or k > d:
-        return 0
-    num = den = 1
-    for i in range(k):
-        num *= p ** (d - i) - 1
-        den *= p ** (i + 1) - 1
-    return num // den
 
 
 # Numpy elements in one block of candidate rows or of the opposition
@@ -326,19 +280,9 @@ def enumerate_subspaces(d, k, p):
     yield from _augment(d, k, p)
 
 
-def singular_points(form):
-    """All singular/isotropic projective points, as canonical 1-subspaces."""
-    return _augment(form.dim, 1, form.p, form)
-
-
-def enumerate_singular_subspaces(form, k, via_filter=False):
+def enumerate_singular_subspaces(form, k):
     """All totally singular/isotropic k-subspaces, in canonical order, by
-    _augment; `via_filter=True` instead filters enumerate_subspaces, as a
-    slow independent cross-check of the same set.
-    """
-    d, p = form.dim, form.p
+    _augment."""
     if k < 0:
         raise UsageError("need k >= 0")
-    if via_filter:
-        return [u for u in enumerate_subspaces(d, k, p) if is_totally_singular(u, form)]
-    return _augment(d, k, p, form)
+    return _augment(form.dim, k, form.p, form)

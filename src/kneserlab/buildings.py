@@ -34,8 +34,6 @@ x is the points P with x ⊂ P^⊥, so that x ~ y iff perp(x) ∩ y = 0.
 from __future__ import annotations
 
 import itertools
-import math
-import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -326,11 +324,6 @@ class KneserGraph:
             m |= 1 << i
         return m
 
-    def check_symmetric_irreflexive(self):
-        """Whether the rows equal the rows rebuilt from their edges above the
-        diagonal: then every bit has its mirror and none is on the diagonal."""
-        return all(map(operator.eq, self.adjacency, edge_rows(self.num_vertices, self.edges())))
-
 
 def _row_blocks(n):
     """Bytes in a packed row of n bits, and how many rows make a block of
@@ -355,8 +348,13 @@ def edge_rows(n, edges):
             yield int.from_bytes(row.tobytes(), "little")
 
 
+def vertex_key(flag):
+    """Sort key of a vertex: the canonical keys of its parts, in order."""
+    return tuple(s.key for s in flag)
+
+
 def _sorted_vertices(flags):
-    return sorted(flags, key=lambda flag: tuple(s.key for s in flag))
+    return sorted(flags, key=vertex_key)
 
 
 def _sigma_indices(vertices, frame_flags):
@@ -478,16 +476,9 @@ def _rows(geo, vertices):
 
 @lru_cache(maxsize=None)
 def _graph(spec):
-    """The one graph cache, keyed by the canonical spec.
-
-    Specs with more than MAX_VERTICES vertices are refused before any
-    enumeration or form: N vertices take N^2/8 bytes of adjacency. The
-    enumerated vertices must number the closed-form count.
-    """
-    count = _bounded_count(spec)
-    if count is None or count > MAX_VERTICES:
-        raise UsageError("spec %s has %s vertices, more than the limit of %d"
-                         % (spec.to_dict(), count or "over 10^18", MAX_VERTICES))
+    """The one graph cache, keyed by the canonical spec. The enumerated
+    vertices must number the closed-form count."""
+    count = vertex_count(spec)
     geo = geometry(spec)
     vertices = _vertices(geo)
     if len(vertices) != count:
@@ -507,27 +498,6 @@ def build_graph(spec):
             "one type is undefined" % (spec.to_dict(), list(spec.types))
         )
     return _graph(spec)
-
-
-def expected_sigma_size(spec):
-    """Apartment size formulas, used as construction invariants."""
-    n = spec.rank
-    fam = spec.family
-    types = spec.types
-    if fam == "A":
-        if len(types) == 1:
-            return math.comb(n + 1, types[0])
-        if types == (1, n):
-            return n * (n + 1)
-        return None
-    if fam == "G":
-        return 6
-    k = types[0]
-    if fam == "D" and len(types) == 2:
-        return math.comb(n, n - 1) * 2 ** (n - 1)
-    if fam == "D" and k in (n, n - 1):
-        return 2 ** (n - 1)
-    return math.comb(n, k) * 2 ** k
 
 
 def _partial_counts(spec):
@@ -564,18 +534,24 @@ def _partial_counts(spec):
         yield count
 
 
-def expected_num_vertices(spec):
-    """Closed-form vertex count of build_graph(spec); see _partial_counts."""
-    *_, count = _partial_counts(spec)
-    return count
-
-
 def _bounded_count(spec):
-    """expected_num_vertices(spec), or None if it is more than 10^18. The
-    partial products never decrease, so they stop at the first one above."""
+    """The closed-form vertex count of a spec, or None if it is more than
+    10^18. The partial products never decrease, so they stop at the first
+    one above."""
     for count in _partial_counts(spec):
         if count > 10 ** 18:
             return None
+    return count
+
+
+def vertex_count(spec):
+    """The closed-form vertex count of a spec, which must be at most
+    MAX_VERTICES: N vertices take N^2/8 bytes of adjacency. A larger spec
+    is refused before any enumeration or form is made."""
+    count = _bounded_count(spec)
+    if count is None or count > MAX_VERTICES:
+        raise UsageError("spec %s has %s vertices, more than the limit of %d"
+                         % (spec.to_dict(), count or "over 10^18", MAX_VERTICES))
     return count
 
 

@@ -25,6 +25,8 @@ from .buildings import (
     build_graph,
     edge_rows,
     geometry,
+    vertex_count,
+    vertex_key,
     vertex_lists,
 )
 from .coclique import check_scan_args, check_ucep
@@ -210,9 +212,16 @@ def cmd_export(args):
         raise UsageError("selector %r contradicts the type set %s"
                          % (stored["selector"], list(spec.types)))
     geo = geometry(spec)
-    vertices = [geo.vertex(flag, i)
-                for i, flag in enumerate(_field(data, "vertices", list))]
-    n = len(vertices)
+    flags, n = _field(data, "vertices", list), vertex_count(spec)
+    if len(flags) != n:
+        raise UsageError("stored graph lists %d vertices, but spec %s has %d"
+                         % (len(flags), spec.to_dict(), n))
+    vertices = [geo.vertex(flag, i) for i, flag in enumerate(flags)]
+    keys = [vertex_key(flag) for flag in vertices]
+    for i in range(1, n):
+        if keys[i - 1] >= keys[i]:
+            raise UsageError("vertex %d does not come after vertex %d in canonical order"
+                             % (i, i - 1))
     if data.get("num_vertices") != n:
         raise UsageError("num_vertices %r does not match the %d vertices listed"
                          % (data.get("num_vertices"), n))

@@ -6,8 +6,9 @@ coclique C of Sigma by a direct adjacency scan of the extension set D
 no D contains an edge. The span criterion through the Pluecker embedding
 is sufficient but not necessary, so it lives in a separate instrument
 (span_check) and never decides the verdict. It holds psi, the N x C(d,k)
-matrix of the vertices' Pluecker coordinates, once per graph, and tests
-a coclique with one nullspace and one matrix product.
+matrix of the vertices' Pluecker coordinates (the k x k minors of their
+RREF bases), once per graph, and tests a coclique with one nullspace and
+one matrix product.
 
 All vertex sets here are bit masks over the graph's vertex indices, and
 the witness is the lexicographically least violation, so reports are
@@ -27,7 +28,6 @@ import numpy as np
 from .algebra import nullspace
 from .buildings import SCHEMA, geometry, vertex_lists
 from .errors import SearchBudgetExceeded, UsageError
-from .exterior import plucker
 
 MAX_SIGMA = 64
 
@@ -264,22 +264,6 @@ def max_coclique(graph, budget=None):
     return best_size, tuple(_bits(best_set))
 
 
-def enumerate_maximal_cocliques_full(graph, max_cliques=None):
-    """All maximal cocliques of the whole graph (not just Sigma).
-
-    Used for the second-largest-size question; optionally capped, raising
-    SearchBudgetExceeded when the cap is hit.
-    """
-    full = graph.full_mask
-    comp = [(~graph.adjacency[v] & full) & ~(1 << v) for v in range(graph.num_vertices)]
-    out = []
-    for clique in bron_kerbosch_pivot(comp, full):
-        out.append(clique)
-        if max_cliques is not None and len(out) > max_cliques:
-            raise SearchBudgetExceeded(0, graph.num_vertices)
-    return out
-
-
 def _span_supported(graph):
     """Whether geometry(spec) names single subspaces of a type-A graph, or
     totally singular lines of a D_n graph."""
@@ -294,15 +278,23 @@ _PSI = weakref.WeakKeyDictionary()
 
 def _psi(graph):
     """Pluecker coordinates of every vertex, one row each, on the columns
-    itertools.combinations(range(d), k)."""
+    itertools.combinations(range(d), k): the k x k minors of the stacked
+    RREF bases mod p. Each minor is the Leibniz sum over the permutations
+    s of range(k) of sign(s) prod_r B[r, cols[s(r)]], added one
+    permutation at a time over all vertices and columns."""
     if graph not in _PSI:
-        first = graph.vertices[0][0]
-        keys = itertools.combinations(range(first.ambient), first.dim)
-        column = {key: j for j, key in enumerate(keys)}
-        psi = np.zeros((graph.num_vertices, len(column)), dtype=np.int64)
-        for i, (u,) in enumerate(graph.vertices):
-            for key, c in plucker(u).terms.items():
-                psi[i, column[key]] = c
+        bases = np.array([u.basis for (u,) in graph.vertices], dtype=np.int64)
+        _, k, d = bases.shape
+        p = graph.spec.p
+        cols = np.array(list(itertools.combinations(range(d), k)))
+        psi = np.zeros((len(bases), len(cols)), dtype=np.int64)
+        for perm in itertools.permutations(range(k)):
+            term = 1
+            for r, c in enumerate(perm):
+                term = term * bases[:, r, cols[:, c]] % p
+            inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+            psi += term if inversions % 2 == 0 else p - term
+        psi %= p
         _PSI[graph] = psi
     return _PSI[graph]
 

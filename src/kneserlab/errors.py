@@ -13,16 +13,6 @@ class UsageError(KneserlabError):
     """Invalid arguments at an API or CLI boundary (exit code 2)."""
 
 
-class DegenerateFormError(KneserlabError):
-    """Perp requested for a form whose polar form has a nonzero radical."""
-
-    def __init__(self, radical_dim):
-        self.radical_dim = radical_dim
-        super().__init__(
-            "polar form is degenerate (radical dimension %d)" % radical_dim
-        )
-
-
 class FixtureIntegrityError(KneserlabError):
     """A UCEP witness failed verify_witness: a counterexample fixture, which
     is guaranteed to certify, or the witness of a check-ucep `fails` report,

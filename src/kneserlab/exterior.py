@@ -2,11 +2,11 @@
 
 A subspace maps to the wedge of its canonical RREF basis rows, so the
 embedding is an actual function (not just projectively defined) and its
-coefficients are reproducible across runs. The key fact used downstream:
-two subspaces intersect nontrivially iff the wedge of their images is 0.
-`plucker` is the one definition of the coordinates: the span instrument
-(coclique.span_check) reads them into a matrix once per graph, and
-`span_membership` stays as its per-vector oracle.
+coefficients are reproducible across runs. Two subspaces intersect
+nontrivially iff the wedge of their images is 0. Demo 04 prints these
+wedges and images; the span instrument (coclique.span_check) takes the
+same coordinates as k x k minors of the stacked bases, and `plucker` with
+`span_membership` is its per-vector test oracle.
 """
 
 from __future__ import annotations
@@ -42,38 +42,15 @@ class Multivector:
         self.terms = clean
 
     @classmethod
-    def zero(cls, ambient, p):
-        return cls(ambient, p, {})
-
-    @classmethod
     def from_vector(cls, v, p):
         return cls(len(v), p, {(i,): x for i, x in enumerate(v) if x % p})
-
-    @classmethod
-    def basis_element(cls, key, ambient, p):
-        return cls(ambient, p, {tuple(key): 1})
 
     def is_zero(self):
         return not self.terms
 
-    def grade(self):
-        """The common grade of all terms, or None if mixed/zero."""
-        sizes = {len(k) for k in self.terms}
-        return sizes.pop() if len(sizes) == 1 else None
-
-    def coefficient(self, key):
-        return self.terms.get(tuple(key), 0)
-
     def _check_compatible(self, other):
         if self.ambient != other.ambient or self.p != other.p:
             raise UsageError("multivectors live in different algebras")
-
-    def __add__(self, other):
-        self._check_compatible(other)
-        terms = dict(self.terms)
-        for key, c in other.terms.items():
-            terms[key] = terms.get(key, 0) + c
-        return Multivector(self.ambient, self.p, terms)
 
     def __eq__(self, other):
         return (
@@ -82,9 +59,6 @@ class Multivector:
             and self.p == other.p
             and self.terms == other.terms
         )
-
-    def __hash__(self):
-        return hash((self.ambient, self.p, frozenset(self.terms.items())))
 
     def __repr__(self):
         return "Multivector(d=%d, p=%d, %r)" % (self.ambient, self.p, self.terms)
@@ -143,8 +117,3 @@ def span_membership(m, generators):
     base = rank_mod_p(gen_rows, d, m.p)
     full = rank_mod_p(gen_rows + _coefficient_matrix([m], keys), d, m.p)
     return full == base
-
-
-def intersects_nontrivially(u, w):
-    """U ∩ W != 0, decided through the exterior algebra."""
-    return wedge(plucker(u), plucker(w)).is_zero()

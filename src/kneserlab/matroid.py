@@ -101,18 +101,6 @@ class ColumnMatroid:
     def full_rank(self):
         return self._ranks[-1]
 
-    def is_independent(self, subset):
-        return self.rank(subset) == len(set(subset))
-
-    def bases(self):
-        """All maximal independent subsets (each of size full_rank)."""
-        r = self.full_rank()
-        return {
-            frozenset(c)
-            for c in itertools.combinations(range(self.n), r)
-            if self.rank(c) == r
-        }
-
     def _check_ground(self, other):
         if self.n != other.n or self.p != other.p:
             raise UsageError("matroids have different ground sets")

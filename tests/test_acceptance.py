@@ -16,7 +16,6 @@ from kneserlab.buildings import (
 from kneserlab.cli import EXIT_OK, main
 from kneserlab.coclique import (
     check_ucep,
-    enumerate_maximal_cocliques_full,
     extension_set,
     is_coclique,
     max_coclique,
@@ -34,6 +33,7 @@ from kneserlab.exterior import plucker, wedge
 from kneserlab.fixtures import verify_nonexample
 from kneserlab.matroid import ColumnMatroid, have_disjoint_bases, union_rank
 
+from oracles import enumerate_maximal_cocliques_full
 from test_matroid import matroid_representatives
 
 
@@ -177,7 +177,7 @@ def test_criterion_06_matroid_oracle():
                 s
                 for size in range(ncols + 1)
                 for s in itertools.combinations(ground, size)
-                if m.is_independent(s)
+                if m.rank(s) == len(s)
             ]
             for m in reps
         }

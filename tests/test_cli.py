@@ -391,6 +391,15 @@ def test_export_bad_schema(capsys, tmp_path):
         [coordinate(0, 1, 2, 3)],  # not singular, but meets <e_1, .., e_4> evenly, like plus
         [coordinate(0, 2, 4, 7)],  # the minus family
     )]
+    # The vertex list repeated three times, two vertices swapped, and a
+    # spec past MAX_VERTICES.
+    v = good["vertices"]
+    cases += [(dict(good, vertices=v * 3, num_vertices=21),
+               "error: stored graph lists 21 vertices, but spec"),
+              (dict(good, spec=dict(good["spec"], rank=300, types=[150])),
+               "error: spec {'family': 'A', 'rank': 300, 'p': 2, 'types': [150]} has over 10^18"),
+              (dict(good, vertices=v[:1] + v[2:0:-1] + v[3:]),
+               "error: vertex 2 does not come after vertex 1 in canonical order")]
     for data, want in cases:
         path.write_text(json.dumps(data))
         for fmt in ("dimacs", "json"):

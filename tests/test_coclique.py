@@ -8,7 +8,7 @@ from collections import Counter
 import pytest
 
 import kneserlab.buildings as buildings
-from kneserlab.algebra import Subspace, gaussian_binomial, rank_mod_p
+from kneserlab.algebra import Subspace, rank_mod_p
 from kneserlab.buildings import (
     BuildingSpec,
     build_graph,
@@ -16,8 +16,8 @@ from kneserlab.buildings import (
 )
 from kneserlab.coclique import (
     MAX_SAMPLES,
+    _psi,
     check_ucep,
-    enumerate_maximal_cocliques_full,
     extension_set,
     is_coclique,
     max_coclique,
@@ -28,6 +28,8 @@ from kneserlab.coclique import (
 from kneserlab.errors import SearchBudgetExceeded, UsageError
 from kneserlab.exterior import plucker, span_membership
 from kneserlab.fixtures import verify_witness
+
+from oracles import enumerate_maximal_cocliques_full, gaussian_binomial
 
 
 def test_matching_apartment_has_power_of_two_cocliques():
@@ -265,14 +267,18 @@ def test_span_check_single_vertex_complete_graph():
 
 
 @pytest.mark.parametrize("family,n,k,p", [
-    ("A", 3, 2, 2), ("A", 3, 2, 3), ("A", 4, 2, 2), ("D", 4, 2, 2),
+    ("A", 3, 2, 2), ("A", 3, 2, 3), ("A", 4, 2, 2), ("D", 4, 2, 2), ("A", 4, 3, 3),
 ])
 def test_span_check_matches_span_membership_oracle(family, n, k, p):
-    # One product against the annihilator of psi(C), against the per-x
-    # oracle on sparse multivectors: on seeded cocliques of size 1 to 3,
-    # where the span test fails, on seeded Sigma-cocliques, and on those
-    # less one member.
+    # psi, the k x k minors of every vertex's basis, against the wedge of
+    # its rows. Then one product against the annihilator of psi(C),
+    # against the per-x oracle on sparse multivectors: on seeded cocliques
+    # of size 1 to 3, where the span test fails, on seeded
+    # Sigma-cocliques, and on those less one member.
     g = build_graph(BuildingSpec(family, n, p, (k,)))
+    keys = list(itertools.combinations(range(g.vertices[0][0].ambient), k))
+    assert _psi(g).tolist() == [[plucker(u).terms.get(key, 0) for key in keys]
+                                for (u,) in g.vertices]
     rng = random.Random("span:%s%d.%d.%d" % (family, n, k, p))
     cases = rng.sample(maximal_cocliques_sigma(g), 4)
     cases += [c[:i] + c[i + 1:] for c in cases for i in range(len(c))]

@@ -7,17 +7,17 @@ import pytest
 
 from kneserlab.algebra import Subspace, enumerate_subspaces, intersect
 from kneserlab.errors import UsageError
-from kneserlab.exterior import (
-    Multivector,
-    intersects_nontrivially,
-    plucker,
-    span_membership,
-    wedge,
-)
+from kneserlab.exterior import Multivector, plucker, span_membership, wedge
 
 
 def mv(ambient, p, terms):
     return Multivector(ambient, p, terms)
+
+
+def add(a, b):
+    """a + b, term by term."""
+    keys = set(a.terms) | set(b.terms)
+    return mv(a.ambient, a.p, {k: a.terms.get(k, 0) + b.terms.get(k, 0) for k in keys})
 
 
 def random_subspace(rng, d, k, p):
@@ -26,13 +26,13 @@ def random_subspace(rng, d, k, p):
 
 
 def test_wedge_antisymmetry():
-    e1 = Multivector.basis_element((0,), 4, 3)
-    e2 = Multivector.basis_element((1,), 4, 3)
+    e1 = mv(4, 3, {(0,): 1})
+    e2 = mv(4, 3, {(1,): 1})
     assert wedge(e1, e2) == mv(4, 3, {(0, 1): 1})
     assert wedge(e2, e1) == mv(4, 3, {(0, 1): -1})
     # Over F_2 the sign collapses.
-    f1 = Multivector.basis_element((0,), 4, 2)
-    f2 = Multivector.basis_element((1,), 4, 2)
+    f1 = mv(4, 2, {(0,): 1})
+    f2 = mv(4, 2, {(1,): 1})
     assert wedge(f1, f2) == wedge(f2, f1)
 
 
@@ -71,7 +71,7 @@ def test_wedge_multilinear():
             Multivector.from_vector([rng.randrange(p) for _ in range(4)], p)
             for _ in range(3)
         )
-        assert wedge(a + b, c) == wedge(a, c) + wedge(b, c)
+        assert wedge(add(a, b), c) == add(wedge(a, c), wedge(b, c))
 
 
 def test_grade_additive():
@@ -84,7 +84,7 @@ def test_grade_additive():
             continue
         prod = wedge(plucker(u), plucker(w))
         if not prod.is_zero():
-            assert prod.grade() == u.dim + w.dim
+            assert {len(key) for key in prod.terms} == {u.dim + w.dim}
 
 
 def test_plucker_examples():
@@ -104,12 +104,6 @@ def test_plucker_detects_intersection_pair():
     assert wedge(plucker(u), plucker(w)).is_zero()
 
 
-def test_coefficient_lookup():
-    m = mv(4, 2, {(0, 2): 1, (1, 2): 1})
-    assert m.coefficient((0, 2)) == 1
-    assert m.coefficient((0, 1)) == 0
-
-
 def test_coefficient_of_union_key():
     # coefficient of e_{K u M} in psi(U) wedge e_M is +-(coefficient of
     # e_K in psi(U)) whenever K and M are disjoint.
@@ -119,13 +113,13 @@ def test_coefficient_of_union_key():
         if u.dim != 2:
             continue
         mset = tuple(sorted(rng.sample(range(5), 2)))
-        em = Multivector.basis_element(mset, 5, 2)
+        em = mv(5, 2, {mset: 1})
         prod = wedge(plucker(u), em)
         for kset in itertools.combinations(range(5), 2):
             if set(kset) & set(mset):
                 continue
             union = tuple(sorted(kset + mset))
-            assert prod.coefficient(union) == plucker(u).coefficient(kset)
+            assert prod.terms.get(union, 0) == plucker(u).terms.get(kset, 0)
 
 
 def test_span_membership_basic():
@@ -133,7 +127,7 @@ def test_span_membership_basic():
     assert span_membership(m, [m])
     gens = [mv(4, 2, {(0, 2): 1}), mv(4, 2, {(1, 2): 1})]
     assert not span_membership(m, gens)
-    assert span_membership(Multivector.zero(4, 2), [])
+    assert span_membership(mv(4, 2, {}), [])
 
 
 def test_plucker_intersection_equivalence_exhaustive_f2():
@@ -155,11 +149,11 @@ def test_plucker_intersection_equivalence_random_f3():
             continue
         count += 1
         meets = intersect(u, w).dim > 0
-        assert meets == intersects_nontrivially(u, w)
+        assert meets == wedge(plucker(u), plucker(w)).is_zero()
 
 
 def test_mixed_ambient_rejected():
     with pytest.raises(UsageError):
-        wedge(Multivector.zero(3, 2), Multivector.zero(4, 2))
+        wedge(mv(3, 2, {}), mv(4, 2, {}))
     with pytest.raises(UsageError):
-        wedge(Multivector.zero(3, 2), Multivector.zero(3, 3))
+        wedge(mv(3, 2, {}), mv(3, 3, {}))
