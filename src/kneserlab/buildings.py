@@ -488,15 +488,20 @@ def _graph(spec):
     return KneserGraph(spec, vertices, _rows(geo, vertices), sigma)
 
 
+def self_opposite_geometry(spec):
+    """geometry(spec), if its type is self-opposite (see Geometry). Both
+    build_graph and the export of a stored graph refuse the others here."""
+    geo = geometry(spec)
+    if not geo.self_opposite:
+        raise UsageError("spec %s: type set %s is not self-opposite; Kneser adjacency within "
+                         "one type is undefined" % (spec.to_dict(), list(spec.types)))
+    return geo
+
+
 def build_graph(spec):
-    """The Kneser graph a spec names, if its type is self-opposite (see
-    Geometry). _graph also builds the others, such as type-A flags whose
-    type set is not self-opposite."""
-    if not geometry(spec).self_opposite:
-        raise UsageError(
-            "spec %s: type set %s is not self-opposite; Kneser adjacency within "
-            "one type is undefined" % (spec.to_dict(), list(spec.types))
-        )
+    """The Kneser graph of a self-opposite spec. _graph also builds the
+    others, such as type-A flags whose type set is not self-opposite."""
+    self_opposite_geometry(spec)
     return _graph(spec)
 
 

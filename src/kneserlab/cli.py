@@ -24,7 +24,7 @@ from .buildings import (
     KneserGraph,
     build_graph,
     edge_rows,
-    geometry,
+    self_opposite_geometry,
     vertex_count,
     vertex_key,
     vertex_lists,
@@ -63,7 +63,7 @@ def graph_to_dict(graph):
         "num_vertices": graph.num_vertices,
         "vertices": [vertex_lists(flag) for flag in graph.vertices],
         "sigma": list(graph.sigma),
-        "edges": graph.edges().tolist(),
+        "edges": list(zip(*graph.edges().T.tolist())),
     }
 
 
@@ -211,7 +211,7 @@ def cmd_export(args):
     if "selector" in stored and stored["selector"] != spec.to_dict().get("selector"):
         raise UsageError("selector %r contradicts the type set %s"
                          % (stored["selector"], list(spec.types)))
-    geo = geometry(spec)
+    geo = self_opposite_geometry(spec)
     flags, n = _field(data, "vertices", list), vertex_count(spec)
     if len(flags) != n:
         raise UsageError("stored graph lists %d vertices, but spec %s has %d"

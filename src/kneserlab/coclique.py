@@ -3,12 +3,13 @@
 The UCEP verdict for a graph pair (Gamma, Sigma) is decided per maximal
 coclique C of Sigma by a direct adjacency scan of the extension set D
 (all vertices nonadjacent to every member of C): the property holds iff
-no D contains an edge. The span criterion through the Pluecker embedding
-is sufficient but not necessary, so it lives in a separate instrument
-(span_check) and never decides the verdict. It holds psi, the N x C(d,k)
-matrix of the vertices' Pluecker coordinates (the k x k minors of their
-RREF bases), once per graph, and tests a coclique with one nullspace and
-one matrix product.
+no D contains an edge. One ordered walk over Sigma meets each C with its
+D and stops at the first D with an edge. The span criterion through the
+Pluecker embedding is sufficient but not necessary, so it lives in a
+separate instrument (span_check) and never decides the verdict. It holds
+psi, the N x C(d,k) matrix of the vertices' Pluecker coordinates (the
+k x k minors of their RREF bases), once per graph, and tests a coclique
+with one nullspace and one matrix product.
 
 All vertex sets here are bit masks over the graph's vertex indices, and
 the witness is the lexicographically least violation, so reports are
@@ -43,54 +44,45 @@ def _bits(mask):
         mask &= mask - 1
 
 
-def bron_kerbosch_pivot(adj, candidates):
-    """Maximal cliques of the graph given by bitmask rows, via pivoting."""
+def _walk_sigma(graph, leaf):
+    """Calls leaf(taken, d_mask) at each maximal coclique C of Sigma, in
+    sorted order, until one returns a result; returns (leaves visited, that
+    result or None). taken masks C's positions in graph.sigma, d_mask is
+    D(C). Depth first, taking each vertex before skipping it: a vertex next
+    to a taken one is skipped, a free one only if a later neighbour may
+    cover it, and a leaf counts if each skipped vertex has a taken
+    neighbour. No maximal coclique is a proper prefix of another."""
+    sigma, adjacency = graph.sigma, graph.adjacency
+    npos, leaves = len(sigma), 0
+    if npos > MAX_SIGMA:
+        raise UsageError("apartment has %d > %d vertices; use sampling mode" % (npos, MAX_SIGMA))
+    nbrs = [sum(1 << b for b, w in enumerate(sigma) if adjacency[v] >> w & 1) for v in sigma]
+    comp = [~adjacency[v] for v in sigma]
 
-    def expand(r, p, x):
-        if not p and not x:
-            yield r
-            return
-        pivot_pool = p | x
-        best_u, best_cover = -1, -1
-        for u in _bits(pivot_pool):
-            cover = (p & adj[u]).bit_count()
-            if cover > best_cover:
-                best_u, best_cover = u, cover
-        for v in _bits(p & ~adj[best_u]):
-            bit = 1 << v
-            yield from expand(r | bit, p & adj[v], x & adj[v])
-            p &= ~bit
-            x |= bit
+    def step(i, taken, blocked, skipped, d_mask):
+        nonlocal leaves
+        while i < npos and blocked >> i & 1:
+            i += 1
+        if i == npos:
+            if skipped & ~blocked:
+                return None
+            leaves += 1
+            return leaf(taken, d_mask)
+        bit = 1 << i
+        found = step(i + 1, taken | bit, blocked | nbrs[i], skipped, d_mask & comp[i])
+        if found is None and nbrs[i] >> (i + 1):
+            found = step(i + 1, taken, blocked, skipped | bit, d_mask)
+        return found
 
-    yield from expand(0, candidates, 0)
-
-
-def sigma_coclique_graph(graph):
-    """Complement adjacency of Sigma, on local positions 0..|Sigma|-1."""
-    sigma = graph.sigma
-    npos = len(sigma)
-    local = []
-    for a, va in enumerate(sigma):
-        row = 0
-        for b, vb in enumerate(sigma):
-            if a != b and not graph.is_adjacent(va, vb):
-                row |= 1 << b
-        local.append(row)
-    return sigma, local, (1 << npos) - 1
+    found = step(0, 0, 0, 0, graph.full_mask)
+    return leaves, found
 
 
 def maximal_cocliques_sigma(graph):
     """All maximal cocliques of the apartment subgraph, as sorted tuples
-    of graph vertex indices, enumerated in a deterministic order."""
-    sigma, comp, full = sigma_coclique_graph(graph)
-    if len(sigma) > MAX_SIGMA:
-        raise UsageError(
-            "apartment has %d > %d vertices; use sampling mode" % (len(sigma), MAX_SIGMA)
-        )
-    out = []
-    for clique in bron_kerbosch_pivot(comp, full):
-        out.append(tuple(sigma[i] for i in _bits(clique)))
-    out.sort()
+    of graph vertex indices, in sorted order."""
+    sigma, out = graph.sigma, []
+    _walk_sigma(graph, lambda taken, _: out.append(tuple(sigma[i] for i in _bits(taken))))
     return out
 
 
@@ -190,15 +182,27 @@ def check_scan_args(mode, samples, seed):
 
 
 def check_ucep(graph, mode="all", samples=None, seed=None):
-    """Decide the unique coclique extension property for (Gamma, Sigma)."""
+    """Decide the unique coclique extension property for (Gamma, Sigma).
+    Exhaustively, the walk stops at the least violation; the count is then
+    2^(|Sigma|/2) on a perfect matching, else a second walk's, unscanned."""
     check_scan_args(mode, samples, seed)
     start = time.perf_counter()
     if mode == "all":
-        cocliques = maximal_cocliques_sigma(graph)
+        sigma = graph.sigma
+
+        def scan(taken, d_mask):
+            pair = _first_violation(graph, d_mask)
+            return None if pair is None else (tuple(sigma[i] for i in _bits(taken)),) + pair
+
+        checked, best = _walk_sigma(graph, scan)
+        if best is not None:
+            in_sigma = graph.sigma_mask()
+            matching = all((graph.adjacency[v] & in_sigma).bit_count() == 1 for v in sigma)
+            checked = 1 << len(sigma) // 2 if matching else _walk_sigma(graph, lambda *_: None)[0]
     else:
         seed = 0 if seed is None else seed
         cocliques = sorted(sample_maximal_cocliques(graph, samples, seed))
-    checked, best = _scan_cocliques(graph, cocliques)
+        checked, best = _scan_cocliques(graph, cocliques)
     elapsed = (time.perf_counter() - start) * 1000.0
     spec_dict = graph.spec.to_dict()
     if best is None:

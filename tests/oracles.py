@@ -8,7 +8,7 @@ import operator
 
 from kneserlab.algebra import enumerate_subspaces, is_totally_singular, nullspace
 from kneserlab.buildings import _partial_counts, edge_rows
-from kneserlab.coclique import bron_kerbosch_pivot
+from kneserlab.coclique import _bits
 from kneserlab.errors import SearchBudgetExceeded
 
 
@@ -44,6 +44,39 @@ def check_symmetric_irreflexive(graph):
     """Whether the rows equal the rows rebuilt from their edges above the
     diagonal: then every bit has its mirror and none is on the diagonal."""
     return all(map(operator.eq, graph.adjacency, edge_rows(graph.num_vertices, graph.edges())))
+
+
+def bron_kerbosch_pivot(adj, candidates):
+    """Maximal cliques of the graph given by bitmask rows, via pivoting."""
+
+    def expand(r, p, x):
+        if not p and not x:
+            yield r
+            return
+        pivot_pool = p | x
+        best_u, best_cover = -1, -1
+        for u in _bits(pivot_pool):
+            cover = (p & adj[u]).bit_count()
+            if cover > best_cover:
+                best_u, best_cover = u, cover
+        for v in _bits(p & ~adj[best_u]):
+            bit = 1 << v
+            yield from expand(r | bit, p & adj[v], x & adj[v])
+            p &= ~bit
+            x |= bit
+
+    yield from expand(0, candidates, 0)
+
+
+def sigma_cocliques_by_bron_kerbosch(graph):
+    """The sorted list of all maximal cocliques of Sigma, each a sorted
+    tuple of vertex indices: Bron-Kerbosch over the complement of the
+    Sigma-induced subgraph, on local positions 0..|Sigma|-1."""
+    sigma = graph.sigma
+    comp = [sum(1 << b for b, w in enumerate(sigma) if w != v and not graph.is_adjacent(v, w))
+            for v in sigma]
+    return sorted(tuple(sigma[i] for i in _bits(clique))
+                  for clique in bron_kerbosch_pivot(comp, (1 << len(sigma)) - 1))
 
 
 def enumerate_maximal_cocliques_full(graph, max_cliques=None):

@@ -237,6 +237,25 @@ def test_check_ucep_odd_d_family_exit_2(capsys, monkeypatch):
     assert "not self-opposite" in err
 
 
+def test_export_refuses_a_type_build_refuses(capsys, tmp_path):
+    # One D_3 family of maximal spaces (15 vertices, 0 edges) and the A_3
+    # point-line flags are built only through the graph cache; export
+    # refuses them as build does, with the same message.
+    import kneserlab.buildings as buildings
+    import kneserlab.cli as cli
+    from kneserlab.buildings import BuildingSpec
+
+    path = tmp_path / "graph.json"
+    for spec in (BuildingSpec("D", 3, 2, (3,)), BuildingSpec("A", 3, 2, (1, 2))):
+        path.write_text(json.dumps(cli.graph_to_dict(buildings._graph(spec))))
+        code, out, err = run(capsys, "export", "--input", str(path), "--format", "dimacs")
+        assert (code, out) == (EXIT_USAGE, ""), spec
+        built = run(capsys, "build", "--family", spec.family, "--rank", str(spec.rank),
+                    "--type", ",".join(map(str, spec.types)), "--p", str(spec.p))
+        assert built == (EXIT_USAGE, "", err), spec
+        assert "not self-opposite" in err
+
+
 def test_verify_fixtures_all(capsys):
     code, out, _ = run(capsys, "verify-fixtures")
     assert code == EXIT_OK

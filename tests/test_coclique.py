@@ -8,14 +8,17 @@ from collections import Counter
 import pytest
 
 import kneserlab.buildings as buildings
-from kneserlab.algebra import Subspace, rank_mod_p
+import kneserlab.coclique as coclique
+from kneserlab.algebra import Subspace, enumerate_subspaces, rank_mod_p
 from kneserlab.buildings import (
     BuildingSpec,
+    KneserGraph,
     build_graph,
     geometry,
 )
 from kneserlab.coclique import (
     MAX_SAMPLES,
+    MAX_SIGMA,
     _psi,
     check_ucep,
     extension_set,
@@ -29,7 +32,14 @@ from kneserlab.errors import SearchBudgetExceeded, UsageError
 from kneserlab.exterior import plucker, span_membership
 from kneserlab.fixtures import verify_witness
 
-from oracles import enumerate_maximal_cocliques_full, gaussian_binomial
+from oracles import (
+    enumerate_maximal_cocliques_full,
+    gaussian_binomial,
+    sigma_cocliques_by_bron_kerbosch,
+)
+from test_acceptance import POSITIVE_GRID
+
+NEGATIVE_GRID = [("B", 3, (2,), 3), ("C", 3, (3,), 3), ("D", 4, (3, 4), 2), ("A", 4, (2, 3), 2)]
 
 
 def test_matching_apartment_has_power_of_two_cocliques():
@@ -168,6 +178,18 @@ def test_check_ucep_sample_needs_count():
         check_ucep(g, mode="sample", samples=MAX_SAMPLES + 1)
 
 
+def record_scans(monkeypatch):
+    """The extension sets check_ucep scans, in order, as a list it fills."""
+    scanned, first_violation = [], coclique._first_violation
+
+    def scan(graph, d_mask):
+        scanned.append(d_mask)
+        return first_violation(graph, d_mask)
+
+    monkeypatch.setattr(coclique, "_first_violation", scan)
+    return scanned
+
+
 def _opposite(geo, fx, fy):
     """Opposition from basis matrices and exact ranks alone: for a polar
     type, the pairing B_x G B_y^T is nonsingular; for type-A flags, each
@@ -187,16 +209,22 @@ def _opposite(geo, fx, fy):
     ("D", 4, (3, 4), 2, 2 ** 16),
     ("A", 4, (2, 3), 2, 2 ** 15),
 ])
-def test_check_ucep_negative_grid_cells(family, n, types, p, count):
+def test_check_ucep_negative_grid_cells(monkeypatch, family, n, types, p, count):
     # Sigma is a perfect matching on these cells, so its maximal cocliques
     # are the 2^(|Sigma|/2) transversals; the witness is re-checked from
     # its basis matrices, never through the adjacency that produced it:
     # by the oracle here and by verify_witness.
+    # The walk stops at the first failing coclique: it scans exactly the
+    # oracle's sorted list up to the witness, and still counts the list.
     spec = BuildingSpec(family, n, p, types)
     g = build_graph(spec)
+    scanned = record_scans(monkeypatch)
     report = check_ucep(g, mode="all")
     assert report.verdict == "fails"
     assert report.cocliques_checked == count == 2 ** (len(g.sigma) // 2)
+    want = sigma_cocliques_by_bron_kerbosch(g)
+    assert report.cocliques_checked == len(want)
+    assert len(scanned) == want.index(tuple(report.witness["coclique_indices"])) + 1
     geo, w = geometry(spec), report.witness
     coc, x, y = w["coclique"], w["x"], w["y"]
     assert len(coc) == len(g.sigma) // 2
@@ -206,6 +234,40 @@ def test_check_ucep_negative_grid_cells(family, n, types, p, count):
     frames = {tuple(u.basis for u in f) for f in geo.frames()}
     assert all(tuple(tuple(map(tuple, part)) for part in c) in frames for c in coc)
     verify_witness(spec, coc, x, y)
+
+
+def test_check_ucep_fails_on_a_sigma_that_is_no_matching(monkeypatch):
+    # Sigma is the path 0 - 1 - 2 - 3, whose maximal cocliques are (0, 2),
+    # (0, 3) and (1, 3); the edge 4 - 5 lies in every extension set. The
+    # walk stops at (0, 2), and a second walk counts all three without
+    # scanning (2^(|Sigma|/2) would be 4).
+    points = [(u,) for u in enumerate_subspaces(3, 1, 2)][:6]
+    rows = [0b10, 0b101, 0b1010, 0b100, 0b100000, 0b10000]
+    g = KneserGraph(BuildingSpec("A", 2, 2, (1,)), points, rows, [0, 1, 2, 3])
+    scanned = record_scans(monkeypatch)
+    report = check_ucep(g)
+    assert (report.verdict, report.cocliques_checked) == ("fails", 3)
+    assert (report.witness["coclique_indices"], report.witness["x_index"],
+            report.witness["y_index"]) == ([0, 2], 4, 5)
+    assert scanned == [0b110101]
+
+
+def test_check_ucep_refuses_sigma_past_max_sigma(monkeypatch):
+    n = MAX_SIGMA + 1
+    g = KneserGraph(BuildingSpec("A", 2, 2, (1,)), [(Subspace.coordinate([0], 3, 2),)] * n,
+                    [0] * n, range(n))
+    monkeypatch.setattr(coclique, "_first_violation", None)
+    with pytest.raises(UsageError, match="apartment has 65 > 64 vertices; use sampling mode"):
+        check_ucep(g)
+
+
+@pytest.mark.parametrize("family,n,types,p", POSITIVE_GRID + NEGATIVE_GRID + [("A", 3, (1, 2), 2)])
+def test_sigma_walk_matches_bron_kerbosch_oracle(family, n, types, p):
+    # The ordered walk lists the oracle's cocliques in its sorted order.
+    # A_3 {1,2} is not self-opposite, so build_graph refuses it and its
+    # Sigma, built through the graph cache, is no matching.
+    g = buildings._graph(BuildingSpec(family, n, p, types))
+    assert maximal_cocliques_sigma(g) == sigma_cocliques_by_bron_kerbosch(g)
 
 
 def test_max_coclique_values():
@@ -313,7 +375,7 @@ def test_span_check_unsupported_spec():
 
 
 def test_sigma_cocliques_match_networkx():
-    # Bron-Kerbosch over Sigma against networkx's maximal cliques of the
+    # The walk over Sigma against networkx's maximal cliques of the
     # complement of the Sigma-induced subgraph.
     nx = pytest.importorskip("networkx")
     graphs = [
