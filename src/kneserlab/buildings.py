@@ -332,29 +332,9 @@ def _row_blocks(n):
     return width, max(1, _BLOCK_ELEMS // (8 * width or 1))
 
 
-def edge_rows(n, edges):
-    """Adjacency rows, as ints, of the graph on n vertices whose edges are
-    the (E, 2) array `edges`, each set both ways. The bits are set in one
-    block of unpacked rows at a time, then packed."""
-    width, step = _row_blocks(n)
-    stride = 8 * width
-    i, j = edges.T
-    ends = np.sort(np.concatenate([i * stride + j, j * stride + i]))
-    cuts = np.searchsorted(ends, np.arange(0, n + step, step) * stride).tolist()
-    for lo, a, b in zip(range(0, n, step), cuts, cuts[1:]):
-        bits = np.zeros(min(step, n - lo) * stride, dtype=np.uint8)
-        bits[ends[a:b] - lo * stride] = 1
-        for row in np.packbits(bits, bitorder="little").reshape(-1, width):
-            yield int.from_bytes(row.tobytes(), "little")
-
-
-def vertex_key(flag):
-    """Sort key of a vertex: the canonical keys of its parts, in order."""
-    return tuple(s.key for s in flag)
-
-
 def _sorted_vertices(flags):
-    return sorted(flags, key=vertex_key)
+    """Vertices in canonical order: by the canonical keys of their parts."""
+    return sorted(flags, key=lambda flag: tuple(s.key for s in flag))
 
 
 def _sigma_indices(vertices, frame_flags):
@@ -476,9 +456,14 @@ def _rows(geo, vertices):
 
 @lru_cache(maxsize=None)
 def _graph(spec):
-    """The one graph cache, keyed by the canonical spec. The enumerated
-    vertices must number the closed-form count."""
-    count = vertex_count(spec)
+    """The one graph cache, keyed by the canonical spec. A spec of more
+    than MAX_VERTICES vertices by the closed-form count (N vertices take
+    N^2/8 bytes of adjacency) is refused before any enumeration or form is
+    made; the enumerated vertices must number that count."""
+    count = _bounded_count(spec)
+    if count is None or count > MAX_VERTICES:
+        raise UsageError("spec %s has %s vertices, more than the limit of %d"
+                         % (spec.to_dict(), count or "over 10^18", MAX_VERTICES))
     geo = geometry(spec)
     vertices = _vertices(geo)
     if len(vertices) != count:
@@ -488,20 +473,13 @@ def _graph(spec):
     return KneserGraph(spec, vertices, _rows(geo, vertices), sigma)
 
 
-def self_opposite_geometry(spec):
-    """geometry(spec), if its type is self-opposite (see Geometry). Both
-    build_graph and the export of a stored graph refuse the others here."""
-    geo = geometry(spec)
-    if not geo.self_opposite:
+def build_graph(spec):
+    """The Kneser graph of a spec whose type is self-opposite (see
+    Geometry). _graph also builds the others, such as type-A flags whose
+    type set is not self-opposite."""
+    if not geometry(spec).self_opposite:
         raise UsageError("spec %s: type set %s is not self-opposite; Kneser adjacency within "
                          "one type is undefined" % (spec.to_dict(), list(spec.types)))
-    return geo
-
-
-def build_graph(spec):
-    """The Kneser graph of a self-opposite spec. _graph also builds the
-    others, such as type-A flags whose type set is not self-opposite."""
-    self_opposite_geometry(spec)
     return _graph(spec)
 
 
@@ -546,17 +524,6 @@ def _bounded_count(spec):
     for count in _partial_counts(spec):
         if count > 10 ** 18:
             return None
-    return count
-
-
-def vertex_count(spec):
-    """The closed-form vertex count of a spec, which must be at most
-    MAX_VERTICES: N vertices take N^2/8 bytes of adjacency. A larger spec
-    is refused before any enumeration or form is made."""
-    count = _bounded_count(spec)
-    if count is None or count > MAX_VERTICES:
-        raise UsageError("spec %s has %s vertices, more than the limit of %d"
-                         % (spec.to_dict(), count or "over 10^18", MAX_VERTICES))
     return count
 
 

@@ -11,24 +11,12 @@ reproduces a run bytewise, including the sampling seed.
 from __future__ import annotations
 
 import argparse
-import contextlib
-import itertools
 import json
 import sys
 
 import numpy as np
 
-from .buildings import (
-    SCHEMA,
-    BuildingSpec,
-    KneserGraph,
-    build_graph,
-    edge_rows,
-    self_opposite_geometry,
-    vertex_count,
-    vertex_key,
-    vertex_lists,
-)
+from .buildings import SCHEMA, BuildingSpec, build_graph, vertex_lists
 from .coclique import check_scan_args, check_ucep
 from .crossval import cross_validate
 from .errors import (
@@ -44,6 +32,10 @@ EXIT_USAGE = 2
 EXIT_UCEP_FAILS = 3
 EXIT_FIXTURE = 4
 EXIT_CROSSVAL = 5
+
+# The most edges --format json or dimacs renders: JSON peaks at about 150
+# bytes per edge (641 MB for the 3.98 M of B_3 lines over F_3), so 1.3 GB.
+MAX_RENDER_EDGES = 1 << 23
 
 
 def _spec_from_args(args):
@@ -97,21 +89,28 @@ def graph_to_text(graph):
 
 
 def _render_graph(graph, fmt):
+    if fmt == "text":
+        return graph_to_text(graph)
+    edges = graph.num_edges()
+    if edges > MAX_RENDER_EDGES:
+        raise UsageError("spec %s has %d edges, more than the render limit of %d"
+                         % (graph.spec.to_dict(), edges, MAX_RENDER_EDGES))
     if fmt == "json":
         return json.dumps(graph_to_dict(graph), sort_keys=True) + "\n"
     if fmt == "dimacs":
         return graph_to_dimacs(graph)
-    if fmt == "text":
-        return graph_to_text(graph)
     raise UsageError("unknown format %r" % fmt)
 
 
 def _write(text, path):
     if path is None or path == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w") as handle:
             handle.write(text)
+    except OSError as exc:
+        raise UsageError("--output %s: %s" % (path, exc.strerror))
 
 
 def cmd_build(args):
@@ -156,37 +155,6 @@ def cmd_cross_validate(args):
     return EXIT_OK
 
 
-def _vertex_index(value, n, what):
-    if type(value) is not int or not 0 <= value < n:
-        raise UsageError("%s %r is not a vertex index in 0..%d" % (what, value, n - 1))
-    return value
-
-
-def _check_edge(edge, n):
-    if type(edge) is not list or len(edge) != 2:
-        raise UsageError("edge %r is not a pair of vertex indices" % (edge,))
-    i, j = edge
-    if _vertex_index(i, n, "edge end") == _vertex_index(j, n, "edge end"):
-        raise UsageError("edge [%d, %d] is a self-loop" % (i, j))
-
-
-def _edge_pairs(edges, n):
-    """The stored edges as an (E, 2) array. Pair shape and JSON int types
-    are checked in one pass, range and self-loops on the array; if any edge
-    is bad, _check_edge names the first in file order."""
-    pairs = None
-    if all(type(e) is list and len(e) == 2 and type(e[0]) is int and type(e[1]) is int
-           for e in edges):
-        with contextlib.suppress(OverflowError):  # beyond int64, so out of range
-            pairs = np.fromiter(itertools.chain.from_iterable(edges), dtype=np.int64,
-                                count=2 * len(edges)).reshape(-1, 2)
-    if pairs is None or not (((pairs >= 0) & (pairs < n)).all()
-                             and (pairs[:, 0] != pairs[:, 1]).all()):
-        for edge in edges:
-            _check_edge(edge, n)
-    return pairs
-
-
 def _field(data, key, kind):
     """data[key], which must be of the JSON type `kind`."""
     if key not in data:
@@ -196,9 +164,47 @@ def _field(data, key, kind):
     return data[key]
 
 
+_ABSENT = object()
+
+
+def _text(value):
+    """A JSON value as build writes it; "nothing" for _ABSENT."""
+    return "nothing" if value is _ABSENT else json.dumps(value, sort_keys=True)
+
+
+def _shown(value):
+    text = _text(value)
+    return text if len(text) <= 60 else text[:57] + "..."
+
+
+def _first_difference(stored, built, where=""):
+    """(where, stored value, built value) where two unequal JSON values first
+    differ as json.dumps(sort_keys=True) writes them: objects are walked by
+    sorted key; a list is halved down to its first differing index."""
+    if type(stored) is dict and type(built) is dict:
+        for key in sorted(stored.keys() | built.keys()):
+            s, b = stored.get(key, _ABSENT), built.get(key, _ABSENT)
+            if _text(s) != _text(b):
+                return _first_difference(s, b, "%s.%s" % (where, key) if where else key)
+    if type(stored) is list and type(built) is list:
+        lo, hi = 0, max(len(stored), len(built))
+        while hi - lo > 1:  # the first difference is in lo..hi-1
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if _text(stored[lo:mid]) == _text(built[lo:mid]) else (lo, mid)
+        s, b = (v[lo] if lo < len(v) else _ABSENT for v in (stored, built))
+        return "%s[%d]" % (where, lo), s, b
+    return where, stored, built
+
+
 def cmd_export(args):
-    with open(args.input) as handle:
-        data = json.load(handle)
+    """A stored graph is valid iff its JSON text is what build writes."""
+    try:
+        with open(args.input) as handle:
+            data = json.load(handle)
+    except OSError as exc:
+        raise UsageError("--input %s: %s" % (args.input, exc.strerror))
+    except ValueError as exc:  # a JSONDecodeError names the line and column
+        raise UsageError("--input %s is not JSON: %s" % (args.input, exc))
     schema = data.get("schema") if type(data) is dict else None
     if schema != SCHEMA:
         raise UsageError("unsupported graph schema %r" % (schema,))
@@ -208,27 +214,13 @@ def cmd_export(args):
         raise UsageError("stored 'types' %r is not a list of integers" % (types,))
     spec = BuildingSpec(_field(stored, "family", str), _field(stored, "rank", int),
                         _field(stored, "p", int), tuple(types))
-    if "selector" in stored and stored["selector"] != spec.to_dict().get("selector"):
-        raise UsageError("selector %r contradicts the type set %s"
-                         % (stored["selector"], list(spec.types)))
-    geo = self_opposite_geometry(spec)
-    flags, n = _field(data, "vertices", list), vertex_count(spec)
-    if len(flags) != n:
-        raise UsageError("stored graph lists %d vertices, but spec %s has %d"
-                         % (len(flags), spec.to_dict(), n))
-    vertices = [geo.vertex(flag, i) for i, flag in enumerate(flags)]
-    keys = [vertex_key(flag) for flag in vertices]
-    for i in range(1, n):
-        if keys[i - 1] >= keys[i]:
-            raise UsageError("vertex %d does not come after vertex %d in canonical order"
-                             % (i, i - 1))
-    if data.get("num_vertices") != n:
-        raise UsageError("num_vertices %r does not match the %d vertices listed"
-                         % (data.get("num_vertices"), n))
-    adjacency = list(edge_rows(n, _edge_pairs(_field(data, "edges", list), n)))
-    sigma = [_vertex_index(v, n, "sigma entry") for v in _field(data, "sigma", list)]
-    graph = KneserGraph(spec, vertices, adjacency, sigma)
-    _write(_render_graph(graph, args.format), args.output)
+    graph = build_graph(spec)
+    text = _render_graph(graph, "json")
+    if json.dumps(data, sort_keys=True) + "\n" != text:
+        where, s, b = _first_difference(data, json.loads(text))
+        raise UsageError("stored graph differs from what build writes at %s: stored %s, "
+                         "build writes %s" % (where, _shown(s), _shown(b)))
+    _write(text if args.format == "json" else _render_graph(graph, args.format), args.output)
     return EXIT_OK
 
 

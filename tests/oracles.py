@@ -6,8 +6,10 @@ rule. The package itself never runs them, so they live with the tests.
 
 import operator
 
+import numpy as np
+
 from kneserlab.algebra import enumerate_subspaces, is_totally_singular, nullspace
-from kneserlab.buildings import _partial_counts, edge_rows
+from kneserlab.buildings import _partial_counts, _row_blocks
 from kneserlab.coclique import _bits
 from kneserlab.errors import SearchBudgetExceeded
 
@@ -38,6 +40,22 @@ def expected_num_vertices(spec):
 def singular_subspaces_by_filter(form, k):
     """The totally singular k-subspaces, by filtering all k-subspaces."""
     return [u for u in enumerate_subspaces(form.dim, k, form.p) if is_totally_singular(u, form)]
+
+
+def edge_rows(n, edges):
+    """Adjacency rows, as ints, of the graph on n vertices whose edges are
+    the (E, 2) array `edges`, each set both ways. The bits are set in one
+    block of unpacked rows at a time, then packed."""
+    width, step = _row_blocks(n)
+    stride = 8 * width
+    i, j = edges.T
+    ends = np.sort(np.concatenate([i * stride + j, j * stride + i]))
+    cuts = np.searchsorted(ends, np.arange(0, n + step, step) * stride).tolist()
+    for lo, a, b in zip(range(0, n, step), cuts, cuts[1:]):
+        bits = np.zeros(min(step, n - lo) * stride, dtype=np.uint8)
+        bits[ends[a:b] - lo * stride] = 1
+        for row in np.packbits(bits, bitorder="little").reshape(-1, width):
+            yield int.from_bytes(row.tobytes(), "little")
 
 
 def check_symmetric_irreflexive(graph):

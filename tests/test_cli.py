@@ -16,6 +16,9 @@ from kneserlab.cli import (
 )
 
 
+DIFFERS = "error: stored graph differs from what build writes at "
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -386,27 +389,29 @@ def test_export_bad_schema(capsys, tmp_path):
         ("num_vertices", 8),
         ("spec", dict(good["spec"], selector="plus")),
     ]]
-    cases += [({k: v for k, v in good.items() if k != key}, "error: stored graph has no '%s'" % key)
-              for key in ("spec", "vertices", "edges", "sigma")]
+    cases += [({k: v for k, v in good.items() if k != "spec"}, "error: stored graph has no 'spec'")]
+    cases += [({k: v for k, v in good.items() if k != key}, DIFFERS + "%s: stored nothing" % key)
+              for key in ("vertices", "edges", "sigma")]
     cases += [(dict(good, spec=dict(good["spec"], **{key: value})), "error: stored '%s'" % key)
               for key, value in [("rank", "2"), ("types", 1), ("types", ["1"]), ("p", None),
                                  ("family", 1)]]
-    cases += [(dict(good, **{key: value}), "error: stored '%s'" % key)
-              for key, value in [("spec", []), ("vertices", 3), ("edges", {}), ("sigma", 0)]]
-    cases += [(dict(good, edges=[edge]), "error: edge %s is not a pair" % edge)
+    cases += [(dict(good, spec=[]), "error: stored 'spec'")]
+    cases += [(dict(good, **{key: value}), DIFFERS + "%s: stored %s," % (key, json.dumps(value)))
+              for key, value in [("vertices", 3), ("edges", {}), ("sigma", 0)]]
+    cases += [(dict(good, edges=[edge]), DIFFERS + "edges[0]: stored %s," % edge)
               for edge in ([0, 1, 2], [0], 5)]
-    cases += [(vertex_0(good, flag), "error: vertex 0 ") for flag in (
+    cases += [(vertex_0(good, flag), DIFFERS + "vertices[0]: ") for flag in (
         [[[1, 0]]],                 # ambient 2, where A_2 needs 3
         [[[1, 0, 0]], [[0, 1, 0]]],  # two parts for one type
         [[[1, 0, 0], [0, 1, 0]]],    # a line for a point
         [[[1, 2, 0]]],              # an entry outside F_2
         [[[0, 0, 0]]],              # not a basis
     )]
-    cases += [(vertex_0(flags, flag), "error: vertex 0 ") for flag in (
+    cases += [(vertex_0(flags, flag), DIFFERS + "vertices[0]: ") for flag in (
         [[[0, 0, 1]], [[1, 0, 0], [0, 1, 0]]],  # the point is off the line
         [[[1, 0, 0]], [[1, 1, 0], [0, 1, 0]]],  # not reduced
     )]
-    cases += [(vertex_0(maximal, flag), "error: vertex 0 ") for flag in (
+    cases += [(vertex_0(maximal, flag), DIFFERS + "vertices[0]: ") for flag in (
         [coordinate(0, 1, 2, 3)],  # not singular, but meets <e_1, .., e_4> evenly, like plus
         [coordinate(0, 2, 4, 7)],  # the minus family
     )]
@@ -414,11 +419,11 @@ def test_export_bad_schema(capsys, tmp_path):
     # spec past MAX_VERTICES.
     v = good["vertices"]
     cases += [(dict(good, vertices=v * 3, num_vertices=21),
-               "error: stored graph lists 21 vertices, but spec"),
+               DIFFERS + "num_vertices: stored 21, build writes 7"),
               (dict(good, spec=dict(good["spec"], rank=300, types=[150])),
                "error: spec {'family': 'A', 'rank': 300, 'p': 2, 'types': [150]} has over 10^18"),
               (dict(good, vertices=v[:1] + v[2:0:-1] + v[3:]),
-               "error: vertex 2 does not come after vertex 1 in canonical order")]
+               DIFFERS + "vertices[1]: stored %s" % json.dumps(v[2]))]
     for data, want in cases:
         path.write_text(json.dumps(data))
         for fmt in ("dimacs", "json"):
@@ -444,17 +449,120 @@ def test_export_names_first_bad_edge_in_file_order(capsys, tmp_path):
     assert code == EXIT_OK
     good = json.loads(out)
     for edges, want in [
-        ([[0, 1], [3, 3], [0, 7], [1, 2, 3]], "error: edge [3, 3] is a self-loop"),
-        ([[0, 1], [0, 7], [3, 3]], "error: edge end 7 is not a vertex index in 0..6"),
-        ([[0, 1], [2 ** 70, 1], [3, 3]], "error: edge end %d is not" % 2 ** 70),
-        ([[0, 1], [1, True], [3, 3]], "error: edge end True is not"),
-        ([[0, 1], [0, 1.0], [3, 3]], "error: edge end 1.0 is not"),
-        ([[0, 1], [0, 1, 2], [2 ** 70, 1]], "error: edge [0, 1, 2] is not a pair"),
+        ([[0, 1], [3, 3], [0, 7], [1, 2, 3]], DIFFERS + "edges[1]: stored [3, 3],"),
+        ([[0, 1], [0, 7], [3, 3]], DIFFERS + "edges[1]: stored [0, 7],"),
+        ([[0, 1], [2 ** 70, 1], [3, 3]], DIFFERS + "edges[1]: stored [%d, 1]," % 2 ** 70),
+        ([[0, 1], [1, True], [3, 3]], DIFFERS + "edges[1]: stored [1, true],"),
+        ([[0, 1], [0, 1.0], [3, 3]], DIFFERS + "edges[1]: stored [0, 1.0],"),
+        ([[0, 1], [0, 1, 2], [2 ** 70, 1]], DIFFERS + "edges[1]: stored [0, 1, 2],"),
     ]:
         path.write_text(json.dumps(dict(good, edges=edges)))
         code, out, err = run(capsys, "export", "--input", str(path))
         assert (code, out) == (EXIT_USAGE, ""), edges
         assert err.startswith(want), err
+
+
+def built_json(capsys, family, rank, types):
+    code, out, _ = run(capsys, "build", "--family", family, "--rank", str(rank),
+                       "--type", types, "--p", "2")
+    assert code == EXIT_OK
+    return json.loads(out)
+
+
+def export_refused(capsys, path, data):
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "export", "--input", str(path))
+    assert (code, out) == (EXIT_USAGE, "")
+    return err
+
+
+def test_export_refuses_a_graph_that_build_does_not_write(capsys, tmp_path):
+    # A stored graph is valid iff it is what build writes for its spec.
+    # Each file below differs from that in one place, which export names.
+    path = tmp_path / "graph.json"
+    points = built_json(capsys, "A", 2, "1")
+    err = export_refused(capsys, path, dict(points, edges=[[0, 1]], sigma=[0, 1, 2]))
+    assert err == DIFFERS + "edges[1]: stored nothing, build writes [0, 2]\n"
+
+    lines = built_json(capsys, "A", 3, "2")
+    edges, sigma = lines["edges"], lines["sigma"]
+    non_edge = next([0, j] for j in range(1, 35) if [0, j] not in edges)
+    k = next(k for k, e in enumerate(edges) if e > non_edge)
+    one = next(k for k, e in enumerate(edges) if e[0] == 1)
+    outside = next(v for v in range(35) if v not in sigma)
+    for data, want in [
+        (dict(lines, edges=edges[:5] + edges[6:]),
+         "edges[5]: stored %s, build writes %s" % (edges[6], edges[5])),
+        (dict(lines, edges=edges[:k] + [non_edge] + edges[k:]),
+         "edges[%d]: stored %s, build writes %s" % (k, non_edge, edges[k])),
+        (dict(lines, sigma=sigma[:2] + [outside] + sigma[3:]),
+         "sigma[2]: stored %d, build writes %d" % (outside, sigma[2])),
+        (dict(lines, comment="x"), 'comment: stored "x", build writes nothing'),
+        (dict(lines, edges=edges[:one] + [[True, edges[one][1]]] + edges[one + 1:]),
+         "edges[%d]: stored [true, %d], build writes [1, %d]"
+         % (one, edges[one][1], edges[one][1])),
+    ]:
+        assert export_refused(capsys, path, data) == DIFFERS + want + "\n"
+
+    # The one D_4 family of maximal spaces that build names "plus".
+    maximal = built_json(capsys, "D", 4, "4")
+    spec = {k: v for k, v in maximal["spec"].items() if k != "selector"}
+    err = export_refused(capsys, path, dict(maximal, spec=spec))
+    assert err == DIFFERS + 'spec.selector: stored nothing, build writes "plus"\n'
+
+
+def test_first_difference_is_the_first_in_dump_order():
+    from kneserlab.cli import _first_difference
+
+    built = [[i, i + 1] for i in range(9)]
+    for i in range(9):
+        assert _first_difference(built[:i], built, "e")[0] == "e[%d]" % i
+        assert _first_difference(built[:i] + [[0]] + built[i:], built, "e")[0] == "e[%d]" % i
+    assert _first_difference(built + [[0]], built, "e")[:2] == ("e[9]", [0])
+    for i in range(9):
+        for bad in ([i, True], [i, i + 1.0], [i], None):
+            stored = built[:i] + [bad] + built[i + 1:]
+            assert _first_difference(stored, built, "e") == ("e[%d]" % i, bad, built[i])
+    assert _first_difference({"b": [1], "a": 2}, {"b": [2], "a": 2.0}) == ("a", 2, 2.0)
+    assert _first_difference({"a": {"c": 1}}, {"a": {"c": 1, "b": 0}})[0] == "a.b"
+
+
+def test_bad_paths_exit_usage(capsys, tmp_path):
+    missing = tmp_path / "missing.json"
+    code, out, err = run(capsys, "export", "--input", str(missing))
+    assert (code, out, err) == (EXIT_USAGE, "",
+                                "error: --input %s: No such file or directory\n" % missing)
+    truncated = tmp_path / "truncated.json"
+    truncated.write_text(json.dumps(built_json(capsys, "A", 2, "1"))[:40])
+    code, out, err = run(capsys, "export", "--input", str(truncated))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("error: --input %s is not JSON: " % truncated)
+    assert "line 1 column " in err
+    target = tmp_path / "no" / "dir" / "x.json"
+    code, out, err = run(capsys, "build", "--family", "A", "--rank", "2", "--type", "1",
+                         "--p", "2", "-o", str(target))
+    assert (code, out, err) == (EXIT_USAGE, "",
+                                "error: --output %s: No such file or directory\n" % target)
+
+
+def test_render_refused_past_edge_bound(capsys, tmp_path, monkeypatch):
+    # A_2 points over F_2 has 21 edges; a bound of 20 refuses JSON and
+    # DIMACS before rendering, for build and export alike, but not text.
+    import kneserlab.cli as cli
+
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(built_json(capsys, "A", 2, "1")))
+    monkeypatch.setattr(cli, "MAX_RENDER_EDGES", 20)
+    monkeypatch.setattr(cli, "graph_to_dict", None)
+    monkeypatch.setattr(cli, "graph_to_dimacs", None)
+    refused = (EXIT_USAGE, "", "error: spec {'family': 'A', 'rank': 2, 'p': 2, 'types': [1]} "
+               "has 21 edges, more than the render limit of 20\n")
+    argv = ["build", "--family", "A", "--rank", "2", "--type", "1", "--p", "2"]
+    for fmt in ("json", "dimacs"):
+        assert run(capsys, *argv, "--format", fmt) == refused
+        assert run(capsys, "export", "--input", str(path), "--format", fmt) == refused
+    code, out, _ = run(capsys, *argv, "--format", "text")
+    assert code == EXIT_OK and "edges: 21" in out
 
 
 def test_build_deterministic_output(capsys):
