@@ -298,15 +298,15 @@ class KneserGraph:
     def num_edges(self):
         return sum(self.degree(i) for i in range(self.num_vertices)) // 2
 
-    def edges(self):
-        """The edges i < j as an (E, 2) array, in row order (i, then j).
+    def edge_blocks(self):
+        """The edges i < j in row order (i, then j), as one (m, 2) array per
+        block of rows; the renders write from these, one block at a time.
 
         Each row keeps its bits above the diagonal and is unpacked to one
         byte per vertex, in blocks of rows of at most _BLOCK_ELEMS bytes.
         """
         n = self.num_vertices
         width, step = _row_blocks(n)
-        blocks = [np.empty((0, 2), dtype=np.intp)]
         for lo in range(0, n, step):
             rows = self.adjacency[lo:lo + step]
             packed = b"".join((row >> i << i).to_bytes(width, "little")
@@ -315,8 +315,11 @@ class KneserGraph:
                                  axis=1, count=n, bitorder="little")
             pairs = np.argwhere(bits)
             pairs[:, 0] += lo
-            blocks.append(pairs)
-        return np.concatenate(blocks)
+            yield pairs
+
+    def edges(self):
+        """All of edge_blocks() as one (E, 2) array, for tests and oracles."""
+        return np.concatenate([np.empty((0, 2), dtype=np.intp), *self.edge_blocks()])
 
     def sigma_mask(self):
         m = 0

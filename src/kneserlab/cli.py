@@ -33,8 +33,9 @@ EXIT_UCEP_FAILS = 3
 EXIT_FIXTURE = 4
 EXIT_CROSSVAL = 5
 
-# The most edges --format json or dimacs renders: JSON peaks at about 150
-# bytes per edge (641 MB for the 3.98 M of B_3 lines over F_3), so 1.3 GB.
+# The most edges --format json or dimacs renders: JSON peaks at about 100
+# bytes per edge (414 MB for the 3.98 M of B_3 lines over F_3, 36 MB of it
+# before rendering), so 0.9 GB.
 MAX_RENDER_EDGES = 1 << 23
 
 
@@ -55,25 +56,38 @@ def graph_to_dict(graph):
         "num_vertices": graph.num_vertices,
         "vertices": [vertex_lists(flag) for flag in graph.vertices],
         "sigma": list(graph.sigma),
-        "edges": list(zip(*graph.edges().T.tolist())),
+        "edges": _edge_pairs(graph),
     }
+
+
+def _edge_pairs(graph):
+    """The edges as (i, j) tuples, made block by block; every pair holds the
+    ints of one list(range(n)), so no edge makes int objects of its own."""
+    ints = list(range(graph.num_vertices))
+    pairs = []
+    for block in graph.edge_blocks():
+        tails, heads = block.T.tolist()
+        pairs += zip(map(ints.__getitem__, tails), map(ints.__getitem__, heads))
+    return pairs
 
 
 def graph_to_dimacs(graph):
     """DIMACS text: 1-based vertex labels, one `e i j` line per edge in row
-    order, each row's lines made by one join."""
+    order, each row's lines made by one join, one block of rows at a time."""
     n = graph.num_vertices
     labels = [str(i + 1) for i in range(n)]
     lines = ["c kneserlab graph"]
     lines.append("c spec %s" % json.dumps(graph.spec.to_dict(), sort_keys=True))
     lines.append("c sigma %s" % " ".join(labels[i] for i in graph.sigma))
-    edges = graph.edges()
-    lines.append("p edge %d %d" % (n, len(edges)))
-    heads = edges[:, 1].tolist()
-    starts = np.searchsorted(edges[:, 0], np.arange(n + 1)).tolist()
-    for tail, a, b in zip(labels, starts, starts[1:]):
-        if a < b:
-            prefix = "e %s " % tail
+    lines.append("p edge %d %d" % (n, graph.num_edges()))
+    for block in graph.edge_blocks():
+        if not len(block):
+            continue
+        # A block's rows are its runs of one tail; bounds are where they start and end.
+        bounds = [0, *(np.flatnonzero(np.diff(block[:, 0])) + 1).tolist(), len(block)]
+        heads = block[:, 1].tolist()
+        for tail, a, b in zip(block[bounds[:-1], 0].tolist(), bounds, bounds[1:]):
+            prefix = "e %s " % labels[tail]
             lines.append(prefix + ("\n" + prefix).join(map(labels.__getitem__, heads[a:b])))
     return "\n".join(lines) + "\n"
 
@@ -180,7 +194,8 @@ def _shown(value):
 def _first_difference(stored, built, where=""):
     """(where, stored value, built value) where two unequal JSON values first
     differ as json.dumps(sort_keys=True) writes them: objects are walked by
-    sorted key; a list is halved down to its first differing index."""
+    sorted key; a list is halved down to its first differing index, whose
+    items are compared as text, so a built tuple equals a stored list."""
     if type(stored) is dict and type(built) is dict:
         for key in sorted(stored.keys() | built.keys()):
             s, b = stored.get(key, _ABSENT), built.get(key, _ABSENT)
@@ -196,31 +211,58 @@ def _first_difference(stored, built, where=""):
     return where, stored, built
 
 
-def cmd_export(args):
-    """A stored graph is valid iff its JSON text is what build writes."""
-    try:
-        with open(args.input) as handle:
-            data = json.load(handle)
-    except OSError as exc:
-        raise UsageError("--input %s: %s" % (args.input, exc.strerror))
-    except ValueError as exc:  # a JSONDecodeError names the line and column
-        raise UsageError("--input %s is not JSON: %s" % (args.input, exc))
-    schema = data.get("schema") if type(data) is dict else None
-    if schema != SCHEMA:
-        raise UsageError("unsupported graph schema %r" % (schema,))
-    stored = _field(data, "spec", dict)
+def _stored_spec(stored):
+    """The BuildingSpec of a stored "spec" object, whose fields must have
+    their JSON types."""
     types = _field(stored, "types", list)
     if not all(type(t) is int for t in types):
         raise UsageError("stored 'types' %r is not a list of integers" % (types,))
-    spec = BuildingSpec(_field(stored, "family", str), _field(stored, "rank", int),
+    return BuildingSpec(_field(stored, "family", str), _field(stored, "rank", int),
                         _field(stored, "p", int), tuple(types))
-    graph = build_graph(spec)
-    text = _render_graph(graph, "json")
-    if json.dumps(data, sort_keys=True) + "\n" != text:
-        where, s, b = _first_difference(data, json.loads(text))
-        raise UsageError("stored graph differs from what build writes at %s: stored %s, "
-                         "build writes %s" % (where, _shown(s), _shown(b)))
-    _write(text if args.format == "json" else _render_graph(graph, args.format), args.output)
+
+
+def _as_built(text):
+    """(graph, JSON render) of the spec in text's first "spec" object, read
+    alone; (None, None) where that fails. If the render is the text, the
+    text is what build writes."""
+    try:
+        at = text.index('"spec": ') + len('"spec": ')
+        graph = build_graph(_stored_spec(json.JSONDecoder().raw_decode(text, at)[0]))
+        return graph, _render_graph(graph, "json")
+    except (ValueError, TypeError, UsageError):  # the full check refuses, or names, these
+        return None, None
+
+
+def cmd_export(args):
+    """A stored graph is valid iff its JSON text is what build writes. A
+    file that build wrote is known from its text and its spec alone; any
+    other is parsed and checked field by field, and refused at its first
+    difference from what build writes."""
+    try:
+        with open(args.input) as handle:
+            text = handle.read()
+    except OSError as exc:
+        raise UsageError("--input %s: %s" % (args.input, exc.strerror))
+    except ValueError as exc:  # text not in the locale's encoding
+        raise UsageError("--input %s is not JSON: %s" % (args.input, exc))
+    graph, rendered = _as_built(text)
+    if rendered != text:
+        try:
+            data = json.loads(text)
+        except ValueError as exc:  # a JSONDecodeError names the line and column
+            raise UsageError("--input %s is not JSON: %s" % (args.input, exc))
+        schema = data.get("schema") if type(data) is dict else None
+        if schema != SCHEMA:
+            raise UsageError("unsupported graph schema %r" % (schema,))
+        spec = _stored_spec(_field(data, "spec", dict))
+        if graph is None or graph.spec != spec:  # else _as_built has rendered it
+            graph = build_graph(spec)
+            rendered = _render_graph(graph, "json")
+        if json.dumps(data, sort_keys=True) + "\n" != rendered:
+            where, s, b = _first_difference(data, graph_to_dict(graph))
+            raise UsageError("stored graph differs from what build writes at %s: stored %s, "
+                             "build writes %s" % (where, _shown(s), _shown(b)))
+    _write(rendered if args.format == "json" else _render_graph(graph, args.format), args.output)
     return EXIT_OK
 
 

@@ -3,6 +3,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 import kneserlab.buildings as buildings
@@ -306,6 +307,12 @@ def test_edges_match_per_bit_oracle(monkeypatch, block):
         edges = g.edges()
         assert edges.shape == (g.num_edges(), 2)
         assert edges.tolist() == edges_by_bits(g)
+        # The renders' path: the blocks one at a time, each within one
+        # block of rows.
+        blocks = list(g.edge_blocks())
+        assert np.concatenate(blocks).tolist() == edges_by_bits(g)
+        step = buildings._row_blocks(g.num_vertices)[1]
+        assert all(b[-1, 0] - b[0, 0] < step for b in blocks if len(b))
         assert check_symmetric_irreflexive(g)
         i, j = edges[-1]
         assert g.is_adjacent(i, j) and g.is_adjacent(j, i)
