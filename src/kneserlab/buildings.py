@@ -317,10 +317,6 @@ class KneserGraph:
             pairs[:, 0] += lo
             yield pairs
 
-    def edges(self):
-        """All of edge_blocks() as one (E, 2) array, for tests and oracles."""
-        return np.concatenate([np.empty((0, 2), dtype=np.intp), *self.edge_blocks()])
-
     def sigma_mask(self):
         m = 0
         for i in self.sigma:

@@ -211,58 +211,31 @@ def _first_difference(stored, built, where=""):
     return where, stored, built
 
 
-def _stored_spec(stored):
-    """The BuildingSpec of a stored "spec" object, whose fields must have
-    their JSON types."""
+def cmd_export(args):
+    """A stored graph is valid iff its JSON text is what build writes."""
+    try:
+        with open(args.input) as handle:
+            data = json.load(handle)
+    except OSError as exc:
+        raise UsageError("--input %s: %s" % (args.input, exc.strerror))
+    except ValueError as exc:  # a JSONDecodeError names the line and column
+        raise UsageError("--input %s is not JSON: %s" % (args.input, exc))
+    schema = data.get("schema") if type(data) is dict else None
+    if schema != SCHEMA:
+        raise UsageError("unsupported graph schema %r" % (schema,))
+    stored = _field(data, "spec", dict)
     types = _field(stored, "types", list)
     if not all(type(t) is int for t in types):
         raise UsageError("stored 'types' %r is not a list of integers" % (types,))
-    return BuildingSpec(_field(stored, "family", str), _field(stored, "rank", int),
+    spec = BuildingSpec(_field(stored, "family", str), _field(stored, "rank", int),
                         _field(stored, "p", int), tuple(types))
-
-
-def _as_built(text):
-    """(graph, JSON render) of the spec in text's first "spec" object, read
-    alone; (None, None) where that fails. If the render is the text, the
-    text is what build writes."""
-    try:
-        at = text.index('"spec": ') + len('"spec": ')
-        graph = build_graph(_stored_spec(json.JSONDecoder().raw_decode(text, at)[0]))
-        return graph, _render_graph(graph, "json")
-    except (ValueError, TypeError, UsageError):  # the full check refuses, or names, these
-        return None, None
-
-
-def cmd_export(args):
-    """A stored graph is valid iff its JSON text is what build writes. A
-    file that build wrote is known from its text and its spec alone; any
-    other is parsed and checked field by field, and refused at its first
-    difference from what build writes."""
-    try:
-        with open(args.input) as handle:
-            text = handle.read()
-    except OSError as exc:
-        raise UsageError("--input %s: %s" % (args.input, exc.strerror))
-    except ValueError as exc:  # text not in the locale's encoding
-        raise UsageError("--input %s is not JSON: %s" % (args.input, exc))
-    graph, rendered = _as_built(text)
-    if rendered != text:
-        try:
-            data = json.loads(text)
-        except ValueError as exc:  # a JSONDecodeError names the line and column
-            raise UsageError("--input %s is not JSON: %s" % (args.input, exc))
-        schema = data.get("schema") if type(data) is dict else None
-        if schema != SCHEMA:
-            raise UsageError("unsupported graph schema %r" % (schema,))
-        spec = _stored_spec(_field(data, "spec", dict))
-        if graph is None or graph.spec != spec:  # else _as_built has rendered it
-            graph = build_graph(spec)
-            rendered = _render_graph(graph, "json")
-        if json.dumps(data, sort_keys=True) + "\n" != rendered:
-            where, s, b = _first_difference(data, graph_to_dict(graph))
-            raise UsageError("stored graph differs from what build writes at %s: stored %s, "
-                             "build writes %s" % (where, _shown(s), _shown(b)))
-    _write(rendered if args.format == "json" else _render_graph(graph, args.format), args.output)
+    graph = build_graph(spec)
+    text = _render_graph(graph, "json")
+    if json.dumps(data, sort_keys=True) + "\n" != text:
+        where, s, b = _first_difference(data, graph_to_dict(graph))
+        raise UsageError("stored graph differs from what build writes at %s: stored %s, "
+                         "build writes %s" % (where, _shown(s), _shown(b)))
+    _write(text if args.format == "json" else _render_graph(graph, args.format), args.output)
     return EXIT_OK
 
 

@@ -58,10 +58,16 @@ def edge_rows(n, edges):
             yield int.from_bytes(row.tobytes(), "little")
 
 
+def edges(graph):
+    """The edges i < j of a KneserGraph as one (E, 2) array in row order:
+    all of its edge_blocks(), concatenated."""
+    return np.concatenate([np.empty((0, 2), dtype=np.intp), *graph.edge_blocks()])
+
+
 def check_symmetric_irreflexive(graph):
     """Whether the rows equal the rows rebuilt from their edges above the
     diagonal: then every bit has its mirror and none is on the diagonal."""
-    return all(map(operator.eq, graph.adjacency, edge_rows(graph.num_vertices, graph.edges())))
+    return all(map(operator.eq, graph.adjacency, edge_rows(graph.num_vertices, edges(graph))))
 
 
 def bron_kerbosch_pivot(adj, candidates):

@@ -3,7 +3,6 @@
 import itertools
 import random
 
-import numpy as np
 import pytest
 
 import kneserlab.buildings as buildings
@@ -20,7 +19,7 @@ from kneserlab.buildings import (
 )
 from kneserlab.errors import UsageError
 
-from oracles import check_symmetric_irreflexive, expected_num_vertices, perp
+from oracles import check_symmetric_irreflexive, edges, expected_num_vertices, perp
 
 # The 15 positive and 4 negative cells of the UCEP grid.
 GRID_CELLS = [
@@ -93,7 +92,7 @@ def test_projective_kneser_duality():
     assert all(v[0].dim == 3 for v in g.vertices)
     # The dual graph keeps the annihilator adjacency, which for
     # hyperplane-like types is general position, not disjointness.
-    for a, b in itertools.islice(g.edges(), 50):
+    for a, b in itertools.islice(edges(g), 50):
         ua, ub = g.vertices[a][0], g.vertices[b][0]
         assert intersect(ua, ub).dim == 1
 
@@ -191,7 +190,7 @@ def test_d4_maximal_families():
     assert all(plus_family.in_family(v[0]) for v in plus.vertices)
     assert not any(plus_family.in_family(v[0]) for v in minus.vertices)
     # Within one family adjacency is plain disjointness.
-    for a, b in itertools.islice(plus.edges(), 100):
+    for a, b in itertools.islice(edges(plus), 100):
         assert intersect(plus.vertices[a][0], plus.vertices[b][0]).dim == 0
 
 
@@ -280,7 +279,7 @@ CHECKED_SPECS = [
 
 
 def edges_by_bits(graph):
-    """Oracle for KneserGraph.edges(): the pairs i < j, one row bit at a
+    """Oracle for KneserGraph.edge_blocks(): the pairs i < j, one row bit at a
     time, in row order."""
     out = []
     for i, row in enumerate(graph.adjacency):
@@ -304,17 +303,14 @@ def test_edges_match_per_bit_oracle(monkeypatch, block):
     graphs = [build_graph(spec) for spec in CHECKED_SPECS]
     monkeypatch.setattr(buildings, "_BLOCK_ELEMS", block)
     for g in graphs:
-        edges = g.edges()
-        assert edges.shape == (g.num_edges(), 2)
-        assert edges.tolist() == edges_by_bits(g)
-        # The renders' path: the blocks one at a time, each within one
-        # block of rows.
-        blocks = list(g.edge_blocks())
-        assert np.concatenate(blocks).tolist() == edges_by_bits(g)
+        pairs = edges(g)
+        assert pairs.shape == (g.num_edges(), 2)
+        assert pairs.tolist() == edges_by_bits(g)
+        # Each block the renders write from lies within one block of rows.
         step = buildings._row_blocks(g.num_vertices)[1]
-        assert all(b[-1, 0] - b[0, 0] < step for b in blocks if len(b))
+        assert all(b[-1, 0] - b[0, 0] < step for b in g.edge_blocks() if len(b))
         assert check_symmetric_irreflexive(g)
-        i, j = edges[-1]
+        i, j = pairs[-1]
         assert g.is_adjacent(i, j) and g.is_adjacent(j, i)
 
 
@@ -322,7 +318,7 @@ def test_edges_match_per_bit_oracle(monkeypatch, block):
 def test_check_symmetric_irreflexive_finds_bad_bits(monkeypatch, block):
     g = build_graph(BuildingSpec("A", 3, 2, (2,)))
     monkeypatch.setattr(buildings, "_BLOCK_ELEMS", block)
-    i, j = g.edges()[-1].tolist()
+    i, j = edges(g)[-1].tolist()
     k = next(v for v in range(g.num_vertices) if not g.adjacency[v] >> v + 1 & 1)
 
     def changed(row, bit):

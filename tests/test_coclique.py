@@ -33,6 +33,7 @@ from kneserlab.exterior import plucker, span_membership
 from kneserlab.fixtures import verify_witness
 
 from oracles import (
+    edges,
     enumerate_maximal_cocliques_full,
     gaussian_binomial,
     sigma_cocliques_by_bron_kerbosch,
@@ -87,7 +88,7 @@ def test_extension_set_empty_coclique_is_everything():
 
 def test_extension_set_rejects_non_coclique():
     g = build_graph(BuildingSpec("A", 3, 2, (2,)))
-    a, b = g.edges()[0]
+    a, b = edges(g)[0]
     with pytest.raises(UsageError):
         extension_set(g, (a, b))
 
