@@ -183,6 +183,22 @@ class Geometry:
     def frames(self):
         return [self.frame(w) for w in self.frame_words()]
 
+    def weyl_generators(self):
+        """Generators of the Weyl group acting on frame labels, each a dict
+        of the labels it moves: the transpositions (i, i+1) of S_{n+1} in
+        type A; on a polar form, the swaps of pairs i and i+1, then the sign
+        change of the last pair, which gives the signed permutations W(B_r).
+        On one D_n family of maximal spaces the last one is the swap of the
+        last two pairs with both signs changed, which gives W(D_r): a single
+        sign change exchanges the two families."""
+        if self.spec.family == "A":
+            return [{i: i + 1, i + 1: i} for i in range(1, self.dim)]
+        r = self.dim // 2
+        swaps = [{i: i + 1, i + 1: i, -i: -i - 1, -i - 1: -i} for i in range(1, r)]
+        if self.oriflamme:
+            return swaps + [{r - 1: -r, -r: r - 1, r: 1 - r, 1 - r: r}]
+        return swaps + [{r: -r, -r: r}]
+
     def vertex(self, flag, index):
         """The flag of subspaces a list of basis matrices names, checked
         against the geometry: one canonical RREF basis per part (so entries
@@ -273,11 +289,16 @@ class KneserGraph:
     vertices: tuple
     adjacency: tuple
     sigma: tuple
+    # Generators of a group of graph automorphisms that fix Sigma, each as
+    # the permutation of Sigma positions it induces; empty means the
+    # trivial group.
+    sigma_generators: tuple = ()
 
     def __post_init__(self):
         object.__setattr__(self, "vertices", tuple(self.vertices))
         object.__setattr__(self, "adjacency", tuple(self.adjacency))
         object.__setattr__(self, "sigma", tuple(sorted(self.sigma)))
+        object.__setattr__(self, "sigma_generators", tuple(map(tuple, self.sigma_generators)))
 
     @property
     def num_vertices(self):
@@ -336,14 +357,29 @@ def _sorted_vertices(flags):
     return sorted(flags, key=lambda flag: tuple(s.key for s in flag))
 
 
-def _sigma_indices(vertices, frame_flags):
+def _apartment(geo, vertices):
+    """Sigma, the sorted indices of the frame objects, and the Weyl group
+    generators as permutations of Sigma positions: a generator maps the
+    frame of a label word to the frame of the word's image."""
     index = {flag: i for i, flag in enumerate(vertices)}
-    out = []
-    for flag in frame_flags:
+
+    def vertex(word):
+        flag = geo.frame(word)
         if flag not in index:
             raise RuntimeError("frame object is not a vertex: %r" % (flag,))
-        out.append(index[flag])
-    return sorted(out)
+        return index[flag]
+
+    words = geo.frame_words()
+    at = [vertex(w) for w in words]
+    sigma = sorted(at)
+    position = {v: j for j, v in enumerate(sigma)}
+    generators = []
+    for gen in geo.weyl_generators():
+        perm = [0] * len(sigma)
+        for w, v in zip(words, at):
+            perm[position[v]] = position[vertex(tuple(gen.get(l, l) for l in w))]
+        generators.append(perm)
+    return sigma, generators
 
 
 def _point_ids(subspaces):
@@ -453,23 +489,30 @@ def _rows(geo, vertices):
     return _opposition_rows([(subspaces, _matrices(subspaces) @ geo.form.polar)], geo.spec.p)
 
 
-@lru_cache(maxsize=None)
-def _graph(spec):
-    """The one graph cache, keyed by the canonical spec. A spec of more
-    than MAX_VERTICES vertices by the closed-form count (N vertices take
-    N^2/8 bytes of adjacency) is refused before any enumeration or form is
-    made; the enumerated vertices must number that count."""
+def checked_vertex_count(spec):
+    """The closed-form vertex count of a spec, refused past MAX_VERTICES
+    (N vertices take N^2/8 bytes of adjacency)."""
     count = _bounded_count(spec)
     if count is None or count > MAX_VERTICES:
         raise UsageError("spec %s has %s vertices, more than the limit of %d"
                          % (spec.to_dict(), count or "over 10^18", MAX_VERTICES))
+    return count
+
+
+@lru_cache(maxsize=None)
+def _graph(spec):
+    """The one graph cache, keyed by the canonical spec. A spec past
+    checked_vertex_count is refused before any enumeration or form is
+    made; the enumerated vertices must number that count. Sigma comes with
+    the Weyl group's generators as permutations of it (_apartment)."""
+    count = checked_vertex_count(spec)
     geo = geometry(spec)
     vertices = _vertices(geo)
     if len(vertices) != count:
         raise RuntimeError("enumerated %d vertices for spec %s, expected %d"
                            % (len(vertices), spec.to_dict(), count))
-    sigma = _sigma_indices(vertices, geo.frames())
-    return KneserGraph(spec, vertices, _rows(geo, vertices), sigma)
+    sigma, generators = _apartment(geo, vertices)
+    return KneserGraph(spec, vertices, _rows(geo, vertices), sigma, generators)
 
 
 def build_graph(spec):

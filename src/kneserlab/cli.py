@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from .buildings import SCHEMA, BuildingSpec, build_graph, vertex_lists
-from .coclique import check_scan_args, check_ucep
+from .coclique import check_apartment, check_scan_args, check_ucep
 from .crossval import cross_validate
 from .errors import (
     CrossValidationError,
@@ -137,6 +137,8 @@ def cmd_build(args):
 def cmd_check_ucep(args):
     spec = _spec_from_args(args)
     check_scan_args(args.mode, args.samples, args.seed)
+    if args.mode == "all":
+        check_apartment(spec)
     graph = build_graph(spec)
     report = check_ucep(graph, mode=args.mode, samples=args.samples, seed=args.seed)
     if report.verdict == "fails":

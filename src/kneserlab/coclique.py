@@ -3,8 +3,10 @@
 The UCEP verdict for a graph pair (Gamma, Sigma) is decided per maximal
 coclique C of Sigma by a direct adjacency scan of the extension set D
 (all vertices nonadjacent to every member of C): the property holds iff
-no D contains an edge. One ordered walk over Sigma meets each C with its
-D and stops at the first D with an edge. The span criterion through the
+no D contains an edge. On a built graph the Weyl group acts on Sigma by
+graph automorphisms, so one C per orbit decides the orbit; the scan
+meets the orbits' least members in sorted order and stops at the first D
+with an edge. The span criterion through the
 Pluecker embedding is sufficient but not necessary, so it lives in a
 separate instrument (span_check) and never decides the verdict. It holds
 psi, the N x C(d,k) matrix of the vertices' Pluecker coordinates (the
@@ -27,10 +29,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import nullspace
-from .buildings import SCHEMA, geometry, vertex_lists
+from .buildings import (
+    SCHEMA,
+    checked_vertex_count,
+    geometry,
+    is_self_opposite_type_set,
+    vertex_lists,
+)
 from .errors import SearchBudgetExceeded, UsageError
 
 MAX_SIGMA = 64
+
+# Most maximal cocliques of Sigma an exhaustive decision may meet: each
+# transversal of a matching gets a uint32 orbit label, 16 MiB at the
+# limit. D5 lines over F_2 has 2^20.
+MAX_COCLIQUES = 1 << 22
 
 # Largest sample count: every sampled coclique is kept and sorted. 2^16 is
 # the most maximal cocliques of Σ on the grid (D4 planes over F_2).
@@ -44,46 +57,112 @@ def _bits(mask):
         mask &= mask - 1
 
 
-def _walk_sigma(graph, leaf):
-    """Calls leaf(taken, d_mask) at each maximal coclique C of Sigma, in
-    sorted order, until one returns a result; returns (leaves visited, that
-    result or None). taken masks C's positions in graph.sigma, d_mask is
-    D(C). Depth first, taking each vertex before skipping it: a vertex next
-    to a taken one is skipped, a free one only if a later neighbour may
-    cover it, and a leaf counts if each skipped vertex has a taken
-    neighbour. No maximal coclique is a proper prefix of another."""
+def _sigma_neighbours(graph):
+    """Per Sigma position, the mask of the positions of its Sigma-neighbours."""
     sigma, adjacency = graph.sigma, graph.adjacency
-    npos, leaves = len(sigma), 0
-    if npos > MAX_SIGMA:
-        raise UsageError("apartment has %d > %d vertices; use sampling mode" % (npos, MAX_SIGMA))
-    nbrs = [sum(1 << b for b, w in enumerate(sigma) if adjacency[v] >> w & 1) for v in sigma]
-    comp = [~adjacency[v] for v in sigma]
-
-    def step(i, taken, blocked, skipped, d_mask):
-        nonlocal leaves
-        while i < npos and blocked >> i & 1:
-            i += 1
-        if i == npos:
-            if skipped & ~blocked:
-                return None
-            leaves += 1
-            return leaf(taken, d_mask)
-        bit = 1 << i
-        found = step(i + 1, taken | bit, blocked | nbrs[i], skipped, d_mask & comp[i])
-        if found is None and nbrs[i] >> (i + 1):
-            found = step(i + 1, taken, blocked, skipped | bit, d_mask)
-        return found
-
-    found = step(0, 0, 0, 0, graph.full_mask)
-    return leaves, found
+    return [sum(1 << b for b, w in enumerate(sigma) if adjacency[v] >> w & 1) for v in sigma]
 
 
 def maximal_cocliques_sigma(graph):
     """All maximal cocliques of the apartment subgraph, as sorted tuples
-    of graph vertex indices, in sorted order."""
+    of graph vertex indices, in sorted order. Depth first over Sigma,
+    taking each vertex before skipping it: a vertex next to a taken one is
+    skipped, a free one only if a later neighbour may cover it, and a leaf
+    counts if each skipped vertex has a taken neighbour. No maximal
+    coclique is a proper prefix of another."""
     sigma, out = graph.sigma, []
-    _walk_sigma(graph, lambda taken, _: out.append(tuple(sigma[i] for i in _bits(taken))))
+    npos = len(sigma)
+    if npos > MAX_SIGMA:
+        raise UsageError("apartment has %d > %d vertices; use sampling mode" % (npos, MAX_SIGMA))
+    nbrs = _sigma_neighbours(graph)
+
+    def step(i, taken, blocked, skipped):
+        while i < npos and blocked >> i & 1:
+            i += 1
+        if i == npos:
+            if not skipped & ~blocked:
+                out.append(tuple(sigma[j] for j in _bits(taken)))
+            return
+        bit = 1 << i
+        step(i + 1, taken | bit, blocked | nbrs[i], skipped)
+        if nbrs[i] >> (i + 1):
+            step(i + 1, taken, blocked, skipped | bit)
+
+    step(0, 0, 0, 0)
     return out
+
+
+def _matching(nbrs):
+    """The pairs (a, b), a < b, of Sigma positions in order of a, if Sigma
+    is a perfect matching; else None."""
+    if any(m.bit_count() != 1 for m in nbrs):
+        return None
+    return [(a, m.bit_length() - 1) for a, m in enumerate(nbrs) if m >> a]
+
+
+def _orbit_representatives(pairs, generators):
+    """The transversals of a matching that are least in their orbit under
+    the group the generators (permutations of Sigma positions) generate,
+    ascending. A transversal is an m-bit integer whose bit m-1-t is 0 if
+    it takes a_t of pair t, 1 if b_t, so ascending integers are the sorted
+    order of the cocliques.
+
+    Each transversal is labelled with the least member of its orbit:
+    labels start as the transversals themselves, then take the least of
+    their images' labels and their own label's label, until none moves.
+    A generator maps pair t to a pair t' and keeps or flips its bit, so
+    its images of all transversals are the outer OR of one table per byte."""
+    m = len(pairs)
+    side = {a: (t, 0) for t, (a, _) in enumerate(pairs)}
+    side.update({b: (t, 1) for t, (_, b) in enumerate(pairs)})
+    images = []
+    for perm in generators:
+        image = np.zeros(1, dtype=np.uint32)
+        for hi in range(m, 0, -8):
+            lo = max(0, hi - 8)
+            byte = np.arange(1 << (hi - lo), dtype=np.uint32)
+            table = np.zeros_like(byte)
+            for q in range(lo, hi):
+                a, b = pairs[m - 1 - q]
+                t, flip = side[perm[a]]
+                if side[perm[b]] != (t, 1 - flip):
+                    raise RuntimeError("a Sigma generator does not keep the matching")
+                table |= ((byte >> (q - lo) & 1) ^ flip) << (m - 1 - t)
+            image = np.bitwise_or.outer(image, table).ravel()
+        images.append(image)
+    xs = np.arange(1 << m, dtype=np.uint32)
+    labels = xs.copy()
+    while True:
+        before = labels.copy()
+        for image in images:
+            np.minimum(labels, labels.take(image), out=labels)
+        labels = labels.take(labels)
+        if np.array_equal(labels, before):
+            return np.flatnonzero(labels == xs)
+
+
+def _check_count(spec, size, count, exact):
+    if count > MAX_COCLIQUES:
+        raise UsageError("spec %s: the apartment has %d vertices and %s%d maximal cocliques, "
+                         "more than the limit of %d; use sampling mode"
+                         % (spec.to_dict(), size, "" if exact else "at most ", count, MAX_COCLIQUES))
+
+
+def check_apartment(spec):
+    """Refuse, before any enumeration, a spec whose apartment has more
+    maximal cocliques than MAX_COCLIQUES. Sigma is a perfect matching on a
+    polar spec and on self-opposite type-A flags, with 2^(|Sigma|/2)
+    transversals; any other Sigma is counted by Moon and Moser's bound,
+    3^(|Sigma|/3) for a multiple of 3. The vertex count is checked first,
+    so that the frame words are few."""
+    checked_vertex_count(spec)
+    size = len(geometry(spec).frame_words())
+    if spec.family != "A" or is_self_opposite_type_set(spec.rank, spec.types):
+        _check_count(spec, size, 1 << size // 2, exact=True)
+    else:
+        q, r = divmod(size, 3)
+        most = 3 ** q if r == 0 else 2 * 3 ** q if r == 2 else 4 * 3 ** (q - 1) if q else 1
+        _check_count(spec, size, most, exact=False)
 
 
 def is_coclique(graph, members):
@@ -114,15 +193,16 @@ def _first_violation(graph, d_mask):
 def sample_maximal_cocliques(graph, k, seed):
     """k pseudo-random maximal cocliques of Sigma (greedy, seeded)."""
     rng = random.Random(seed)
+    sigma, nbrs = graph.sigma, _sigma_neighbours(graph)
     out = []
-    sigma = list(graph.sigma)
     for _ in range(k):
-        order = sigma[:]
+        order = list(range(len(sigma)))
         rng.shuffle(order)
-        chosen = []
-        for v in order:
-            if all(not graph.is_adjacent(v, c) for c in chosen):
-                chosen.append(v)
+        chosen, blocked = [], 0
+        for i in order:
+            if not blocked >> i & 1:
+                chosen.append(sigma[i])
+                blocked |= nbrs[i]
         out.append(tuple(sorted(chosen)))
     return out
 
@@ -153,18 +233,17 @@ class UcepReport:
         return d
 
 
-def _scan_cocliques(graph, cocliques):
-    """Returns (checked, least violation) over cocliques given in sorted
-    order: the first C whose extension set holds an edge is the least,
-    with its least edge (x, y)."""
+def _scan(graph, cocliques):
+    """The least violation (C, x, y) over cocliques given in sorted order:
+    the first C whose extension set holds an edge, with its least edge."""
     for coc in cocliques:
         mask = graph.full_mask
         for c in coc:
             mask &= ~graph.adjacency[c]
         pair = _first_violation(graph, mask)
         if pair is not None:
-            return len(cocliques), (coc,) + pair
-    return len(cocliques), None
+            return (coc,) + pair
+    return None
 
 
 def check_scan_args(mode, samples, seed):
@@ -183,26 +262,37 @@ def check_scan_args(mode, samples, seed):
 
 def check_ucep(graph, mode="all", samples=None, seed=None):
     """Decide the unique coclique extension property for (Gamma, Sigma).
-    Exhaustively, the walk stops at the least violation; the count is then
-    2^(|Sigma|/2) on a perfect matching, else a second walk's, unscanned."""
+
+    Exhaustively, on a Sigma that is a perfect matching, one transversal
+    per orbit of graph.sigma_generators is scanned: automorphisms that fix
+    Sigma map D(C) to D(wC), so the orbit's least member decides it. They
+    are scanned in ascending order, so the first that fails is the least
+    witness: every coclique before it lies in an orbit whose least member
+    came earlier and held. The count is 2^(|Sigma|/2). Any other Sigma has
+    its cocliques listed and scanned one by one."""
     check_scan_args(mode, samples, seed)
     start = time.perf_counter()
     if mode == "all":
         sigma = graph.sigma
-
-        def scan(taken, d_mask):
-            pair = _first_violation(graph, d_mask)
-            return None if pair is None else (tuple(sigma[i] for i in _bits(taken)),) + pair
-
-        checked, best = _walk_sigma(graph, scan)
-        if best is not None:
-            in_sigma = graph.sigma_mask()
-            matching = all((graph.adjacency[v] & in_sigma).bit_count() == 1 for v in sigma)
-            checked = 1 << len(sigma) // 2 if matching else _walk_sigma(graph, lambda *_: None)[0]
+        if len(sigma) > MAX_SIGMA:
+            raise UsageError("apartment has %d > %d vertices; use sampling mode"
+                             % (len(sigma), MAX_SIGMA))
+        pairs = _matching(_sigma_neighbours(graph))
+        if pairs is None:
+            cocliques = maximal_cocliques_sigma(graph)
+            checked = len(cocliques)
+        else:
+            m = len(pairs)
+            checked = 1 << m
+            _check_count(graph.spec, len(sigma), checked, exact=True)
+            cocliques = (tuple(sorted(sigma[pair[(x >> (m - 1 - t)) & 1]]
+                                      for t, pair in enumerate(pairs)))
+                         for x in _orbit_representatives(pairs, graph.sigma_generators).tolist())
     else:
         seed = 0 if seed is None else seed
         cocliques = sorted(sample_maximal_cocliques(graph, samples, seed))
-        checked, best = _scan_cocliques(graph, cocliques)
+        checked = len(cocliques)
+    best = _scan(graph, cocliques)
     elapsed = (time.perf_counter() - start) * 1000.0
     spec_dict = graph.spec.to_dict()
     if best is None:

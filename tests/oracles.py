@@ -8,7 +8,7 @@ import operator
 
 import numpy as np
 
-from kneserlab.algebra import enumerate_subspaces, is_totally_singular, nullspace
+from kneserlab.algebra import enumerate_subspaces, is_totally_singular, nullspace, rref
 from kneserlab.buildings import _partial_counts, _row_blocks
 from kneserlab.coclique import _bits
 from kneserlab.errors import SearchBudgetExceeded
@@ -114,3 +114,62 @@ def enumerate_maximal_cocliques_full(graph, max_cliques=None):
         if max_cliques is not None and len(out) > max_cliques:
             raise SearchBudgetExceeded(0, graph.num_vertices)
     return out
+
+
+def monomial_generators(geo):
+    """One monomial matrix per generator of Geometry.weyl_generators, in
+    its order, acting on column vectors of F_p^dim. Type A: the
+    transposition of coordinates i-1 and i. On a polar form, hyperbolic
+    pair i on columns 2i-2 and 2i-1: the swap of pairs i and i+1, then on
+    the last pair r e_r <-> e_r' for a quadratic form and e_r -> e_r',
+    e_r' -> -e_r for the alternating one; for one D_n family of maximal
+    spaces, e_{r-1} <-> e_r' and e_{r-1}' <-> e_r instead."""
+    d, p = geo.dim, geo.spec.p
+
+    def matrix(moves):
+        """The matrix sending e_c to sign * e_t for each c: (t, sign)."""
+        mat = np.eye(d, dtype=np.int64)
+        for c, (t, sign) in moves.items():
+            mat[:, c] = 0
+            mat[t, c] = sign % p
+        return mat
+
+    if geo.form is None:
+        return [matrix({i - 1: (i, 1), i: (i - 1, 1)}) for i in range(1, d)]
+    r = d // 2
+    mats = [matrix({2 * i - 2: (2 * i, 1), 2 * i: (2 * i - 2, 1),
+                    2 * i - 1: (2 * i + 1, 1), 2 * i + 1: (2 * i - 1, 1)}) for i in range(1, r)]
+    a, b = 2 * r - 2, 2 * r - 1
+    if geo.oriflamme:
+        mats.append(matrix({a - 2: (b, 1), b: (a - 2, 1), a - 1: (a, 1), a: (a - 1, 1)}))
+    elif geo.form.kind == "alternating":
+        mats.append(matrix({a: (b, 1), b: (a, -1)}))
+    else:
+        mats.append(matrix({a: (b, 1), b: (a, 1)}))
+    return mats
+
+
+def automorphism_permutations(graph, mats):
+    """Per matrix, the permutation of vertex indices it induces: each part
+    U of a vertex goes to the span of M u for the rows u of its basis. A
+    KeyError if some image is not a vertex."""
+    p = graph.spec.p
+    index = {tuple(u.basis for u in flag): i for i, flag in enumerate(graph.vertices)}
+    return [np.array([index[tuple(rref((np.array(u.basis) @ mat.T % p).tolist(), u.ambient, p)
+                                  for u in flag)] for flag in graph.vertices])
+            for mat in mats]
+
+
+def orbit(members, perms):
+    """The orbit of a vertex set under the group the vertex permutations
+    generate, as a set of sorted tuples."""
+    start = tuple(sorted(members))
+    seen, todo = {start}, [start]
+    while todo:
+        members = todo.pop()
+        for perm in perms:
+            image = tuple(sorted(perm[list(members)].tolist()))
+            if image not in seen:
+                seen.add(image)
+                todo.append(image)
+    return seen

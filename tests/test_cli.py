@@ -197,6 +197,25 @@ def test_check_ucep_bad_counts_rejected_before_build(capsys, monkeypatch):
     assert built == []
 
 
+@pytest.mark.parametrize("rank,types,size", [("7", "1,7", 56), ("5", "2,4", 90)])
+def test_check_ucep_refuses_too_many_apartment_cocliques_before_build(
+        capsys, monkeypatch, rank, types, size):
+    # A7 {1,7} and A5 {2,4} over F_2 pass the vertex limit; their Sigma is a
+    # matching with 2^28 and 2^45 transversals. D5 lines over F_2 (2^20)
+    # passes.
+    import kneserlab.cli as cli
+    from kneserlab.buildings import BuildingSpec
+    from kneserlab.coclique import MAX_COCLIQUES, check_apartment
+
+    monkeypatch.setattr(cli, "build_graph", None)
+    code, out, err = run(capsys, "check-ucep", "--family", "A", "--rank", rank,
+                         "--type", types, "--p", "2", "--mode", "all")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert ("the apartment has %d vertices and %d maximal cocliques, more than the limit of %d"
+            % (size, 2 ** (size // 2), MAX_COCLIQUES)) in err
+    check_apartment(BuildingSpec("D", 5, 2, (2,)))
+
+
 def test_build_over_vertex_limit_exit_2(capsys, monkeypatch):
     import kneserlab.buildings as buildings
 

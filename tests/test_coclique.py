@@ -3,8 +3,10 @@ procedure, exact maximum-coclique search, and the span instrument."""
 
 import itertools
 import random
+import re
 from collections import Counter
 
+import numpy as np
 import pytest
 
 import kneserlab.buildings as buildings
@@ -20,6 +22,7 @@ from kneserlab.coclique import (
     MAX_SAMPLES,
     MAX_SIGMA,
     _psi,
+    check_apartment,
     check_ucep,
     extension_set,
     is_coclique,
@@ -33,9 +36,12 @@ from kneserlab.exterior import plucker, span_membership
 from kneserlab.fixtures import verify_witness
 
 from oracles import (
+    automorphism_permutations,
     edges,
     enumerate_maximal_cocliques_full,
     gaussian_binomial,
+    monomial_generators,
+    orbit,
     sigma_cocliques_by_bron_kerbosch,
 )
 from test_acceptance import POSITIVE_GRID
@@ -215,8 +221,10 @@ def test_check_ucep_negative_grid_cells(monkeypatch, family, n, types, p, count)
     # are the 2^(|Sigma|/2) transversals; the witness is re-checked from
     # its basis matrices, never through the adjacency that produced it:
     # by the oracle here and by verify_witness.
-    # The walk stops at the first failing coclique: it scans exactly the
-    # oracle's sorted list up to the witness, and still counts the list.
+    # The scan meets one coclique per orbit of the Weyl group, the first of
+    # each orbit in the oracle's sorted list, and stops at the first that
+    # fails: it scans D of the first member of each oracle orbit met up to
+    # the witness, in order, and still counts the whole list.
     spec = BuildingSpec(family, n, p, types)
     g = build_graph(spec)
     scanned = record_scans(monkeypatch)
@@ -225,7 +233,14 @@ def test_check_ucep_negative_grid_cells(monkeypatch, family, n, types, p, count)
     assert report.cocliques_checked == count == 2 ** (len(g.sigma) // 2)
     want = sigma_cocliques_by_bron_kerbosch(g)
     assert report.cocliques_checked == len(want)
-    assert len(scanned) == want.index(tuple(report.witness["coclique_indices"])) + 1
+    index = want.index(tuple(report.witness["coclique_indices"]))
+    perms = automorphism_permutations(g, monomial_generators(geometry(spec)))
+    met, first = set(), []
+    for c in want[:index + 1]:
+        if c not in met:
+            met |= orbit(c, perms)
+            first.append(c)
+    assert scanned == [extension_set(g, c) for c in first]
     geo, w = geometry(spec), report.witness
     coc, x, y = w["coclique"], w["x"], w["y"]
     assert len(coc) == len(g.sigma) // 2
@@ -394,3 +409,115 @@ def test_sigma_cocliques_match_networkx():
         )
         want = sorted(tuple(sorted(c)) for c in nx.find_cliques(complement))
         assert maximal_cocliques_sigma(g) == want, g.spec
+
+
+def adjacency_bits(graph):
+    """The adjacency rows as an N x N 0/1 array."""
+    n = graph.num_vertices
+    width = -(-n // 8)
+    packed = np.frombuffer(b"".join(row.to_bytes(width, "little") for row in graph.adjacency),
+                           np.uint8).reshape(n, width)
+    return np.unpackbits(packed, axis=1, count=n, bitorder="little")
+
+
+@pytest.mark.parametrize("family,n,types,p", [
+    ("D", 4, (2,), 2), ("D", 4, (3, 4), 2), ("D", 4, (4,), 2), ("A", 4, (2, 3), 2),
+    ("B", 3, (2,), 3), ("C", 3, (3,), 3), ("G", 2, (1,), 3),
+])
+def test_sigma_generators_are_graph_automorphisms(family, n, types, p):
+    # Each stored generator against a monomial matrix built from the
+    # family's form: the matrix keeps the form, maps every vertex to a
+    # vertex and every edge to an edge, and moves Sigma as stored.
+    g = build_graph(BuildingSpec(family, n, p, types))
+    geo = geometry(g.spec)
+    mats = monomial_generators(geo)
+    if geo.form is not None:
+        for mat in mats:
+            assert not ((mat.T @ geo.form.polar @ mat - geo.form.polar) % p).any()
+            assert not (((mat.T @ geo.form.gram @ mat).diagonal() - geo.form.gram.diagonal()) % p).any()
+    perms = automorphism_permutations(g, mats)
+    assert len(perms) == len(g.sigma_generators) > 0
+    bits = adjacency_bits(g)
+    position = {v: j for j, v in enumerate(g.sigma)}
+    for perm, stored in zip(perms, g.sigma_generators):
+        assert sorted(perm.tolist()) == list(range(g.num_vertices))
+        assert (bits[np.ix_(perm, perm)] == bits).all()
+        assert [position[v] for v in perm[list(g.sigma)].tolist()] == list(stored)
+
+
+@pytest.mark.parametrize("family,n,types,p,orbits", [
+    ("D", 4, (2,), 2, 18), ("D", 4, (3, 4), 2, 237), ("A", 4, (2, 3), 2, 324),
+    ("A", 5, (1, 5), 2, 56),
+])
+def test_orbit_counts_pinned(monkeypatch, family, n, types, p, orbits):
+    # A holding cell scans one coclique per orbit; the orbits of D4 lines
+    # are also the oracle's, from the monomial matrices.
+    g = build_graph(BuildingSpec(family, n, p, types))
+    pairs = coclique._matching(coclique._sigma_neighbours(g))
+    reps = coclique._orbit_representatives(pairs, g.sigma_generators)
+    assert len(reps) == orbits
+    if (family, n, types) == ("D", 4, (2,)):
+        perms = automorphism_permutations(g, monomial_generators(geometry(g.spec)))
+        met, first = set(), []
+        for c in sigma_cocliques_by_bron_kerbosch(g):
+            if c not in met:
+                met |= orbit(c, perms)
+                first.append(c)
+        scanned = record_scans(monkeypatch)
+        assert check_ucep(g).verdict == "holds"
+        assert scanned == [extension_set(g, c) for c in first]
+
+
+def test_check_ucep_adjoint_a5_holds():
+    # A5 {1,5} over F_2, the adjoint representation of A5: 2^15 transversals
+    # in 56 orbits.
+    report = check_ucep(build_graph(BuildingSpec("A", 5, 2, (1, 5))))
+    assert (report.verdict, report.cocliques_checked) == ("holds", 32768)
+
+
+def test_check_ucep_scans_every_transversal_without_generators(monkeypatch):
+    # A hand-built graph has the trivial group: Sigma = {0, 1} + {2, 3}, a
+    # matching, is decided one transversal at a time, in sorted order.
+    points = [(u,) for u in enumerate_subspaces(3, 1, 2)][:4]
+    g = KneserGraph(BuildingSpec("A", 2, 2, (1,)), points, [0b10, 0b1, 0b1000, 0b100], range(4))
+    assert g.sigma_generators == ()
+    scanned = record_scans(monkeypatch)
+    report = check_ucep(g)
+    assert (report.verdict, report.cocliques_checked) == ("holds", 4)
+    assert scanned == [extension_set(g, c) for c in [(0, 2), (0, 3), (1, 2), (1, 3)]]
+
+
+@pytest.mark.parametrize("family,n,types,p", POSITIVE_GRID + NEGATIVE_GRID)
+def test_sampling_matches_pairwise_greedy(family, n, types, p):
+    # The greedy sampler with one blocked mask against the same greedy
+    # with a pairwise adjacency test: the same rng draws, the same cocliques.
+    g = build_graph(BuildingSpec(family, n, p, types))
+    for seed in (0, 7):
+        rng, want = random.Random(seed), []
+        for _ in range(6):
+            order = list(g.sigma)
+            rng.shuffle(order)
+            chosen = []
+            for v in order:
+                if all(not g.is_adjacent(v, c) for c in chosen):
+                    chosen.append(v)
+            want.append(tuple(sorted(chosen)))
+        assert sample_maximal_cocliques(g, 6, seed) == want
+
+
+@pytest.mark.parametrize("family,n,types,p", POSITIVE_GRID + NEGATIVE_GRID)
+def test_check_apartment_counts_as_the_built_sigma(monkeypatch, family, n, types, p):
+    # Before the build, a perfect matching is counted exactly and any other
+    # Sigma by a bound; the built Sigma says which it is.
+    spec = BuildingSpec(family, n, p, types)
+    g = build_graph(spec)
+    check_apartment(spec)
+    monkeypatch.setattr(coclique, "MAX_COCLIQUES", 0)
+    with pytest.raises(UsageError) as exc:
+        check_apartment(spec)
+    size = len(g.sigma)
+    if coclique._matching(coclique._sigma_neighbours(g)) is None:
+        most = re.search("has %d vertices and at most ([0-9]+) maximal" % size, str(exc.value))
+        assert len(maximal_cocliques_sigma(g)) <= int(most.group(1))
+    else:
+        assert "has %d vertices and %d maximal" % (size, 2 ** (size // 2)) in str(exc.value)
