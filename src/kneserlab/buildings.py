@@ -51,6 +51,7 @@ from .algebra import (
     rank_mod_p,
     rref,
 )
+from .coxeter import compose, simple_reflections
 from .errors import UsageError
 
 FAMILIES = ("A", "B", "C", "D", "G")
@@ -184,20 +185,14 @@ class Geometry:
         return [self.frame(w) for w in self.frame_words()]
 
     def weyl_generators(self):
-        """Generators of the Weyl group acting on frame labels, each a dict
-        of the labels it moves: the transpositions (i, i+1) of S_{n+1} in
-        type A; on a polar form, the swaps of pairs i and i+1, then the sign
-        change of the last pair, which gives the signed permutations W(B_r).
-        On one D_n family of maximal spaces the last one is the swap of the
-        last two pairs with both signs changed, which gives W(D_r): a single
-        sign change exchanges the two families."""
+        """The Weyl group's simple reflections (coxeter.simple_reflections)
+        acting on frame labels: those of S_{n+1} in type A; on a polar form
+        of r pairs, those of W(B_r), and on one D_n family of maximal spaces
+        those of W(D_r), since a single sign change exchanges the two
+        families."""
         if self.spec.family == "A":
-            return [{i: i + 1, i + 1: i} for i in range(1, self.dim)]
-        r = self.dim // 2
-        swaps = [{i: i + 1, i + 1: i, -i: -i - 1, -i - 1: -i} for i in range(1, r)]
-        if self.oriflamme:
-            return swaps + [{r - 1: -r, -r: r - 1, r: 1 - r, 1 - r: r}]
-        return swaps + [{r: -r, -r: r}]
+            return simple_reflections("A", self.dim - 1)
+        return simple_reflections("D" if self.oriflamme else "B", self.dim // 2)
 
     def vertex(self, flag, index):
         """The flag of subspaces a list of basis matrices names, checked
@@ -309,7 +304,7 @@ class KneserGraph:
         return (1 << len(self.vertices)) - 1
 
     def is_adjacent(self, i, j):
-        """Also for numpy integers, such as the entries of edges(): a row
+        """Also for numpy integers, such as the entries of edge_blocks(): a row
         shifted by a numpy integer is cast to int64 and overflows."""
         return i != j and bool(self.adjacency[i] >> int(j) & 1)
 
@@ -377,7 +372,7 @@ def _apartment(geo, vertices):
     for gen in geo.weyl_generators():
         perm = [0] * len(sigma)
         for w, v in zip(words, at):
-            perm[position[v]] = position[vertex(tuple(gen.get(l, l) for l in w))]
+            perm[position[v]] = position[vertex(compose(gen, w))]
         generators.append(perm)
     return sigma, generators
 
@@ -491,8 +486,12 @@ def _rows(geo, vertices):
 
 def checked_vertex_count(spec):
     """The closed-form vertex count of a spec, refused past MAX_VERTICES
-    (N vertices take N^2/8 bytes of adjacency)."""
-    count = _bounded_count(spec)
+    (N vertices take N^2/8 bytes of adjacency). The partial products never
+    decrease, so they stop at the first one above 10^18."""
+    for count in _partial_counts(spec):
+        if count > 10 ** 18:
+            count = None
+            break
     if count is None or count > MAX_VERTICES:
         raise UsageError("spec %s has %s vertices, more than the limit of %d"
                          % (spec.to_dict(), count or "over 10^18", MAX_VERTICES))
@@ -557,16 +556,6 @@ def _partial_counts(spec):
     for factor in factors:
         count *= factor
         yield count
-
-
-def _bounded_count(spec):
-    """The closed-form vertex count of a spec, or None if it is more than
-    10^18. The partial products never decrease, so they stop at the first
-    one above."""
-    for count in _partial_counts(spec):
-        if count > 10 ** 18:
-            return None
-    return count
 
 
 def apartment_graph(spec):

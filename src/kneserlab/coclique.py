@@ -38,11 +38,10 @@ from .buildings import (
 )
 from .errors import SearchBudgetExceeded, UsageError
 
-MAX_SIGMA = 64
-
 # Most maximal cocliques of Sigma an exhaustive decision may meet: each
 # transversal of a matching gets a uint32 orbit label, 16 MiB at the
-# limit. D5 lines over F_2 has 2^20.
+# limit. D5 lines over F_2 has 2^20. No Sigma of more than 44 vertices
+# passes _check_count.
 MAX_COCLIQUES = 1 << 22
 
 # Largest sample count: every sampled coclique is kept and sorted. 2^16 is
@@ -70,10 +69,9 @@ def maximal_cocliques_sigma(graph):
     skipped, a free one only if a later neighbour may cover it, and a leaf
     counts if each skipped vertex has a taken neighbour. No maximal
     coclique is a proper prefix of another."""
+    _check_sigma(graph)
     sigma, out = graph.sigma, []
     npos = len(sigma)
-    if npos > MAX_SIGMA:
-        raise UsageError("apartment has %d > %d vertices; use sampling mode" % (npos, MAX_SIGMA))
     nbrs = _sigma_neighbours(graph)
 
     def step(i, taken, blocked, skipped):
@@ -141,28 +139,40 @@ def _orbit_representatives(pairs, generators):
             return np.flatnonzero(labels == xs)
 
 
-def _check_count(spec, size, count, exact):
+def _check_count(spec, size, matching):
+    """The number of maximal cocliques of a Sigma of `size` vertices,
+    refused past MAX_COCLIQUES: 2^(size/2) on a perfect matching, else
+    Moon and Moser's bound, 3^(size/3) for a multiple of 3."""
+    if matching:
+        count = 1 << size // 2
+    else:
+        q, r = divmod(size, 3)
+        count = 3 ** q if r == 0 else 2 * 3 ** q if r == 2 else 4 * 3 ** (q - 1) if q else 1
     if count > MAX_COCLIQUES:
         raise UsageError("spec %s: the apartment has %d vertices and %s%d maximal cocliques, "
                          "more than the limit of %d; use sampling mode"
-                         % (spec.to_dict(), size, "" if exact else "at most ", count, MAX_COCLIQUES))
+                         % (spec.to_dict(), size, "" if matching else "at most ", count,
+                            MAX_COCLIQUES))
+    return count
+
+
+def _check_sigma(graph):
+    """_check_count of graph.sigma, and whether it is a perfect matching:
+    whether each member's row, masked to Sigma, has one bit. This takes no
+    per-pair work, so a large Sigma is refused at once."""
+    sigma, mask = graph.sigma, graph.sigma_mask()
+    matching = all((graph.adjacency[v] & mask).bit_count() == 1 for v in sigma)
+    return _check_count(graph.spec, len(sigma), matching), matching
 
 
 def check_apartment(spec):
     """Refuse, before any enumeration, a spec whose apartment has more
-    maximal cocliques than MAX_COCLIQUES. Sigma is a perfect matching on a
-    polar spec and on self-opposite type-A flags, with 2^(|Sigma|/2)
-    transversals; any other Sigma is counted by Moon and Moser's bound,
-    3^(|Sigma|/3) for a multiple of 3. The vertex count is checked first,
-    so that the frame words are few."""
+    maximal cocliques than MAX_COCLIQUES (_check_count). Sigma is a perfect
+    matching on a polar spec and on self-opposite type-A flags. The vertex
+    count is checked first, so that the frame words are few."""
     checked_vertex_count(spec)
-    size = len(geometry(spec).frame_words())
-    if spec.family != "A" or is_self_opposite_type_set(spec.rank, spec.types):
-        _check_count(spec, size, 1 << size // 2, exact=True)
-    else:
-        q, r = divmod(size, 3)
-        most = 3 ** q if r == 0 else 2 * 3 ** q if r == 2 else 4 * 3 ** (q - 1) if q else 1
-        _check_count(spec, size, most, exact=False)
+    matching = spec.family != "A" or is_self_opposite_type_set(spec.rank, spec.types)
+    _check_count(spec, len(geometry(spec).frame_words()), matching)
 
 
 def is_coclique(graph, members):
@@ -273,21 +283,16 @@ def check_ucep(graph, mode="all", samples=None, seed=None):
     check_scan_args(mode, samples, seed)
     start = time.perf_counter()
     if mode == "all":
-        sigma = graph.sigma
-        if len(sigma) > MAX_SIGMA:
-            raise UsageError("apartment has %d > %d vertices; use sampling mode"
-                             % (len(sigma), MAX_SIGMA))
-        pairs = _matching(_sigma_neighbours(graph))
-        if pairs is None:
-            cocliques = maximal_cocliques_sigma(graph)
-            checked = len(cocliques)
-        else:
+        checked, matching = _check_sigma(graph)
+        if matching:
+            sigma, pairs = graph.sigma, _matching(_sigma_neighbours(graph))
             m = len(pairs)
-            checked = 1 << m
-            _check_count(graph.spec, len(sigma), checked, exact=True)
             cocliques = (tuple(sorted(sigma[pair[(x >> (m - 1 - t)) & 1]]
                                       for t, pair in enumerate(pairs)))
                          for x in _orbit_representatives(pairs, graph.sigma_generators).tolist())
+        else:
+            cocliques = maximal_cocliques_sigma(graph)
+            checked = len(cocliques)
     else:
         seed = 0 if seed is None else seed
         cocliques = sorted(sample_maximal_cocliques(graph, samples, seed))

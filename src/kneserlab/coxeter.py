@@ -48,6 +48,20 @@ def identity(m):
     return tuple(range(1, m + 1))
 
 
+def simple_reflections(family, n):
+    """The simple generators of W(A_n), W(B_n) or W(D_n), in order, as
+    signed permutations: the transpositions (i, i+1), then for B_n the
+    sign change of n, and for D_n the swap of n-1 and n with both signs
+    changed. The one table of them: WeylGroup and Geometry read it."""
+    m = n + 1 if family == "A" else n
+    moves = [{i: i + 1, i + 1: i} for i in range(1, m)]
+    if family == "B":
+        moves.append({m: -m})
+    elif family == "D":
+        moves.append({m - 1: -m, m: 1 - m})
+    return tuple(tuple(move.get(j, j) for j in range(1, m + 1)) for move in moves)
+
+
 class WeylGroup:
     """Fully enumerated Weyl group with simple generators and lengths."""
 
@@ -62,22 +76,8 @@ class WeylGroup:
             )
         self.family = family
         self.n = n
-        m = n + 1 if family == "A" else n
-        self.m = m
-        gens = []
-        for i in range(1, (n if family == "A" else n - 1) + 1):
-            g = list(range(1, m + 1))
-            g[i - 1], g[i] = g[i], g[i - 1]
-            gens.append(tuple(g))
-        if family == "B":
-            g = list(range(1, m + 1))
-            g[m - 1] = -m
-            gens.append(tuple(g))
-        elif family == "D":
-            g = list(range(1, m + 1))
-            g[m - 2], g[m - 1] = -m, -(m - 1)
-            gens.append(tuple(g))
-        self.generators = tuple(gens)
+        self.m = m = n + 1 if family == "A" else n
+        self.generators = gens = simple_reflections(family, n)
         self.rank = len(gens)
         self.length = {}
         self.elements = []

@@ -334,11 +334,23 @@ def test_cross_validate_exit_0(capsys):
 
 
 def test_cross_validate_rank_limit(capsys):
-    code, _, _ = run(
-        capsys, "cross-validate", "--family", "A", "--rank", "5", "--type",
+    # coxeter.MAX_RANK is the one rank limit: rank 6 is refused before
+    # any apartment is built.
+    code, _, err = run(
+        capsys, "cross-validate", "--family", "A", "--rank", "6", "--type",
         "2", "--p", "2"
     )
     assert code == EXIT_USAGE
+    assert "max 5" in err
+
+
+def test_cross_validate_rank_5(capsys):
+    code, out, _ = run(
+        capsys, "cross-validate", "--family", "A", "--rank", "5", "--type",
+        "2,4", "--p", "2"
+    )
+    assert code == EXIT_OK
+    assert json.loads(out)["vertices"] == 90
 
 
 def test_cross_validate_mismatch_exit_5(capsys, monkeypatch):

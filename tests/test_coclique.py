@@ -19,8 +19,8 @@ from kneserlab.buildings import (
     geometry,
 )
 from kneserlab.coclique import (
+    MAX_COCLIQUES,
     MAX_SAMPLES,
-    MAX_SIGMA,
     _psi,
     check_apartment,
     check_ucep,
@@ -255,8 +255,8 @@ def test_check_ucep_negative_grid_cells(monkeypatch, family, n, types, p, count)
 def test_check_ucep_fails_on_a_sigma_that_is_no_matching(monkeypatch):
     # Sigma is the path 0 - 1 - 2 - 3, whose maximal cocliques are (0, 2),
     # (0, 3) and (1, 3); the edge 4 - 5 lies in every extension set. The
-    # walk stops at (0, 2), and a second walk counts all three without
-    # scanning (2^(|Sigma|/2) would be 4).
+    # walk lists all three, and the scan stops at (0, 2) (2^(|Sigma|/2)
+    # would be 4).
     points = [(u,) for u in enumerate_subspaces(3, 1, 2)][:6]
     rows = [0b10, 0b101, 0b1010, 0b100, 0b100000, 0b10000]
     g = KneserGraph(BuildingSpec("A", 2, 2, (1,)), points, rows, [0, 1, 2, 3])
@@ -269,12 +269,38 @@ def test_check_ucep_fails_on_a_sigma_that_is_no_matching(monkeypatch):
 
 
 def test_check_ucep_refuses_sigma_past_max_sigma(monkeypatch):
-    n = MAX_SIGMA + 1
+    # 65 vertices and no edge: no matching, so Moon and Moser's bound,
+    # 2 * 3^21, is past MAX_COCLIQUES.
+    n = 65
     g = KneserGraph(BuildingSpec("A", 2, 2, (1,)), [(Subspace.coordinate([0], 3, 2),)] * n,
                     [0] * n, range(n))
     monkeypatch.setattr(coclique, "_first_violation", None)
-    with pytest.raises(UsageError, match="apartment has 65 > 64 vertices; use sampling mode"):
+    with pytest.raises(UsageError, match="apartment has 65 vertices and at most %d maximal "
+                       "cocliques, more than the limit of %d; use sampling mode"
+                       % (2 * 3 ** 21, MAX_COCLIQUES)):
         check_ucep(g)
+
+
+@pytest.mark.parametrize("rows,count", [
+    ([1 << (v ^ 1) for v in range(46)], "8388608"),  # 23 disjoint edges: 2^23
+    ([(7 << v // 3 * 3) & ~(1 << v) for v in range(42)], "at most 4782969"),  # 14 triangles: 3^14
+])
+def test_large_sigma_refused_without_per_pair_work(monkeypatch, rows, count):
+    # Sigma's shape is read off its rows masked to Sigma, so a Sigma past
+    # MAX_COCLIQUES is refused before any per-pair work or scan.
+    n = len(rows)
+    g = KneserGraph(BuildingSpec("A", 2, 2, (1,)), [(Subspace.coordinate([0], 3, 2),)] * n,
+                    rows, range(n))
+
+    def per_pair(graph):
+        raise AssertionError("Sigma's neighbours were listed pair by pair")
+
+    monkeypatch.setattr(coclique, "_sigma_neighbours", per_pair)
+    monkeypatch.setattr(coclique, "_first_violation", None)
+    for decide in (check_ucep, maximal_cocliques_sigma):
+        with pytest.raises(UsageError, match="apartment has %d vertices and %s maximal cocliques, "
+                           "more than the limit of %d" % (n, count, MAX_COCLIQUES)):
+            decide(g)
 
 
 @pytest.mark.parametrize("family,n,types,p", POSITIVE_GRID + NEGATIVE_GRID + [("A", 3, (1, 2), 2)])
@@ -512,12 +538,14 @@ def test_check_apartment_counts_as_the_built_sigma(monkeypatch, family, n, types
     spec = BuildingSpec(family, n, p, types)
     g = build_graph(spec)
     check_apartment(spec)
+    matching = coclique._matching(coclique._sigma_neighbours(g)) is not None
+    listed = None if matching else maximal_cocliques_sigma(g)
     monkeypatch.setattr(coclique, "MAX_COCLIQUES", 0)
     with pytest.raises(UsageError) as exc:
         check_apartment(spec)
     size = len(g.sigma)
-    if coclique._matching(coclique._sigma_neighbours(g)) is None:
+    if not matching:
         most = re.search("has %d vertices and at most ([0-9]+) maximal" % size, str(exc.value))
-        assert len(maximal_cocliques_sigma(g)) <= int(most.group(1))
+        assert len(listed) <= int(most.group(1))
     else:
         assert "has %d vertices and %d maximal" % (size, 2 ** (size // 2)) in str(exc.value)
