@@ -257,19 +257,20 @@ def geometry(spec):
     name = "%s_%d type %s over F_%d" % (family, n, ",".join(map(str, types)), spec.p)
     if family == "A":
         return Geometry(spec, n + 1, types, None,
-                        len(types) == 1 or is_self_opposite_type_set(n, types))
+                        len(types) == 1 or {n + 1 - j for j in types} == set(types))
     if family == "G":
         if (n, types) != (2, (1,)):
             raise UsageError("%s: the G_2 model has rank 2 and type 1 (points) only" % name)
         family, n = "B", 3
     if n < 2:
         raise UsageError("%s: polar rank must be at least 2" % name)
-    objects = {(k,): (k, None) for k in range(1, n + 1)}
-    if family == "D":
-        objects.update({(n,): (n, "plus"), (n - 1,): (n, "minus"), (n - 1, n): (n - 1, None)})
-    if types not in objects:
+    special = {(n,): (n, "plus"), (n - 1,): (n, "minus"), (n - 1, n): (n - 1, None)}
+    if family == "D" and types in special:
+        k, oriflamme = special[types]
+    elif len(types) == 1:
+        (k,), oriflamme = types, None
+    else:
         raise UsageError("%s: a polar type set is one type, or {n-1, n} in D_n" % name)
-    k, oriflamme = objects[types]
     return Geometry(spec, 2 * n + (family == "B"), (k,), oriflamme, not (oriflamme and n % 2))
 
 
@@ -450,10 +451,6 @@ def _flag_rows(flags, types, p):
     return _opposition_rows(conditions, p)
 
 
-def is_self_opposite_type_set(n, types):
-    return {n + 1 - j for j in types} == set(types)
-
-
 def _nested_flags(levels):
     """All chains u_1 < u_2 < ... with u_j drawn from levels[j]; u < w is
     the subset test on their projective point ids."""
@@ -485,16 +482,16 @@ def _rows(geo, vertices):
 
 
 def checked_vertex_count(spec):
-    """The closed-form vertex count of a spec, refused past MAX_VERTICES
-    (N vertices take N^2/8 bytes of adjacency). The partial products never
-    decrease, so they stop at the first one above 10^18."""
-    for count in _partial_counts(spec):
-        if count > 10 ** 18:
-            count = None
-            break
+    """The closed-form vertex count of a spec (_vertex_count), refused past
+    MAX_VERTICES (N vertices take N^2/8 bytes of adjacency). It is made only
+    below dimension 64: in F_p^d a type-A spec has at least p^(d-1)
+    vertices, and one on a polar form of rank n at least p^(2n-2), so past
+    that every count is over 10^18."""
+    count = _vertex_count(spec) if geometry(spec).dim < 64 else None
     if count is None or count > MAX_VERTICES:
+        named = count if count is not None and count <= 10 ** 18 else "over 10^18"
         raise UsageError("spec %s has %s vertices, more than the limit of %d"
-                         % (spec.to_dict(), count or "over 10^18", MAX_VERTICES))
+                         % (spec.to_dict(), named, MAX_VERTICES))
     return count
 
 
@@ -524,38 +521,35 @@ def build_graph(spec):
     return _graph(spec)
 
 
-def _partial_counts(spec):
-    """The closed-form vertex count of build_graph(spec), multiplied up
-    one factor at a time: every value yielded is a partial product, none
-    is less than the one before, and the last is the count.
+def _vertex_count(spec):
+    """The closed-form vertex count of build_graph(spec).
 
     Type A multiplies Gaussian binomials along the flag. Polar types count
     [n, k]_q prod_{i=n-k+1..n} (q^(i+e-1) + 1) totally singular k-spaces
     (e = 0 for D_n, 1 for B_n and C_n); one D_n family of maximal ones is
-    half of them, which leaves out the factor i = 1, a 2. Each [d, k]_q is
-    made as [d, j+1]_q = [d, j]_q (q^(d-j) - 1) / (q^(j+1) - 1) for
-    j < min(k, d-k), which never decreases.
+    half of them, which leaves out the factor i = 1, a 2.
     """
     geo, q = geometry(spec), spec.p
+
+    def binomial(d, k):
+        num = den = 1
+        for j in range(k):
+            num *= q ** (d - j) - 1
+            den *= q ** (j + 1) - 1
+        return num // den
+
     if spec.family == "A":
-        below, binomials, factors = 0, [], ()
+        count, below = 1, 0
         for a in geo.parts:
-            binomials.append((spec.rank + 1 - below, a - below))
+            count *= binomial(geo.dim - below, a - below)
             below = a
-    else:
-        n, k = geo.dim // 2, geo.parts[0]
-        e = 0 if spec.family == "D" else 1
-        binomials = [(n, k)]
-        factors = (q ** (i + e - 1) + 1 for i in range(n - k + 1 + bool(geo.oriflamme), n + 1))
-    count = 1
-    yield count
-    for d, k in binomials:
-        for j in range(min(k, d - k)):
-            count = count * (q ** (d - j) - 1) // (q ** (j + 1) - 1)
-            yield count
-    for factor in factors:
-        count *= factor
-        yield count
+        return count
+    n, k = geo.dim // 2, geo.parts[0]
+    e = 0 if spec.family == "D" else 1
+    count = binomial(n, k)
+    for i in range(n - k + 1 + bool(geo.oriflamme), n + 1):
+        count *= q ** (i + e - 1) + 1
+    return count
 
 
 def apartment_graph(spec):

@@ -219,6 +219,8 @@ def cmd_export(args):
         raise UsageError("--input %s: %s" % (args.input, exc.strerror))
     except ValueError as exc:  # a JSONDecodeError names the line and column
         raise UsageError("--input %s is not JSON: %s" % (args.input, exc))
+    except RecursionError:
+        raise UsageError("--input %s is nested too deeply to read" % args.input)
     schema = data.get("schema") if type(data) is dict else None
     if schema != SCHEMA:
         raise UsageError("unsupported graph schema %r" % (schema,))

@@ -29,13 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import nullspace
-from .buildings import (
-    SCHEMA,
-    checked_vertex_count,
-    geometry,
-    is_self_opposite_type_set,
-    vertex_lists,
-)
+from .buildings import SCHEMA, apartment_graph, checked_vertex_count, geometry, vertex_lists
 from .errors import SearchBudgetExceeded, UsageError
 
 # Most maximal cocliques of Sigma an exhaustive decision may meet: each
@@ -88,14 +82,6 @@ def maximal_cocliques_sigma(graph):
 
     step(0, 0, 0, 0)
     return out
-
-
-def _matching(nbrs):
-    """The pairs (a, b), a < b, of Sigma positions in order of a, if Sigma
-    is a perfect matching; else None."""
-    if any(m.bit_count() != 1 for m in nbrs):
-        return None
-    return [(a, m.bit_length() - 1) for a, m in enumerate(nbrs) if m >> a]
 
 
 def _orbit_representatives(pairs, generators):
@@ -157,22 +143,29 @@ def _check_count(spec, size, matching):
 
 
 def _check_sigma(graph):
-    """_check_count of graph.sigma, and whether it is a perfect matching:
-    whether each member's row, masked to Sigma, has one bit. This takes no
-    per-pair work, so a large Sigma is refused at once."""
+    """_check_count of graph.sigma, and, if Sigma is a perfect matching,
+    its pairs (a, b), a < b, of Sigma positions in order of a; else None.
+    Sigma is a matching iff each member's row, masked to Sigma, has one
+    bit. The pairs are read only once the count passes, so a large Sigma
+    is refused at once."""
     sigma, mask = graph.sigma, graph.sigma_mask()
-    matching = all((graph.adjacency[v] & mask).bit_count() == 1 for v in sigma)
-    return _check_count(graph.spec, len(sigma), matching), matching
+    rows = [graph.adjacency[v] & mask for v in sigma]
+    matching = all(row.bit_count() == 1 for row in rows)
+    count = _check_count(graph.spec, len(sigma), matching)
+    if not matching:
+        return count, None
+    position = {v: a for a, v in enumerate(sigma)}
+    mates = (position[row.bit_length() - 1] for row in rows)
+    return count, [(a, b) for a, b in enumerate(mates) if a < b]
 
 
 def check_apartment(spec):
-    """Refuse, before any enumeration, a spec whose apartment has more
-    maximal cocliques than MAX_COCLIQUES (_check_count). Sigma is a perfect
-    matching on a polar spec and on self-opposite type-A flags. The vertex
-    count is checked first, so that the frame words are few."""
+    """Refuse, before any enumeration, a spec past checked_vertex_count or
+    whose apartment has more maximal cocliques than MAX_COCLIQUES: Sigma's
+    shape is read from the rows of the apartment graph (_check_sigma). The
+    vertex count is checked first, so that the frame objects are few."""
     checked_vertex_count(spec)
-    matching = spec.family != "A" or is_self_opposite_type_set(spec.rank, spec.types)
-    _check_count(spec, len(geometry(spec).frame_words()), matching)
+    _check_sigma(apartment_graph(spec))
 
 
 def is_coclique(graph, members):
@@ -283,10 +276,9 @@ def check_ucep(graph, mode="all", samples=None, seed=None):
     check_scan_args(mode, samples, seed)
     start = time.perf_counter()
     if mode == "all":
-        checked, matching = _check_sigma(graph)
-        if matching:
-            sigma, pairs = graph.sigma, _matching(_sigma_neighbours(graph))
-            m = len(pairs)
+        checked, pairs = _check_sigma(graph)
+        if pairs is not None:
+            sigma, m = graph.sigma, len(pairs)
             cocliques = (tuple(sorted(sigma[pair[(x >> (m - 1 - t)) & 1]]
                                       for t, pair in enumerate(pairs)))
                          for x in _orbit_representatives(pairs, graph.sigma_generators).tolist())

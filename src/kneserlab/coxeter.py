@@ -62,6 +62,21 @@ def simple_reflections(family, n):
     return tuple(tuple(move.get(j, j) for j in range(1, m + 1)) for move in moves)
 
 
+def _closure(m, gens):
+    """Every element of the group the generators make, in breadth-first
+    order from the identity on m letters, with its length in them."""
+    length = {identity(m): 0}
+    queue = deque(length)
+    while queue:
+        w = queue.popleft()
+        for s in gens:
+            ws = compose(w, s)
+            if ws not in length:
+                length[ws] = length[w] + 1
+                queue.append(ws)
+    return length
+
+
 class WeylGroup:
     """Fully enumerated Weyl group with simple generators and lengths."""
 
@@ -79,21 +94,8 @@ class WeylGroup:
         self.m = m = n + 1 if family == "A" else n
         self.generators = gens = simple_reflections(family, n)
         self.rank = len(gens)
-        self.length = {}
-        self.elements = []
-        start = identity(m)
-        self.length[start] = 0
-        self.elements.append(start)
-        queue = deque([start])
-        while queue:
-            w = queue.popleft()
-            lw = self.length[w]
-            for s in gens:
-                ws = compose(w, s)
-                if ws not in self.length:
-                    self.length[ws] = lw + 1
-                    self.elements.append(ws)
-                    queue.append(ws)
+        self.length = _closure(m, gens)
+        self.elements = list(self.length)
         max_len = max(self.length.values())
         longest = [w for w, l in self.length.items() if l == max_len]
         if len(longest) != 1:
@@ -110,17 +112,7 @@ class WeylGroup:
 
     def subgroup(self, gen_indices):
         """All elements of the subgroup generated by the given s_i."""
-        gens = [self.generator(i) for i in gen_indices]
-        seen = {identity(self.m)}
-        queue = deque(seen)
-        while queue:
-            w = queue.popleft()
-            for s in gens:
-                ws = compose(w, s)
-                if ws not in seen:
-                    seen.add(ws)
-                    queue.append(ws)
-        return seen
+        return set(_closure(self.m, [self.generator(i) for i in gen_indices]))
 
     def sort_key(self, w):
         return (self.length[w], w)

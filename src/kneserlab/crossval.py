@@ -28,6 +28,11 @@ def cross_validate(spec):
     family, n, types = spec.family, spec.rank, spec.types
     if family not in WEYL_FAMILY:
         raise UsageError("cross-validation supports families A, B, C, D")
+    geo = geometry(spec)
+    if geo.oriflamme and not geo.self_opposite:
+        raise UsageError("spec %s: one family of maximal spaces of D_%d, n odd, has no "
+                         "opposite pairs, so the coset model does not describe it"
+                         % (spec.to_dict(), n))
     group = weyl_group(WEYL_FAMILY[family], n)
     quotient = ParabolicQuotient(group, types)
     geometric = apartment_graph(spec)
@@ -40,7 +45,6 @@ def cross_validate(spec):
                 "geometric": geometric.num_vertices,
             },
         }
-    geo = geometry(spec)
     index_of = {flag: i for i, flag in enumerate(geometric.vertices)}
     mapping = []
     for w in quotient.representatives:

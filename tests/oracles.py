@@ -9,7 +9,7 @@ import operator
 import numpy as np
 
 from kneserlab.algebra import enumerate_subspaces, is_totally_singular, nullspace, rref
-from kneserlab.buildings import _partial_counts, _row_blocks
+from kneserlab.buildings import _row_blocks, _vertex_count
 from kneserlab.coclique import _bits
 from kneserlab.errors import SearchBudgetExceeded
 
@@ -31,10 +31,8 @@ def gaussian_binomial(d, k, p):
 
 
 def expected_num_vertices(spec):
-    """Closed-form vertex count of build_graph(spec): the last partial
-    product of buildings._partial_counts."""
-    *_, count = _partial_counts(spec)
-    return count
+    """Closed-form vertex count of build_graph(spec): buildings._vertex_count."""
+    return _vertex_count(spec)
 
 
 def singular_subspaces_by_filter(form, k):

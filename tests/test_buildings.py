@@ -418,6 +418,22 @@ def test_expected_num_vertices_on_grid():
         assert expected_num_vertices(spec) == build_graph(spec).num_vertices, spec
 
 
+@pytest.mark.parametrize("family,n,p", [("A", 63, 2), ("B", 32, 3), ("C", 32, 2), ("D", 32, 2)])
+def test_dimension_64_bounds_the_vertex_count(family, n, p):
+    # checked_vertex_count makes no count from dimension 64 on. At the least
+    # rank that reaches it, over the least field, every single type, A {1,n}
+    # and D {n-1,n} already has more than 10^18 vertices; counts only grow
+    # with the rank and with p.
+    assert geometry(BuildingSpec(family, n - 1, p, (1,))).dim < 64
+    extra = {"A": [(1, n)], "D": [(n - 1, n)]}.get(family, [])
+    for types in [(k,) for k in range(1, n + 1)] + extra:
+        spec = BuildingSpec(family, n, p, types)
+        assert geometry(spec).dim >= 64
+        assert buildings._vertex_count(spec) > 10 ** 18, types
+        with pytest.raises(UsageError, match="has over 10\\^18 vertices"):
+            buildings.checked_vertex_count(spec)
+
+
 def test_graph_checks_enumerated_count(monkeypatch):
     # An enumerator that loses one subspace is caught by the closed-form
     # count for every spec, not only for the tested ones.

@@ -233,14 +233,24 @@ def test_build_over_vertex_limit_exit_2(capsys, monkeypatch):
 @pytest.mark.parametrize("family,rank,types,p", [
     ("A", "300", "150", "2"),
     ("D", "2000", "1", "2"),
+    ("A", "1000000000000", "1", "2"),
+    ("C", "1000000000000", "5", "2"),
+    ("D", "1000000000000", "1", "3"),
 ])
-@pytest.mark.parametrize("command", ["build", "check-ucep"])
-def test_oversized_spec_refused_quickly(capsys, command, family, rank, types, p):
+@pytest.mark.parametrize("command", ["build", "check-ucep", "export"])
+def test_oversized_spec_refused_quickly(capsys, tmp_path, command, family, rank, types, p):
     # The count is bounded before it is printed or any form is made: these
-    # specs have far more than 10^18 vertices.
+    # specs have far more than 10^18 vertices, and past dimension 64 no
+    # power of p is computed. export reads the spec from a stored graph.
     t0 = time.perf_counter()
-    code, out, err = run(capsys, command, "--family", family, "--rank", rank,
-                         "--type", types, "--p", p)
+    if command == "export":
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps({"schema": 1, "spec": {
+            "family": family, "rank": int(rank), "p": int(p), "types": [int(types)]}}))
+        code, out, err = run(capsys, "export", "--input", str(path))
+    else:
+        code, out, err = run(capsys, command, "--family", family, "--rank", rank,
+                             "--type", types, "--p", p)
     assert time.perf_counter() - t0 < 1
     assert (code, out) == (EXIT_USAGE, "")
     assert "'family': '%s', 'rank': %s" % (family, rank) in err
@@ -333,6 +343,27 @@ def test_cross_validate_exit_0(capsys):
         assert json.loads(out)["ok"]
 
 
+@pytest.mark.parametrize("rank,types", [("3", "2"), ("3", "3"), ("5", "4"), ("5", "5")])
+def test_cross_validate_refuses_a_type_with_no_opposite_pairs(capsys, rank, types):
+    # One family of maximal spaces of D_n with n odd has no opposite pairs,
+    # so the coset relation X w0 X does not describe it: a usage error, as
+    # in build, not a mismatch.
+    code, out, err = run(capsys, "cross-validate", "--family", "D", "--rank", rank,
+                         "--type", types, "--p", "2")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert "'family': 'D', 'rank': %s, 'p': 2, 'types': [%s]" % (rank, types) in err
+    assert "no opposite pairs" in err
+
+
+def test_cross_validate_a3_point_line_flags(capsys):
+    # A_3 {1,2} is not self-opposite either, yet its coset and geometric
+    # apartments agree.
+    code, out, _ = run(capsys, "cross-validate", "--family", "A", "--rank", "3",
+                       "--type", "1,2", "--p", "2")
+    assert (code, out) == (EXIT_OK, '{"edges": 12, "family": "A", "ok": true, "p": 2, '
+                           '"rank": 3, "types": [1, 2], "vertices": 12}\n')
+
+
 def test_cross_validate_rank_limit(capsys):
     # coxeter.MAX_RANK is the one rank limit: rank 6 is refused before
     # any apartment is built.
@@ -366,6 +397,16 @@ def test_cross_validate_mismatch_exit_5(capsys, monkeypatch):
     )
     assert code == EXIT_CROSSVAL
     assert "mismatch" in err
+
+
+def test_export_too_deeply_nested_input(capsys, tmp_path):
+    # 990 nested arrays under an extra key make json.load raise
+    # RecursionError: a usage error that names --input, not a traceback.
+    path = tmp_path / "graph.json"
+    path.write_text('{"schema": 1, "extra": %s%s}' % ("[" * 990, "]" * 990))
+    code, out, err = run(capsys, "export", "--input", str(path))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert "--input %s is nested too deeply" % path in err
 
 
 def test_export_round_trip(capsys, tmp_path):

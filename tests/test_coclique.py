@@ -479,7 +479,7 @@ def test_orbit_counts_pinned(monkeypatch, family, n, types, p, orbits):
     # A holding cell scans one coclique per orbit; the orbits of D4 lines
     # are also the oracle's, from the monomial matrices.
     g = build_graph(BuildingSpec(family, n, p, types))
-    pairs = coclique._matching(coclique._sigma_neighbours(g))
+    pairs = coclique._check_sigma(g)[1]
     reps = coclique._orbit_representatives(pairs, g.sigma_generators)
     assert len(reps) == orbits
     if (family, n, types) == ("D", 4, (2,)):
@@ -538,7 +538,7 @@ def test_check_apartment_counts_as_the_built_sigma(monkeypatch, family, n, types
     spec = BuildingSpec(family, n, p, types)
     g = build_graph(spec)
     check_apartment(spec)
-    matching = coclique._matching(coclique._sigma_neighbours(g)) is not None
+    matching = coclique._check_sigma(g)[1] is not None
     listed = None if matching else maximal_cocliques_sigma(g)
     monkeypatch.setattr(coclique, "MAX_COCLIQUES", 0)
     with pytest.raises(UsageError) as exc:
