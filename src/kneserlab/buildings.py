@@ -462,14 +462,13 @@ def _nested_flags(levels):
 
 
 def _vertices(geo):
-    """Canonical vertices of a geometry, sorted by their bases."""
+    """Canonical vertices of a geometry, sorted by their bases: the
+    enumerators emit each level in that order, and _nested_flags keeps it."""
     p = geo.spec.p
     if geo.form is None:
-        flags = _nested_flags([list(enumerate_subspaces(geo.dim, k, p)) for k in geo.parts])
-    else:
-        subs = enumerate_singular_subspaces(geo.form, geo.parts[0])
-        flags = [(s,) for s in subs if not geo.oriflamme or geo.in_family(s)]
-    return _sorted_vertices(flags)
+        return _nested_flags([list(enumerate_subspaces(geo.dim, k, p)) for k in geo.parts])
+    subs = enumerate_singular_subspaces(geo.form, geo.parts[0])
+    return [(s,) for s in subs if not geo.oriflamme or geo.in_family(s)]
 
 
 def _rows(geo, vertices):

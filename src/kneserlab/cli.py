@@ -3,9 +3,11 @@ cross-validate against the coset model, and export graphs.
 
 Exit codes: 0 ok/holds, 2 usage error, 3 UCEP fails (with a witness that
 verify_witness has certified), 4 fixture-integrity error (a fixture or a
-`fails` witness that does not certify), 5 cross-validation mismatch. All
-inputs come from flags (no environment variables), so a full command line
-reproduces a run bytewise, including the sampling seed.
+`fails` witness that does not certify), 5 cross-validation mismatch, 6 a
+sampled check found no violation (verdict no_violation_found, which is no
+proof). All inputs come from flags (no environment variables) and no report
+carries a clock reading, so a full command line reproduces a run bytewise,
+including the sampling seed.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ EXIT_USAGE = 2
 EXIT_UCEP_FAILS = 3
 EXIT_FIXTURE = 4
 EXIT_CROSSVAL = 5
+EXIT_NO_VIOLATION_FOUND = 6
 
 # The most edges --format json or dimacs renders: JSON peaks at about 100
 # bytes per edge (414 MB for the 3.98 M of B_3 lines over F_3, 36 MB of it
@@ -145,7 +148,8 @@ def cmd_check_ucep(args):
         witness = report.witness
         verify_witness(spec, witness["coclique"], witness["x"], witness["y"])
     _write(json.dumps(report.to_dict(), sort_keys=True) + "\n", args.output)
-    return EXIT_OK if report.verdict == "holds" else EXIT_UCEP_FAILS
+    return {"holds": EXIT_OK, "no_violation_found": EXIT_NO_VIOLATION_FOUND,
+            "fails": EXIT_UCEP_FAILS}[report.verdict]
 
 
 def cmd_verify_fixtures(args):
@@ -292,9 +296,6 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_USAGE
     except FixtureIntegrityError as exc:
         print("fixture integrity error: %s" % exc, file=sys.stderr)
         return EXIT_FIXTURE

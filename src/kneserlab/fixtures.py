@@ -18,7 +18,6 @@ Cases:
 from __future__ import annotations
 
 import itertools
-import time
 
 from .algebra import Subspace
 from .buildings import SCHEMA, BuildingSpec, geometry, vertex_lists
@@ -135,7 +134,6 @@ def _a_flags(n, i, p):
 
 def verify_nonexample(case, p=None, n=None, i=None, fixture=None):
     """Certify one UCEP counterexample; returns the violation report."""
-    start = time.perf_counter()
     if case not in CASES:
         raise UsageError("unknown fixture case %r (known: %s)" % (case, CASES))
     if case == "A_flags":
@@ -171,6 +169,5 @@ def verify_nonexample(case, p=None, n=None, i=None, fixture=None):
         "case": case,
         "p": p,
         "verdict": "violation_certified",
-        "elapsed_ms": (time.perf_counter() - start) * 1000.0,
     })
     return body

@@ -35,6 +35,24 @@ def expected_num_vertices(spec):
     return _vertex_count(spec)
 
 
+def theorem_class(spec):
+    """Where the abstract's theorem puts a spec: "minuscule", "adjoint"
+    (simply laced), or None outside it. Minuscule: A_n of any single type,
+    B_n type n, C_n type 1, D_n types 1, n-1 and n; over F_2, where C_n and
+    B_n have the same building, C_n type n too. Adjoint: A_n {1, n}, and
+    D_n type 2. D_2 and D_3 duplicate type A and are left out."""
+    family, n, types = spec.family, spec.rank, spec.types
+    minuscule = {"A": [(i,) for i in range(1, n + 1)], "B": [(n,)],
+                 "C": [(1,), (n,)] if spec.p == 2 else [(1,)],
+                 "D": [(1,), (n - 1,), (n,)] if n >= 4 else []}
+    adjoint = {"A": [(1, n)], "D": [(2,)] if n >= 4 else []}
+    if types in minuscule.get(family, ()):
+        return "minuscule"
+    if types in adjoint.get(family, ()):
+        return "adjoint"
+    return None
+
+
 def singular_subspaces_by_filter(form, k):
     """The totally singular k-subspaces, by filtering all k-subspaces."""
     return [u for u in enumerate_subspaces(form.dim, k, form.p) if is_totally_singular(u, form)]

@@ -355,6 +355,15 @@ def test_apartment_graph_matches_full_builder_sigma():
                     assert full.is_adjacent(a, b) == apt.is_adjacent(ia, ib)
 
 
+@pytest.mark.parametrize("family,n,types,p", GRID_CELLS + [
+    ("A", 3, (1, 2), 2), ("D", 4, (3,), 2), ("A", 5, (1, 5), 2), ("C", 4, (3,), 2),
+    ("A", 4, (2, 3), 3)])
+def test_vertices_enumerated_in_canonical_order(family, n, types, p):
+    # The builder keeps the enumerators' order and never sorts it.
+    vertices = buildings._vertices(geometry(BuildingSpec(family, n, p, types)))
+    assert vertices == sorted(vertices, key=lambda flag: tuple(s.key for s in flag))
+
+
 def test_vertex_counts_vs_filter_oracle():
     # Independent brute-force count: filter all k-subspaces by total
     # singularity instead of the incremental builder.

@@ -9,6 +9,7 @@ import pytest
 from kneserlab.cli import (
     EXIT_CROSSVAL,
     EXIT_FIXTURE,
+    EXIT_NO_VIOLATION_FOUND,
     EXIT_OK,
     EXIT_UCEP_FAILS,
     EXIT_USAGE,
@@ -23,12 +24,6 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def without_timing(report):
-    report = dict(report)
-    report.pop("elapsed_ms", None)
-    return report
 
 
 def test_build_text(capsys):
@@ -113,14 +108,16 @@ def test_check_ucep_holds_exit_0(capsys):
 
 
 def test_check_ucep_fails_exit_3(capsys):
-    code, out, _ = run(
-        capsys, "check-ucep", "--family", "A", "--rank", "4", "--type",
-        "2,3", "--p", "2"
-    )
-    assert code == EXIT_UCEP_FAILS
-    report = json.loads(out)
-    assert report["verdict"] == "fails"
-    assert "witness" in report
+    # A sampled violation is as certain as an exhaustive one.
+    for mode in (["--mode", "all"], ["--mode", "sample", "--samples", "5", "--seed", "1"]):
+        code, out, _ = run(
+            capsys, "check-ucep", "--family", "A", "--rank", "4", "--type",
+            "2,3", "--p", "2", *mode
+        )
+        assert code == EXIT_UCEP_FAILS
+        report = json.loads(out)
+        assert (report["verdict"], report["mode"]) == ("fails", mode[1])
+        assert "witness" in report
 
 
 def test_check_ucep_corrupted_witness_exit_4(capsys, monkeypatch):
@@ -162,11 +159,11 @@ def test_check_ucep_deterministic_reports(capsys):
             "--p", "2", "--mode", "sample", "--samples", "5", "--seed", "11"]
     code1, out1, _ = run(capsys, *argv)
     code2, out2, _ = run(capsys, *argv)
-    assert code1 == code2 == EXIT_OK
-    r1, r2 = json.loads(out1), json.loads(out2)
-    assert r1["seed"] == 11
-    # Identical up to wall-clock timing.
-    assert without_timing(r1) == without_timing(r2)
+    # A sample without a violation proves nothing, so it is not "holds".
+    assert code1 == code2 == EXIT_NO_VIOLATION_FOUND
+    assert out1 == out2
+    report = json.loads(out1)
+    assert (report["verdict"], report["seed"]) == ("no_violation_found", 11)
 
 
 def test_check_ucep_bad_counts_rejected_before_build(capsys, monkeypatch):
@@ -643,9 +640,26 @@ def test_render_refused_past_edge_bound(capsys, tmp_path, monkeypatch):
     assert code == EXIT_OK and "edges: 21" in out
 
 
-def test_build_deterministic_output(capsys):
-    argv = ["build", "--family", "C", "--rank", "3", "--type", "1", "--p",
-            "2", "--format", "json"]
-    _, out1, _ = run(capsys, *argv)
-    _, out2, _ = run(capsys, *argv)
-    assert out1 == out2
+C3_POINTS = ["--family", "C", "--rank", "3", "--type", "1", "--p", "2"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["build", *C3_POINTS, "--format", "json"],
+    ["build", *C3_POINTS, "--format", "dimacs"],
+    ["build", *C3_POINTS, "--format", "text"],
+    ["check-ucep", *C3_POINTS, "--mode", "all"],
+    ["check-ucep", "--family", "A", "--rank", "4", "--type", "2,3", "--p", "2"],
+    ["check-ucep", "--family", "A", "--rank", "3", "--type", "2", "--p", "2",
+     "--mode", "sample", "--samples", "5", "--seed", "11"],
+    ["verify-fixtures"],
+    ["cross-validate", "--family", "A", "--rank", "3", "--type", "2", "--p", "2"],
+    ["export", "--input", "GRAPH"],
+], ids=["build-json", "build-dimacs", "build-text", "check-ucep-holds", "check-ucep-fails",
+        "check-ucep-sample", "verify-fixtures", "cross-validate", "export"])
+def test_stdout_reproduces_bytewise(capsys, tmp_path, argv):
+    # A full command line reproduces its run: the same exit code and bytes.
+    graph = tmp_path / "graph.json"
+    assert main(["build", *C3_POINTS, "-o", str(graph)]) == EXIT_OK
+    argv = [str(graph) if arg == "GRAPH" else arg for arg in argv]
+    first = run(capsys, *argv)
+    assert first[1] and first == run(capsys, *argv)

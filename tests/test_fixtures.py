@@ -10,8 +10,8 @@ from kneserlab.buildings import BuildingSpec, geometry
 from kneserlab.errors import FixtureIntegrityError, UsageError
 from kneserlab.fixtures import CASES, FIXTURES, verify_nonexample, verify_witness
 
-# sha256 of each report's sorted-key JSON without elapsed_ms, recorded
-# before the fixtures became data behind verify_witness.
+# sha256 of each report's sorted-key JSON, recorded before the fixtures
+# became data behind verify_witness.
 PINNED_REPORTS = [
     ("B3_2", {}, "8fe7bb194278ea9995b7173fcbd8917016b2dbd8125d6c45fbd16a3fad1f6c68"),
     ("C3_3", {}, "83b9536f368935edc4547717963a1d1d2bae58b08b6d2cebdc2b0fcedbc3f8af"),
@@ -27,7 +27,6 @@ PINNED_REPORTS = [
 @pytest.mark.parametrize("case,kwargs,digest", PINNED_REPORTS)
 def test_report_bytes_pinned(case, kwargs, digest):
     report = verify_nonexample(case, **kwargs)
-    report.pop("elapsed_ms")
     payload = json.dumps(report, sort_keys=True).encode()
     assert hashlib.sha256(payload).hexdigest() == digest
 
