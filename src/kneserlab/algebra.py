@@ -252,22 +252,27 @@ def _augment(d, k, p, form=None):
     at column c and any t on the columns after c (for a form: v singular
     and orthogonal to the parent rows). Each parent + (v,) is canonical;
     taking parents in order, c descending and t ascending keeps each level
-    sorted."""
+    sorted. The later pivots of a child lie in the columns after c where it
+    is 0 in every row, so a child with fewer than k-j of them is not made:
+    no prefix that cannot reach dimension k is enumerated."""
     candidates, level = {}, [()]  # rows per column c; every parent pivot is left of c
-    for _ in range(k):
-        nxt = []
+    for j in range(k):
+        nxt, need = [], k - j - 1  # pivots each child still needs after its own
         for parent in level:
             # The last pivot is the last row's first nonzero entry, a 1.
             last = parent[-1].index(1) if parent else -1
+            free = [c for c in range(last + 1, d) if not any(row[c] for row in parent)]
             pairing = form.polar @ np.array(parent).T % p if form is not None and parent else None
-            for c in range(d - 1, last, -1):
-                if not any(row[c] for row in parent):
-                    if c not in candidates:
-                        candidates[c] = _candidate_rows(c, d, p, form)
-                    rows = candidates[c]
-                    if pairing is not None:
-                        rows = rows[~(rows @ pairing % p).any(axis=1)]
-                    nxt.extend(parent + (v,) for v in map(tuple, rows.tolist()))
+            for i in range(len(free) - 1 - need, -1, -1):
+                c = free[i]
+                if c not in candidates:
+                    candidates[c] = _candidate_rows(c, d, p, form)
+                rows = candidates[c]
+                if pairing is not None:
+                    rows = rows[~(rows @ pairing % p).any(axis=1)]
+                if need:
+                    rows = rows[(rows[:, free[i + 1:]] == 0).sum(axis=1) >= need]
+                nxt.extend(parent + (v,) for v in map(tuple, rows.tolist()))
         level = nxt
     return [Subspace(d, p, basis) for basis in level]
 

@@ -481,11 +481,15 @@ def _rows(geo, vertices):
 
 
 def checked_vertex_count(spec):
-    """The closed-form vertex count of a spec (_vertex_count), refused past
-    MAX_VERTICES (N vertices take N^2/8 bytes of adjacency). It is made only
-    below dimension 64: in F_p^d a type-A spec has at least p^(d-1)
-    vertices, and one on a polar form of rank n at least p^(2n-2), so past
-    that every count is over 10^18."""
+    """The closed-form vertex count of a spec (_vertex_count), after build's
+    refusals: a type set that is not self-opposite (see Geometry), then a
+    count past MAX_VERTICES (N vertices take N^2/8 bytes of adjacency). The
+    count is made only below dimension 64: in F_p^d a type-A spec has at
+    least p^(d-1) vertices, and one on a polar form of rank n at least
+    p^(2n-2), so past that every count is over 10^18."""
+    if not geometry(spec).self_opposite:
+        raise UsageError("spec %s: type set %s is not self-opposite; Kneser adjacency within "
+                         "one type is undefined" % (spec.to_dict(), list(spec.types)))
     count = _vertex_count(spec) if geometry(spec).dim < 64 else None
     if count is None or count > MAX_VERTICES:
         named = count if count is not None and count <= 10 ** 18 else "over 10^18"
@@ -496,11 +500,11 @@ def checked_vertex_count(spec):
 
 @lru_cache(maxsize=None)
 def _graph(spec):
-    """The one graph cache, keyed by the canonical spec. A spec past
-    checked_vertex_count is refused before any enumeration or form is
-    made; the enumerated vertices must number that count. Sigma comes with
-    the Weyl group's generators as permutations of it (_apartment)."""
-    count = checked_vertex_count(spec)
+    """The one graph cache, keyed by the canonical spec. It also builds the
+    specs build_graph refuses as not self-opposite, such as type-A flags;
+    the enumerated vertices must number _vertex_count(spec). Sigma comes
+    with the Weyl group's generators as permutations of it (_apartment)."""
+    count = _vertex_count(spec)
     geo = geometry(spec)
     vertices = _vertices(geo)
     if len(vertices) != count:
@@ -511,12 +515,9 @@ def _graph(spec):
 
 
 def build_graph(spec):
-    """The Kneser graph of a spec whose type is self-opposite (see
-    Geometry). _graph also builds the others, such as type-A flags whose
-    type set is not self-opposite."""
-    if not geometry(spec).self_opposite:
-        raise UsageError("spec %s: type set %s is not self-opposite; Kneser adjacency within "
-                         "one type is undefined" % (spec.to_dict(), list(spec.types)))
+    """The Kneser graph of a spec that checked_vertex_count accepts, refused
+    before any enumeration or form is made."""
+    checked_vertex_count(spec)
     return _graph(spec)
 
 

@@ -159,10 +159,10 @@ def _check_sigma(graph):
 
 
 def check_apartment(spec):
-    """Refuse, before any enumeration, a spec past checked_vertex_count or
-    whose apartment has more maximal cocliques than MAX_COCLIQUES: Sigma's
-    shape is read from the rows of the apartment graph (_check_sigma). The
-    vertex count is checked first, so that the frame objects are few."""
+    """Refuse, before any enumeration, a spec build refuses
+    (checked_vertex_count), then one whose apartment has more maximal
+    cocliques than MAX_COCLIQUES: Sigma's shape is read from the rows of
+    the apartment graph (_check_sigma), made only after the first check."""
     checked_vertex_count(spec)
     _check_sigma(apartment_graph(spec))
 

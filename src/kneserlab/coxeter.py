@@ -9,7 +9,8 @@ under the simple generators, computed once during BFS enumeration.
 
 The abstract (coset-level) Kneser graph lives on cosets wX of the
 parabolic X = <R minus J>, with wX ~ vX iff v^-1 w lies in the double
-coset X w0 X.
+coset X w0 X, that is iff vX is one of the cosets w x w0 X, x in X
+(w0 is an involution).
 """
 
 from __future__ import annotations
@@ -31,16 +32,6 @@ def compose(u, v):
             out.append(u[j - 1])
         else:
             out.append(-u[-j - 1])
-    return tuple(out)
-
-
-def inverse(w):
-    out = [0] * len(w)
-    for i, j in enumerate(w):
-        if j > 0:
-            out[j - 1] = i + 1
-        else:
-            out[-j - 1] = -(i + 1)
     return tuple(out)
 
 
@@ -110,10 +101,6 @@ class WeylGroup:
         """Simple generator s_i, 1-based."""
         return self.generators[i - 1]
 
-    def subgroup(self, gen_indices):
-        """All elements of the subgroup generated by the given s_i."""
-        return set(_closure(self.m, [self.generator(i) for i in gen_indices]))
-
     def sort_key(self, w):
         return (self.length[w], w)
 
@@ -124,15 +111,19 @@ def weyl_group(family, n):
 
 
 class ParabolicQuotient:
-    """Cosets wX of X = <R minus J>, with the double-coset adjacency."""
+    """Cosets wX of X = <R minus J>; the row of wX holds its opposites,
+    the cosets w x w0 X for x in X. A coset is its own opposite only if w0
+    lies in X, that is X = W, so the empty type set is refused."""
 
     def __init__(self, group, types):
         types = tuple(sorted(set(types)))
+        if not types:
+            raise UsageError("type set must be nonempty")
         if any(j < 1 or j > group.rank for j in types):
             raise UsageError("type set not contained in the diagram nodes")
         self.group = group
         self.types = types
-        self.subgroup, self.double_coset = _double_coset(group, types)
+        self.subgroup = _parabolic(group, types)
         reps = []
         self.coset_index = {}
         for w in sorted(group.elements, key=group.sort_key):
@@ -143,14 +134,9 @@ class ParabolicQuotient:
             for x in self.subgroup:
                 self.coset_index[compose(w, x)] = idx
         self.representatives = reps
-        nverts = len(reps)
-        adj = [0] * nverts
-        for i, u in enumerate(reps):
-            for j in range(i + 1, nverts):
-                if compose(inverse(reps[j]), u) in self.double_coset:
-                    adj[i] |= 1 << j
-                    adj[j] |= 1 << i
-        self.adjacency = adj
+        opposite = [compose(x, group.w0) for x in self.subgroup]
+        self.adjacency = [sum({1 << self.coset_index[compose(w, xw0)] for xw0 in opposite})
+                          for w in reps]
 
     @property
     def num_vertices(self):
@@ -218,13 +204,14 @@ def check_lifting(fine, coarse):
     return True, None
 
 
-def _double_coset(group, types):
-    """X = <R minus J> and its double coset X w0 X."""
-    sub = group.subgroup([i for i in range(1, group.rank + 1) if i not in set(types)])
-    return sub, frozenset(compose(compose(x1, group.w0), x2) for x1 in sub for x2 in sub)
+def _parabolic(group, types):
+    """The elements of X = <R minus J>."""
+    return list(_closure(group.m, [s for i, s in enumerate(group.generators, 1) if i not in types]))
 
 
 def shortest_double_coset(group, types):
     """The least element of X w0 X for X = <R minus J>, by length, then
     one-line notation."""
-    return min(_double_coset(group, types)[1], key=group.sort_key)
+    sub = _parabolic(group, types)
+    return min((compose(compose(x1, group.w0), x2) for x1 in sub for x2 in sub),
+               key=group.sort_key)

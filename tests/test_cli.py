@@ -285,6 +285,21 @@ def test_export_refuses_a_type_build_refuses(capsys, tmp_path):
         assert "not self-opposite" in err
 
 
+@pytest.mark.parametrize("types", ["1,2", "2,3"])
+def test_check_ucep_refuses_a_type_build_refuses(capsys, monkeypatch, types):
+    # A_6 {1,2} and {2,3} over F_2 are not self-opposite. check-ucep
+    # --mode all refuses them for that reason, as build does, and not by
+    # the Sigma bound ({1,2}) or the vertex count ({2,3}).
+    import kneserlab.buildings as buildings
+
+    monkeypatch.setattr(buildings, "_vertices", None)
+    spec = ["--family", "A", "--rank", "6", "--type", types, "--p", "2"]
+    checked = run(capsys, "check-ucep", *spec, "--mode", "all")
+    assert checked == run(capsys, "build", *spec)
+    assert checked[:2] == (EXIT_USAGE, "")
+    assert "not self-opposite" in checked[2]
+
+
 def test_verify_fixtures_all(capsys):
     code, out, _ = run(capsys, "verify-fixtures")
     assert code == EXIT_OK

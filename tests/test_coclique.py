@@ -216,6 +216,7 @@ def _opposite(geo, fx, fy):
     ("C", 3, (3,), 3, 2 ** 4),
     ("D", 4, (3, 4), 2, 2 ** 16),
     ("A", 4, (2, 3), 2, 2 ** 15),
+    ("C", 4, (3,), 2, 2 ** 16),
 ])
 def test_check_ucep_negative_grid_cells(monkeypatch, family, n, types, p, count):
     # Sigma is a perfect matching on these cells, so its maximal cocliques
@@ -502,16 +503,12 @@ def test_check_ucep_adjoint_a5_holds():
     assert (report.verdict, report.cocliques_checked) == ("holds", 32768)
 
 
-# Theorem cells left out for their enumeration time, measured on 2 cores:
-# A_6 hyperplanes over F_3 (8.6 s) and the two D_4 families of maximal
-# spaces over F_3 (1.4 s and 1.5 s). Each other cell takes under 0.5 s.
-SLOW_THEOREM_CELLS = {("A", 6, (6,), 3), ("D", 4, (3,), 3), ("D", 4, (4,), 3)}
-
-
 def theorem_cells():
     """Every cell the abstract's theorem covers with rank <= 6, p in
     {2, 3, 5, 7}, a self-opposite type, a closed-form count of at most 1600
-    vertices and an apartment check_apartment passes, but the slow ones."""
+    vertices and an apartment check_apartment passes. Each takes under a
+    second on 2 cores; the slowest are A_6 hyperplanes over F_3 and the two
+    D_4 families of maximal spaces over F_3."""
     cells = {}
     for family, n, p in itertools.product("ABCD", range(1, 7), (2, 3, 5, 7)):
         for types in [(i,) for i in range(1, n + 1)] + [(1, n)]:
@@ -524,14 +521,14 @@ def theorem_cells():
             except UsageError:
                 continue
             cells[(family, n, spec.types, p)] = spec
-    return [spec for cell, spec in cells.items() if cell not in SLOW_THEOREM_CELLS]
+    return list(cells.values())
 
 
 THEOREM_CELLS = theorem_cells()
 
 
 def test_theorem_cells_counted():
-    assert len(THEOREM_CELLS) == 70
+    assert len(THEOREM_CELLS) == 73
 
 
 @pytest.mark.parametrize("spec", THEOREM_CELLS, ids=lambda s: "%s%d%s_p%d" % (
@@ -540,6 +537,17 @@ def test_theorem_cells_hold(spec):
     # The abstract: UCEP holds for minuscule weights, and for the adjoint
     # representation of a simply laced diagram.
     assert check_ucep(build_graph(spec)).verdict == "holds"
+
+
+# Every cell outside the theorem where UCEP fails, from the sweep of all
+# self-opposite cells up to rank 7: the four negative grid cells, A_4 {2,3}
+# over F_3, C_3 planes over F_5 and C_4 planes over F_2.
+OUTSIDE_FAILS = NEGATIVE_GRID + [("A", 4, (2, 3), 3), ("C", 3, (3,), 5), ("C", 4, (3,), 2)]
+
+
+def test_theorem_class_outside_fails_cells():
+    for family, n, types, p in OUTSIDE_FAILS:
+        assert theorem_class(BuildingSpec(family, n, p, types)) is None, (family, n, types, p)
 
 
 def test_theorem_class_on_the_grid():

@@ -11,7 +11,6 @@ from kneserlab.coxeter import (
     check_lifting,
     compose,
     identity,
-    inverse,
     is_self_opposite,
     phi_map,
     shortest_double_coset,
@@ -56,13 +55,6 @@ def test_length_matches_positive_root_count():
     for family, n in [("A", 3), ("A", 4), ("B", 3), ("D", 4)]:
         g = weyl_group(family, n)
         assert g.length[g.w0] == roots[family](n)
-
-
-def test_compose_inverse():
-    g = weyl_group("B", 3)
-    for w in g.elements:
-        assert compose(w, inverse(w)) == identity(3)
-        assert compose(inverse(w), w) == identity(3)
 
 
 def test_coset_counts():
@@ -167,3 +159,7 @@ def test_rank_limits():
         WeylGroup("E", 3)
     with pytest.raises(UsageError):
         ParabolicQuotient(weyl_group("A", 3), (0,))
+    # J empty makes X = W, which holds w0: the one coset would be its own
+    # opposite.
+    with pytest.raises(UsageError, match="nonempty"):
+        ParabolicQuotient(weyl_group("B", 3), ())

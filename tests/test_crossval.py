@@ -2,6 +2,7 @@
 
 import contextlib
 import hashlib
+import json
 import io
 
 import pytest
@@ -85,3 +86,30 @@ def test_cross_validate_cli_bytes_pinned():
 def test_unknown_family_rejected():
     with pytest.raises(UsageError):
         cross_validate(BuildingSpec("G", 2, 3, (1,)))
+
+
+def test_flipped_coset_edge_is_the_mismatch(capsys, monkeypatch):
+    # One edge of the coset graph of A_4 type 2 (the Petersen graph), its
+    # last, removed from both rows: cross_validate names that pair as the
+    # first adjacency mismatch, and the CLI prints the report and exits 5.
+    import kneserlab.crossval as crossval
+    from kneserlab.cli import EXIT_CROSSVAL
+
+    a, b = list(ParabolicQuotient(weyl_group("A", 4), (2,)).edges())[-1]
+
+    class Flipped(ParabolicQuotient):
+        def __init__(self, group, types):
+            super().__init__(group, types)
+            self.adjacency[a] ^= 1 << b
+            self.adjacency[b] ^= 1 << a
+
+    monkeypatch.setattr(crossval, "ParabolicQuotient", Flipped)
+    report = cross_validate(BuildingSpec("A", 4, 2, (2,)))
+    assert report == {"ok": False, "mismatch": {
+        "kind": "adjacency", "cosets": [a, b], "coset_adjacent": False,
+        "geometric_adjacent": True}}
+    capsys.readouterr()
+    code = main(["cross-validate", "--family", "A", "--rank", "4", "--type", "2", "--p", "2"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (EXIT_CROSSVAL, json.dumps(report, sort_keys=True) + "\n")
+    assert "adjacency" in err
