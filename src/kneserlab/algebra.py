@@ -223,25 +223,28 @@ def is_totally_singular(u, form):
     return not (b @ form.polar @ b.T % p).any()
 
 
-# Numpy elements in one block of candidate rows or of the opposition
-# kernel's pairing (512 KiB of int64).
+# Numpy elements in one block of normalised vectors, of an enumeration
+# step or of the opposition kernel's pairing (512 KiB of int64).
 _BLOCK_ELEMS = 1 << 16
 
 
-def _candidate_rows(c, d, p, form):
-    """Rows e_c + t, t over F_p^(d-1-c) in lexicographic order (given a form,
-    the singular ones, v gram v^T = 0), made in blocks of _BLOCK_ELEMS entries."""
-    count, step = p ** (d - 1 - c), max(1, _BLOCK_ELEMS // d)
-    digits = p ** np.arange(d - 2 - c, -1, -1)
-    blocks = []
-    for lo in range(0, count, step):
-        block = np.zeros((min(step, count - lo), d), dtype=np.int64)
-        block[:, c] = 1
-        block[:, c + 1:] = np.arange(lo, lo + len(block))[:, None] // digits % p
-        if form is not None:
-            block = block[(block @ form.gram * block).sum(axis=1) % p == 0]
-        blocks.append(block)
-    return np.concatenate(blocks)
+def _normalised_vectors(d, p, form=None):
+    """The normalised vectors of F_p^d (first nonzero entry 1), given a form
+    the singular ones (v gram v^T = 0), as one array, and where each leading
+    column starts in it: rows starts[c]:starts[c + 1] are e_c + t, t over
+    F_p^(d-1-c) in lexicographic order. Made in blocks of _BLOCK_ELEMS
+    entries."""
+    digits, step = p ** np.arange(d - 1, -1, -1), max(1, _BLOCK_ELEMS // d)
+    blocks, starts = [np.zeros((0, d), dtype=np.int64)], [0]
+    for c in range(d):
+        lead = p ** (d - 1 - c)  # e_c read as a base-p integer: as many as the t
+        for lo in range(lead, 2 * lead, step):
+            block = np.arange(lo, min(lo + step, 2 * lead))[:, None] // digits % p
+            if form is not None:
+                block = block[(block @ form.gram * block).sum(axis=1) % p == 0]
+            blocks.append(block)
+        starts.append(sum(map(len, blocks)))
+    return np.concatenate(blocks), starts
 
 
 def _augment(d, k, p, form=None):
@@ -254,27 +257,50 @@ def _augment(d, k, p, form=None):
     taking parents in order, c descending and t ascending keeps each level
     sorted. The later pivots of a child lie in the columns after c where it
     is 0 in every row, so a child with fewer than k-j of them is not made:
-    no prefix that cannot reach dimension k is enumerated."""
-    candidates, level = {}, [()]  # rows per column c; every parent pivot is left of c
-    for j in range(k):
-        nxt, need = [], k - j - 1  # pivots each child still needs after its own
-        for parent in level:
-            # The last pivot is the last row's first nonzero entry, a 1.
-            last = parent[-1].index(1) if parent else -1
-            free = [c for c in range(last + 1, d) if not any(row[c] for row in parent)]
-            pairing = form.polar @ np.array(parent).T % p if form is not None and parent else None
-            for i in range(len(free) - 1 - need, -1, -1):
-                c = free[i]
-                if c not in candidates:
-                    candidates[c] = _candidate_rows(c, d, p, form)
-                rows = candidates[c]
+    no prefix that cannot reach dimension k is enumerated.
+
+    A level is one (parents, j) array of row numbers in _normalised_vectors,
+    extended one column c at a time: every parent free at c is tested
+    against every candidate row at once, in blocks of _BLOCK_ELEMS entries,
+    and one stable sort by parent puts the children in order. Each
+    normalised vector becomes one tuple, shared by every basis that holds it."""
+    if not k:
+        return [Subspace(d, p, ())]
+    vectors, starts = _normalised_vectors(d, p, form)
+    lead = np.repeat(np.arange(d), np.diff(starts))
+    # Level 1 extends the empty basis by each vector with k-1 zeros after
+    # its lead column c (it has c zeros before it), c descending.
+    ids = np.flatnonzero((vectors == 0).sum(axis=1) - lead >= k - 1)
+    ids = ids[np.argsort(-lead[ids], kind="stable")][:, None]
+    for j in range(1, k):
+        level, need = vectors[ids], k - j - 1  # pivots each child still needs after c
+        # Free columns lie after the last pivot and are 0 in every row.
+        free = (np.arange(d) > lead[ids[:, -1:]]) & ~level.any(axis=1)
+        after = free[:, ::-1].cumsum(axis=1)[:, ::-1] - free  # free columns right of each
+        eligible = free & (after >= need)
+        pairing = level @ form.polar % p if form is not None else None
+        parents, children = [], []
+        for c in reversed(eligible.any(axis=0).nonzero()[0].tolist()):
+            chosen, rows = eligible[:, c].nonzero()[0], vectors[starts[c]:starts[c + 1]]
+            zeros = (rows[:, c + 1:] == 0).T.astype(np.int64) if need else None
+            step = max(1, _BLOCK_ELEMS // (j * (len(rows) + d)))
+            for lo in range(0, len(chosen), step):
+                block = chosen[lo:lo + step]
+                keep = np.ones((len(block), len(rows)), dtype=bool)
                 if pairing is not None:
-                    rows = rows[~(rows @ pairing % p).any(axis=1)]
+                    keep = ~(np.einsum("sjd,rd->sjr", pairing[block], rows) % p).any(axis=1)
                 if need:
-                    rows = rows[(rows[:, free[i + 1:]] == 0).sum(axis=1) >= need]
-                nxt.extend(parent + (v,) for v in map(tuple, rows.tolist()))
-        level = nxt
-    return [Subspace(d, p, basis) for basis in level]
+                    keep &= free[block, c + 1:] @ zeros >= need
+                at, row = np.nonzero(keep)
+                parents.append(block[at])
+                children.append(starts[c] + row)
+        if not parents:
+            return []
+        parents = np.concatenate(parents)
+        ids = np.column_stack([ids[parents], np.concatenate(children)])[
+            np.argsort(parents, kind="stable")]
+    row = list(map(tuple, vectors.tolist())).__getitem__
+    return [Subspace(d, p, basis) for basis in zip(*[map(row, col) for col in ids.T.tolist()])]
 
 
 def enumerate_subspaces(d, k, p):

@@ -41,13 +41,13 @@ import numpy as np
 
 from .algebra import (
     _BLOCK_ELEMS,
+    _normalised_vectors,
     Subspace,
     check_prime,
     enumerate_singular_subspaces,
     enumerate_subspaces,
     Form,
     is_totally_singular,
-    nullspace,
     rank_mod_p,
     rref,
 )
@@ -378,19 +378,19 @@ def _apartment(geo, vertices):
     return sigma, generators
 
 
-def _point_ids(subspaces):
-    """Projective points of each subspace, as an (N, (p^k-1)/(p-1)) array.
+def _point_ids(mats, p):
+    """Projective points of the row space of each basis matrix in mats, an
+    (N, k, d) array, as an (N, (p^k-1)/(p-1)) array.
 
     A point's id is its normalised vector (first nonzero entry 1) read as
-    a base-p integer. The subspaces share one dimension k. Multiplying an
-    RREF basis by the normalised coefficient vectors of F_p^k gives
-    normalised vectors directly: the first nonzero entry of c·B sits in
-    the pivot column of the leading row of c, where it equals 1.
+    a base-p integer. The bases are in echelon form with pivot entries 1,
+    as an RREF basis is. Multiplying such a basis by the normalised
+    coefficient vectors of F_p^k gives normalised vectors directly: the
+    first nonzero entry of c·B sits in the pivot column of the leading row
+    of c, where it equals 1.
     """
-    first = subspaces[0]
-    k, d, p = first.dim, first.ambient, first.p
-    coeffs = _matrices(enumerate_subspaces(k, 1, p))[:, 0]
-    points = np.einsum("ck,nkd->ncd", coeffs, _matrices(subspaces)) % p
+    k, d = mats.shape[1:]
+    points = np.einsum("ck,nkd->ncd", _normalised_vectors(k, p)[0], mats) % p
     return points @ p ** np.arange(d - 1, -1, -1)
 
 
@@ -398,25 +398,69 @@ def _matrices(subspaces):
     return np.array([s.basis for s in subspaces], dtype=np.int64)
 
 
+def _annihilators(mats, p):
+    """A basis of ann(U) = {x : B x^T = 0} for each RREF basis B in mats, an
+    (N, k, d) array: for each column f that is no pivot of B, the vector
+    e_f - sum_i B[i, f] e_(pivot of row i). B[i, f] is 0 unless f is past
+    the pivot of row i, so the row of f ends in a 1 at column f: with its
+    rows and columns reversed, the basis is in echelon form with pivot
+    entries 1."""
+    n, k, d = mats.shape
+    pivots = (mats != 0).argmax(axis=2)
+    free = np.ones((n, d), dtype=bool)
+    free[np.arange(n)[:, None], pivots] = False
+    free = free.nonzero()[1].reshape(n, d - k)
+    ann = np.zeros((n, d - k, d), dtype=np.int64)
+    at, rows = np.arange(n)[:, None, None], np.arange(d - k)
+    ann[at[:, 0], rows, free] = 1
+    ann[at, rows, pivots[:, :, None]] = -np.take_along_axis(mats, free[:, None], axis=2) % p
+    return ann
+
+
+def _run_starts(keys):
+    """Where each run of equal entries of a sorted array starts."""
+    new = np.ones(len(keys), dtype=bool)
+    new[1:] = keys[1:] != keys[:-1]
+    return new
+
+
 def _opposition_rows(conditions, p):
     """Adjacency rows from "no shared point" conditions.
 
-    Each condition is (left, right), one entry per vertex: y's left set is
-    the points of the subspace left[y], x's right set the points P with
-    right[x] P^T = 0. With masks[P] the x whose right set holds P,
-    row[y] = full & ~(bit(y) | OR of masks[P] over y's left set, in every
-    condition). The pairing runs in column blocks of _BLOCK_ELEMS entries.
+    Each condition is (left, right), two stacks of basis matrices, one
+    entry per vertex: y's left set is the points of the row space of
+    left[y], x's right set the points P with right[x] P^T = 0. With
+    masks[P] the x whose right set holds P, row[y] = full & ~(bit(y) | OR
+    of masks[P] over y's left set, in every condition). The pairing runs
+    in column blocks of _BLOCK_ELEMS entries. When rows of right repeat
+    (mod p), it is made once per distinct row, each keyed as a base-p
+    integer: zero[u, P] = row_u P^T = 0, and x's right set holds P iff
+    zero[u, P] for each of x's rows u.
     """
     n = len(conditions[0][0])
     sides = []
     for left, right in conditions:
-        ids = _point_ids(left)
-        cols = np.unique(ids)
-        vecs = cols[:, None] // p ** np.arange(right.shape[2] - 1, -1, -1) % p
-        step = max(1, _BLOCK_ELEMS // (n * right.shape[1]))
+        ids = _point_ids(left, p)
+        cols = np.sort(ids, axis=None)
+        cols = cols[_run_starts(cols)]
+        k, d = right.shape[1:]
+        digits = p ** np.arange(d - 1, -1, -1)
+        vecs = cols[:, None] // digits % p
+        # Row j of every x, then row j + 1: the AND over x's rows runs over
+        # the outer axis, which numpy does in one pass.
+        rows = right.transpose(1, 0, 2).reshape(-1, d) % p
+        keys = rows @ digits
+        order = np.argsort(keys, kind="stable")
+        new = _run_starts(keys[order])
+        which = None
+        if not new.all():
+            rows, which = rows[order[new]], np.empty(n * k, dtype=np.intp)
+            which[order] = np.cumsum(new) - 1
+        step = max(1, _BLOCK_ELEMS // (n * k))
         masks = {}
         for lo in range(0, len(cols), step):
-            inside = ~(right @ vecs[lo:lo + step].T % p).any(axis=1)
+            zero = rows @ vecs[lo:lo + step].T % p == 0
+            inside = (zero if which is None else zero[which]).reshape(k, n, -1).all(axis=0)
             packed = np.packbits(inside, axis=0, bitorder="little")
             for pid, col in zip(cols[lo:lo + step].tolist(), packed.T):
                 masks[pid] = int.from_bytes(col.tobytes(), "little")
@@ -438,26 +482,31 @@ def _flag_rows(flags, types, p):
     a, b in J. P lies in U iff ann(U) P^T = 0, and in ann(U) iff U P^T = 0.
     """
     d = flags[0][0].ambient
-    ann = {u: nullspace(u.matrix(), p) for u in set(itertools.chain(*flags))}
-    parts = [[f[a] for f in flags] for a in range(len(types))]
-    anns = [[ann[u] for u in part] for part in parts]
+    parts = [_matrices([f[a] for f in flags]) for a in range(len(types))]
+    anns = [_annihilators(part, p) for part in parts]
     conditions = []
     for a, a_dim in enumerate(types):
         for b, b_dim in enumerate(types):
             if a_dim + b_dim <= d:
-                conditions.append((parts[b], _matrices(anns[a])))
+                conditions.append((parts[b], anns[a]))
             else:
-                conditions.append((anns[b], _matrices(parts[a])))
+                # Both sides with their columns reversed: the annihilators
+                # are then in echelon form (_annihilators), so each point
+                # of theirs has one id, as _point_ids says.
+                conditions.append((anns[b][:, ::-1, ::-1], parts[a][:, :, ::-1]))
     return _opposition_rows(conditions, p)
 
 
-def _nested_flags(levels):
+def _nested_flags(levels, p):
     """All chains u_1 < u_2 < ... with u_j drawn from levels[j]; u < w is
-    the subset test on their projective point ids."""
-    points = {u: frozenset(r) for lvl in levels for u, r in zip(lvl, _point_ids(lvl).tolist())}
+    the subset test on their projective point ids, made only for flags of
+    more than one part."""
     flags = [(u,) for u in levels[0]]
-    for lvl in levels[1:]:
-        flags = [f + (w,) for f in flags for w in lvl if points[f[-1]] <= points[w]]
+    if levels[1:]:
+        points = {u: frozenset(r) for lvl in levels
+                  for u, r in zip(lvl, _point_ids(_matrices(lvl), p).tolist())}
+        for lvl in levels[1:]:
+            flags = [f + (w,) for f in flags for w in lvl if points[f[-1]] <= points[w]]
     return flags
 
 
@@ -466,7 +515,7 @@ def _vertices(geo):
     enumerators emit each level in that order, and _nested_flags keeps it."""
     p = geo.spec.p
     if geo.form is None:
-        return _nested_flags([list(enumerate_subspaces(geo.dim, k, p)) for k in geo.parts])
+        return _nested_flags([list(enumerate_subspaces(geo.dim, k, p)) for k in geo.parts], p)
     subs = enumerate_singular_subspaces(geo.form, geo.parts[0])
     return [(s,) for s in subs if not geo.oriflamme or geo.in_family(s)]
 
@@ -476,8 +525,8 @@ def _rows(geo, vertices):
     where P lies in perp(x) iff (B_x G) P^T = 0."""
     if geo.form is None:
         return _flag_rows(vertices, geo.parts, geo.spec.p)
-    subspaces = [f[0] for f in vertices]
-    return _opposition_rows([(subspaces, _matrices(subspaces) @ geo.form.polar)], geo.spec.p)
+    mats = _matrices([f[0] for f in vertices])
+    return _opposition_rows([(mats, mats @ geo.form.polar)], geo.spec.p)
 
 
 def checked_vertex_count(spec):

@@ -57,12 +57,16 @@ def _sigma_neighbours(graph):
 
 def maximal_cocliques_sigma(graph):
     """All maximal cocliques of the apartment subgraph, as sorted tuples
-    of graph vertex indices, in sorted order. Depth first over Sigma,
-    taking each vertex before skipping it: a vertex next to a taken one is
-    skipped, a free one only if a later neighbour may cover it, and a leaf
-    counts if each skipped vertex has a taken neighbour. No maximal
-    coclique is a proper prefix of another."""
-    _check_sigma(graph)
+    of graph vertex indices, in sorted order. On a perfect matching they
+    are its transversals, taken in ascending order (_transversals).
+    Otherwise depth first over Sigma, taking each vertex before skipping
+    it: a vertex next to a taken one is skipped, a free one only if a
+    later neighbour may cover it, and a leaf counts if each skipped vertex
+    has a taken neighbour. No maximal coclique is a proper prefix of
+    another."""
+    _, pairs = _check_sigma(graph)
+    if pairs is not None:
+        return list(_transversals(graph.sigma, pairs, range(1 << len(pairs))))
     sigma, out = graph.sigma, []
     npos = len(sigma)
     nbrs = _sigma_neighbours(graph)
@@ -81,6 +85,15 @@ def maximal_cocliques_sigma(graph):
 
     step(0, 0, 0, 0)
     return out
+
+
+def _transversals(sigma, pairs, xs):
+    """The cocliques that the transversals xs of a matching name (see
+    _orbit_representatives), each a sorted tuple of vertex indices, in the
+    order of xs."""
+    m = len(pairs)
+    ends = [((sigma[a], sigma[b]), m - 1 - t) for t, (a, b) in enumerate(pairs)]
+    return (tuple(sorted([end[x >> shift & 1] for end, shift in ends])) for x in xs)
 
 
 def _orbit_representatives(pairs, generators):
@@ -275,10 +288,8 @@ def check_ucep(graph, mode="all", samples=None, seed=None):
     if mode == "all":
         checked, pairs = _check_sigma(graph)
         if pairs is not None:
-            sigma, m = graph.sigma, len(pairs)
-            cocliques = (tuple(sorted(sigma[pair[(x >> (m - 1 - t)) & 1]]
-                                      for t, pair in enumerate(pairs)))
-                         for x in _orbit_representatives(pairs, graph.sigma_generators).tolist())
+            cocliques = _transversals(graph.sigma, pairs, _orbit_representatives(
+                pairs, graph.sigma_generators).tolist())
         else:
             cocliques = maximal_cocliques_sigma(graph)
             checked = len(cocliques)

@@ -4,11 +4,18 @@ Each computes something the engine computes, by a second and more direct
 rule. The package itself never runs them, so they live with the tests.
 """
 
+import itertools
 import operator
 
 import numpy as np
 
-from kneserlab.algebra import enumerate_subspaces, is_totally_singular, nullspace, rref
+from kneserlab.algebra import (
+    Subspace,
+    enumerate_subspaces,
+    is_totally_singular,
+    nullspace,
+    rref,
+)
 from kneserlab.buildings import _row_blocks, _vertex_count
 from kneserlab.coclique import _bits
 from kneserlab.errors import SearchBudgetExceeded
@@ -51,6 +58,38 @@ def theorem_class(spec):
     if types in adjoint.get(family, ()):
         return "adjoint"
     return None
+
+
+def augment_by_parent(d, k, p, form=None):
+    """algebra._augment one parent at a time: the k-subspaces of F_p^d,
+    totally singular for a form, in canonical order. Each parent basis,
+    whose last pivot is l, takes the rows v = e_c + t with c > l free in
+    every parent row, c descending and t ascending, that are orthogonal to
+    the parent rows and leave at least k-j-1 free columns after c where v
+    is 0. The rows e_c + t come from itertools.product."""
+    candidates, level = {}, [()]
+    for j in range(k):
+        nxt, need = [], k - j - 1
+        for parent in level:
+            last = parent[-1].index(1) if parent else -1
+            free = [c for c in range(last + 1, d) if not any(row[c] for row in parent)]
+            pairing = form.polar @ np.array(parent).T % p if form is not None and parent else None
+            for i in range(len(free) - 1 - need, -1, -1):
+                c = free[i]
+                if c not in candidates:
+                    rows = np.array([(0,) * c + (1,) + t for t in itertools.product(
+                        range(p), repeat=d - 1 - c)], dtype=np.int64).reshape(-1, d)
+                    if form is not None:
+                        rows = rows[(rows @ form.gram * rows).sum(axis=1) % p == 0]
+                    candidates[c] = rows
+                rows = candidates[c]
+                if pairing is not None:
+                    rows = rows[~(rows @ pairing % p).any(axis=1)]
+                if need:
+                    rows = rows[(rows[:, free[i + 1:]] == 0).sum(axis=1) >= need]
+                nxt.extend(parent + (v,) for v in map(tuple, rows.tolist()))
+        level = nxt
+    return [Subspace(d, p, basis) for basis in level]
 
 
 def singular_subspaces_by_filter(form, k):

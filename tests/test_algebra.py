@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import kneserlab.algebra as algebra
 from kneserlab.algebra import (
     SUPPORTED_PRIMES,
     Subspace,
@@ -20,7 +21,7 @@ from kneserlab.algebra import (
 from kneserlab.buildings import BuildingSpec, geometry
 from kneserlab.errors import UsageError
 
-from oracles import gaussian_binomial, perp, singular_subspaces_by_filter
+from oracles import augment_by_parent, gaussian_binomial, perp, singular_subspaces_by_filter
 
 
 def standard_form(family, n, p):
@@ -269,6 +270,23 @@ def test_enumerate_singular_canonical_and_complete(family, n, p, ks):
         assert all(a.key < b.key for a, b in zip(subs, subs[1:]))
         assert all(rref(u.basis, form.dim, p) == u.basis for u in subs)
         assert all(is_totally_singular(u, form) for u in subs)
+
+
+@pytest.mark.parametrize("family,n,p,k", [
+    ("D", 4, 2, 4), ("D", 4, 2, 3), ("B", 3, 3, 3), ("C", 3, 3, 3), ("D", 5, 2, 5),
+    ("A", 4, 3, 2), ("A", 4, 2, 2), ("A", 4, 2, 3), ("A", 5, 5, 5), ("D", 5, 2, 2),
+])
+def test_augment_matches_per_parent_oracle(monkeypatch, family, n, p, k):
+    # The same bases in the same order as one parent at a time, also when
+    # 64-entry blocks make each step take one or a few parents. Type A
+    # k = 2, 3 over F_2 are the parts of A_4 {2,3} flags.
+    geo = geometry(BuildingSpec(family, n, p, (1,)))
+    expected = augment_by_parent(geo.dim, k, p, geo.form)
+    for block in (algebra._BLOCK_ELEMS, 64):
+        monkeypatch.setattr(algebra, "_BLOCK_ELEMS", block)
+        subs = algebra._augment(geo.dim, k, p, geo.form)
+        assert subs == expected, block
+        assert all(type(x) is int for u in (subs[0], subs[-1]) for row in u.basis for x in row)
 
 
 def test_enumerate_singular_beyond_witt_index_empty():

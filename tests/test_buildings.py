@@ -3,13 +3,16 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 import kneserlab.buildings as buildings
 from kneserlab.algebra import (
     Subspace,
     enumerate_singular_subspaces,
+    enumerate_subspaces,
     intersect,
+    nullspace,
 )
 from kneserlab.buildings import (
     BuildingSpec,
@@ -386,7 +389,29 @@ def rank_oracle(graph):
     return lambda a, b: geo.opposite(verts[a], verts[b])
 
 
-def test_kernel_rows_match_rank_oracle_all_pairs():
+def kernel_rows_at_block_64(monkeypatch, graph):
+    """The graph's rows made again with 64-entry blocks, which pair one
+    column of points at a time."""
+    with monkeypatch.context() as patch:
+        patch.setattr(buildings, "_BLOCK_ELEMS", 64)
+        return tuple(buildings._rows(geometry(graph.spec), graph.vertices))
+
+
+@pytest.mark.parametrize("d,k,p", [(4, 1, 2), (5, 3, 3), (4, 2, 5), (4, 2, 7)])
+def test_annihilators_span_the_annihilator(d, k, p):
+    # With rows and columns reversed, each basis gives its points
+    # normalised (first nonzero entry 1), one id per point.
+    subs = list(enumerate_subspaces(d, k, p))
+    anns = buildings._annihilators(buildings._matrices(subs), p)
+    for u, ann in zip(subs, anns):
+        assert Subspace.span(ann.tolist(), d, p) == nullspace(u.matrix(), p)
+    ids = buildings._point_ids(anns[:, ::-1, ::-1], p)
+    vectors = ids[..., None] // p ** np.arange(d - 1, -1, -1) % p
+    assert (np.take_along_axis(vectors, (vectors != 0).argmax(axis=2)[..., None], axis=2) == 1).all()
+    assert all(len(set(row)) == len(row) for row in ids.tolist())
+
+
+def test_kernel_rows_match_rank_oracle_all_pairs(monkeypatch):
     graphs = [build_graph(BuildingSpec("A", 3, 2, (i,))) for i in (1, 2, 3)] + [
         build_graph(BuildingSpec("A", 3, 2, (1, 3))),
         buildings._graph(BuildingSpec("A", 3, 2, (1, 2))),
@@ -404,9 +429,10 @@ def test_kernel_rows_match_rank_oracle_all_pairs():
                 rows[a] |= 1 << b
                 rows[b] |= 1 << a
         assert g.adjacency == tuple(rows), g.spec
+        assert kernel_rows_at_block_64(monkeypatch, g) == g.adjacency, g.spec
 
 
-def test_kernel_rows_match_rank_oracle_random_pairs():
+def test_kernel_rows_match_rank_oracle_random_pairs(monkeypatch):
     rng = random.Random(20261018)
     graphs = [
         build_graph(BuildingSpec("B", 3, 3, (2,))),
@@ -419,6 +445,7 @@ def test_kernel_rows_match_rank_oracle_random_pairs():
         for _ in range(2000):
             a, b = rng.randrange(g.num_vertices), rng.randrange(g.num_vertices)
             assert g.is_adjacent(a, b) == adjacent(a, b), (g.spec, a, b)
+        assert kernel_rows_at_block_64(monkeypatch, g) == g.adjacency, g.spec
 
 
 def test_expected_num_vertices_on_grid():

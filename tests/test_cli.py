@@ -2,6 +2,9 @@
 and report determinism."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -152,6 +155,25 @@ def test_verify_fixtures_case_report(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["check-ucep", "--case-from-fixture", "B3_2", "--p", "3"])
     assert exc.value.code == EXIT_USAGE
+
+
+def test_check_ucep_imports_no_numpy_ma():
+    # numpy 2.4's np.unique imports numpy.ma on first use, which every
+    # check-ucep process would pay; only a fresh interpreter shows the import.
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    script = ("import sys\n"
+              "from kneserlab import cli\n"
+              "code = cli.main(['check-ucep', '--family', 'D', '--rank', '4', '--type', '2',"
+              " '--p', '2', '--mode', 'all'])\n"
+              "print(code, 'numpy.ma' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    *report, last = proc.stdout.splitlines()
+    assert json.loads("\n".join(report))["verdict"] == "holds"
+    assert last == "%d False" % EXIT_OK
 
 
 def test_check_ucep_deterministic_reports(capsys):
