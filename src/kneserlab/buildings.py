@@ -59,6 +59,14 @@ FAMILIES = ("A", "B", "C", "D", "G")
 # Largest graph build_graph makes: 2^15 vertices take 128 MiB of adjacency.
 MAX_VERTICES = 1 << 15
 
+# Largest apartment apartment_graph takes: A_5 chambers have 720 frames,
+# every rank-7 single type at most 672.
+MAX_FRAMES = 1 << 10
+
+# Most point ids apartment_graph's kernel makes, over the left sets of all
+# its frames (_left_dims); each is d int64 entries in _point_ids.
+MAX_POINT_IDS = 1 << 18
+
 # Version of every JSON payload: graphs, UCEP reports and fixture reports.
 SCHEMA = 1
 
@@ -520,6 +528,14 @@ def _vertices(geo):
     return [(s,) for s in subs if not geo.oriflamme or geo.in_family(s)]
 
 
+def _left_dims(geo):
+    """The dimension of the left set of each condition _rows pairs, in its
+    order (_flag_rows: b_dim when a_dim + b_dim <= d, else d - b_dim)."""
+    if geo.form is None:
+        return [b if a + b <= geo.dim else geo.dim - b for a in geo.parts for b in geo.parts]
+    return [geo.parts[0]]
+
+
 def _rows(geo, vertices):
     """Flags: general position. Polar types: x ~ y iff perp(x) ∩ y = 0,
     where P lies in perp(x) iff (B_x G) P^T = 0."""
@@ -570,21 +586,28 @@ def build_graph(spec):
     return _graph(spec)
 
 
-def _vertex_count(spec):
-    """The closed-form vertex count of build_graph(spec).
+def _q_integer(i, q):
+    """[i]_q = 1 + q + ... + q^(i-1), the number of points of F_q^i."""
+    return (q ** i - 1) // (q - 1) if q > 1 else i
 
-    Type A multiplies Gaussian binomials along the flag. Polar types count
+
+def _vertex_count(spec, q=None):
+    """The closed-form vertex count of build_graph(spec), over F_q for
+    q = spec.p; at q = 1 it counts the frames of the apartment, |W/W_J|.
+
+    Type A multiplies Gaussian binomials along the flag, products of
+    q-integers [i]_q = 1 + q + ... + q^(i-1). Polar types count
     [n, k]_q prod_{i=n-k+1..n} (q^(i+e-1) + 1) totally singular k-spaces
     (e = 0 for D_n, 1 for B_n and C_n); one D_n family of maximal ones is
     half of them, which leaves out the factor i = 1, a 2.
     """
-    geo, q = geometry(spec), spec.p
+    geo, q = geometry(spec), spec.p if q is None else q
 
     def binomial(d, k):
         num = den = 1
         for j in range(k):
-            num *= q ** (d - j) - 1
-            den *= q ** (j + 1) - 1
+            num *= _q_integer(d - j, q)
+            den *= _q_integer(j + 1, q)
         return num // den
 
     if spec.family == "A":
@@ -606,8 +629,22 @@ def apartment_graph(spec):
 
     Same geometric adjacency rules as build_graph, evaluated only on the
     coordinate-frame objects, so large buildings never need to be
-    enumerated to check their apartments.
+    enumerated to check their apartments. Refused before any frame is
+    made: a dimension d with p^d > 2^63, past the kernel's int64 point ids;
+    more than MAX_FRAMES frames (_vertex_count at q = 1); more than
+    MAX_POINT_IDS points in the left sets of all the frames.
     """
-    geo = geometry(spec)
+    geo, p = geometry(spec), spec.p
+    if geo.dim > 63 or p ** geo.dim > 1 << 63:
+        raise UsageError("spec %s: dimension %d is too large for the kernel's int64 point "
+                         "ids, which need p^d <= 2^63" % (spec.to_dict(), geo.dim))
+    frames = _vertex_count(spec, 1)
+    if frames > MAX_FRAMES:
+        raise UsageError("spec %s has %d frames in its apartment, more than the limit of %d"
+                         % (spec.to_dict(), frames, MAX_FRAMES))
+    points = frames * sum(_q_integer(k, p) for k in _left_dims(geo))
+    if points > MAX_POINT_IDS:
+        raise UsageError("spec %s has %d point ids in its apartment, more than the limit of %d"
+                         % (spec.to_dict(), points, MAX_POINT_IDS))
     vertices = _sorted_vertices(geo.frames())
     return KneserGraph(geo.spec, vertices, _rows(geo, vertices), range(len(vertices)))

@@ -1,27 +1,27 @@
-"""Weyl groups of types A/B/D as (signed) permutations.
+"""Weyl groups of types A/B/D as (signed) permutations, and their cosets.
 
 Elements are tuples of signed 1-based images: w[i-1] = j means the i-th
 basis direction goes to the j-th, w[i-1] = -j that it also picks up a
 sign. Type A uses plain permutations of {1..n+1}; type B signed
 permutations of {1..n}; type D signed permutations with an even number of
-sign changes. Coxeter length is Cayley-graph distance from the identity
-under the simple generators, computed once during BFS enumeration.
+sign changes. The longest element w0 and the order |W| are closed forms,
+so no group is enumerated.
 
 The abstract (coset-level) Kneser graph lives on cosets wX of the
 parabolic X = <R minus J>, with wX ~ vX iff v^-1 w lies in the double
 coset X w0 X, that is iff vX is one of the cosets w x w0 X, x in X
-(w0 is an involution).
+(w0 is an involution). A coset wX is the flag of label sets w({1..j}),
+j in J, whose stabiliser is X. In D_n, type n-1 without n reads w(n) as
+-w(n), as Geometry.frame names the minus family, and type n beside n-1
+adds nothing.
 """
 
 from __future__ import annotations
 
-import itertools
-from collections import deque
+import math
 from functools import lru_cache
 
 from .errors import UsageError
-
-MAX_RANK = 5
 
 
 def compose(u, v):
@@ -53,56 +53,30 @@ def simple_reflections(family, n):
     return tuple(tuple(move.get(j, j) for j in range(1, m + 1)) for move in moves)
 
 
-def _closure(m, gens):
-    """Every element of the group the generators make, in breadth-first
-    order from the identity on m letters, with its length in them."""
-    length = {identity(m): 0}
-    queue = deque(length)
-    while queue:
-        w = queue.popleft()
-        for s in gens:
-            ws = compose(w, s)
-            if ws not in length:
-                length[ws] = length[w] + 1
-                queue.append(ws)
-    return length
-
-
 class WeylGroup:
-    """Fully enumerated Weyl group with simple generators and lengths."""
+    """A Weyl group by its simple generators, its longest element w0 and
+    its order."""
 
     def __init__(self, family, n):
         if family not in ("A", "B", "D"):
             raise UsageError("Weyl family must be A, B or D")
         if n < 1 or (family == "D" and n < 2):
             raise UsageError("rank too small for family %s" % family)
-        if n > MAX_RANK:
-            raise UsageError(
-                "rank %d too large for full enumeration (max %d)" % (n, MAX_RANK)
-            )
         self.family = family
-        self.n = n
         self.m = m = n + 1 if family == "A" else n
         self.generators = gens = simple_reflections(family, n)
         self.rank = len(gens)
-        self.length = _closure(m, gens)
-        self.elements = list(self.length)
-        max_len = max(self.length.values())
-        longest = [w for w, l in self.length.items() if l == max_len]
-        if len(longest) != 1:
-            raise RuntimeError("longest element is not unique")
-        self.w0 = longest[0]
-
-    @property
-    def order(self):
-        return len(self.elements)
+        # w0 reverses the letters in type A and negates them in B and D,
+        # but for the last one in D_n with n odd, where -1 is not in W.
+        if family == "A":
+            self.w0 = tuple(range(m, 0, -1))
+        else:
+            self.w0 = tuple(range(-1, -m, -1)) + (m if family == "D" and m % 2 else -m,)
+        self.order = math.factorial(m) << (0 if family == "A" else m - (family == "D"))
 
     def generator(self, i):
         """Simple generator s_i, 1-based."""
         return self.generators[i - 1]
-
-    def sort_key(self, w):
-        return (self.length[w], w)
 
 
 @lru_cache(maxsize=None)
@@ -111,8 +85,12 @@ def weyl_group(family, n):
 
 
 class ParabolicQuotient:
-    """Cosets wX of X = <R minus J>; the row of wX holds its opposites,
-    the cosets w x w0 X for x in X. A coset is its own opposite only if w0
+    """Cosets wX of X = <R minus J>, each made as its flag of label sets
+    (module notes), in the order of a breadth-first search from X under
+    left multiplication by the simple reflections: by depth, then by the
+    one-line notation of the representative, the shortest element of the
+    coset. The row of wX holds its opposites w x w0 X for x in X: w
+    applied to the X-orbit of w0X. A coset is its own opposite only if w0
     lies in X, that is X = W, so the empty type set is refused."""
 
     def __init__(self, group, types):
@@ -123,20 +101,44 @@ class ParabolicQuotient:
             raise UsageError("type set not contained in the diagram nodes")
         self.group = group
         self.types = types
-        self.subgroup = _parabolic(group, types)
-        reps = []
-        self.coset_index = {}
-        for w in sorted(group.elements, key=group.sort_key):
-            if w in self.coset_index:
-                continue
-            idx = len(reps)
-            reps.append(w)
-            for x in self.subgroup:
-                self.coset_index[compose(w, x)] = idx
-        self.representatives = reps
-        opposite = [compose(x, group.w0) for x in self.subgroup]
-        self.adjacency = [sum({1 << self.coset_index[compose(w, xw0)] for xw0 in opposite})
-                          for w in reps]
+        n = group.rank
+        self._prefixes, self._flip = list(types), False
+        if group.family == "D" and n - 1 in types:
+            if n in types:
+                self._prefixes.remove(n)
+            else:
+                self._prefixes[-1], self._flip = n, True
+        cosets = self._orbit(identity(group.m), group.generators)
+        self._index = {flag: i for i, flag in enumerate(cosets)}
+        self.representatives = reps = list(cosets.values())
+        sub = [s for i, s in enumerate(group.generators, 1) if i not in types]
+        opposite = self._orbit(group.w0, sub).values()
+        self.adjacency = [sum(1 << self.index(compose(w, u)) for u in opposite) for w in reps]
+
+    def _flag(self, w):
+        if self._flip:
+            w = w[:-1] + (-w[-1],)
+        return tuple(frozenset(w[:k]) for k in self._prefixes)
+
+    def _orbit(self, start, gens):
+        """The cosets u·start·X for u in the group gens make, breadth first:
+        flag -> one element of the coset, by depth, then one-line notation."""
+        found, level = {self._flag(start): start}, [start]
+        while level:
+            step = {}
+            for w in level:
+                for s in gens:
+                    v = compose(s, w)
+                    flag = self._flag(v)
+                    if flag not in found:
+                        step[flag] = v
+            found.update(sorted(step.items(), key=lambda item: item[1]))
+            level = list(step.values())
+        return found
+
+    def index(self, w):
+        """The index of the coset wX."""
+        return self._index[self._flag(w)]
 
     @property
     def num_vertices(self):
@@ -164,7 +166,7 @@ def phi_map(fine, coarse):
         raise UsageError("quotients belong to different groups")
     if not set(coarse.types) <= set(fine.types):
         raise UsageError("phi_map needs J subset of J'")
-    mapping = [coarse.coset_index[w] for w in fine.representatives]
+    mapping = [coarse.index(w) for w in fine.representatives]
     for i, j in fine.edges():
         if not coarse.is_adjacent(mapping[i], mapping[j]):
             raise UsageError(
@@ -204,14 +206,12 @@ def check_lifting(fine, coarse):
     return True, None
 
 
-def _parabolic(group, types):
-    """The elements of X = <R minus J>."""
-    return list(_closure(group.m, [s for i, s in enumerate(group.generators, 1) if i not in types]))
-
-
 def shortest_double_coset(group, types):
     """The least element of X w0 X for X = <R minus J>, by length, then
-    one-line notation."""
-    sub = _parabolic(group, types)
-    return min((compose(compose(x1, group.w0), x2) for x1 in sub for x2 in sub),
-               key=group.sort_key)
+    one-line notation: the representative of the first opposite x w0 X of
+    coset 0, or the identity for J empty, where X = W."""
+    if not types:
+        return identity(group.m)
+    quotient = ParabolicQuotient(group, types)
+    row = quotient.adjacency[0]
+    return quotient.representatives[(row & -row).bit_length() - 1]

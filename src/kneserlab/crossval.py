@@ -11,6 +11,7 @@ and is the anti-drift guard for the adopted general-position adjacency.
 from __future__ import annotations
 
 from .buildings import apartment_graph, geometry
+from .coclique import _bits
 from .coxeter import ParabolicQuotient, weyl_group
 from .errors import UsageError
 
@@ -24,6 +25,8 @@ def cross_validate(spec):
     geometry(spec).frame(w). The report's "ok" field is False iff the
     vertex bijection breaks or some pair differs in adjacency, in which
     case "mismatch" holds the first offending pair.
+
+    apartment_graph's refusals come before any coset is made.
     """
     family, n, types = spec.family, spec.rank, spec.types
     if family not in WEYL_FAMILY:
@@ -33,9 +36,9 @@ def cross_validate(spec):
         raise UsageError("spec %s: one family of maximal spaces of D_%d, n odd, has no "
                          "opposite pairs, so the coset model does not describe it"
                          % (spec.to_dict(), n))
+    geometric = apartment_graph(spec)
     group = weyl_group(WEYL_FAMILY[family], n)
     quotient = ParabolicQuotient(group, types)
-    geometric = apartment_graph(spec)
     if quotient.num_vertices != geometric.num_vertices:
         return {
             "ok": False,
@@ -57,27 +60,29 @@ def cross_validate(spec):
         mapping.append(index_of[flag])
     if len(set(mapping)) != len(mapping):
         return {"ok": False, "mismatch": {"kind": "labeling_not_injective"}}
-    nverts = quotient.num_vertices
-    for a in range(nverts):
-        for b in range(a + 1, nverts):
-            left = quotient.is_adjacent(a, b)
-            right = geometric.is_adjacent(mapping[a], mapping[b])
-            if left != right:
-                return {
-                    "ok": False,
-                    "mismatch": {
-                        "kind": "adjacency",
-                        "cosets": [a, b],
-                        "coset_adjacent": left,
-                        "geometric_adjacent": right,
-                    },
-                }
+    # Each geometric row, read in coset indices, against the coset row:
+    # the least b > a where they differ makes the first mismatched pair.
+    coset_of = {v: a for a, v in enumerate(mapping)}
+    for a, v in enumerate(mapping):
+        row = sum(1 << coset_of[u] for u in _bits(geometric.adjacency[v]))
+        diff = (row ^ quotient.adjacency[a]) >> (a + 1)
+        if diff:
+            b = a + (diff & -diff).bit_length()
+            return {
+                "ok": False,
+                "mismatch": {
+                    "kind": "adjacency",
+                    "cosets": [a, b],
+                    "coset_adjacent": quotient.is_adjacent(a, b),
+                    "geometric_adjacent": geometric.is_adjacent(v, mapping[b]),
+                },
+            }
     return {
         "ok": True,
         "family": family,
         "rank": n,
         "types": list(types),
         "p": spec.p,
-        "vertices": nverts,
+        "vertices": len(mapping),
         "edges": geometric.num_edges(),
     }

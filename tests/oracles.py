@@ -4,8 +4,10 @@ Each computes something the engine computes, by a second and more direct
 rule. The package itself never runs them, so they live with the tests.
 """
 
+import functools
 import itertools
 import operator
+from collections import deque
 
 import numpy as np
 
@@ -18,6 +20,7 @@ from kneserlab.algebra import (
 )
 from kneserlab.buildings import _row_blocks, _vertex_count
 from kneserlab.coclique import _bits
+from kneserlab.coxeter import compose, identity, simple_reflections
 from kneserlab.errors import SearchBudgetExceeded
 
 
@@ -228,3 +231,77 @@ def orbit(members, perms):
                 seen.add(image)
                 todo.append(image)
     return seen
+
+
+@functools.lru_cache(maxsize=None)
+def weyl_lengths(family, n):
+    """Every element of W(A_n), W(B_n) or W(D_n) with its length in the
+    simple reflections, by enumerating the whole group."""
+    return _closure(n + 1 if family == "A" else n, simple_reflections(family, n))
+
+
+def _closure(m, gens):
+    """Every element of the group the generators make, in breadth-first
+    order from the identity on m letters, with its length in them."""
+    length = {identity(m): 0}
+    queue = deque(length)
+    while queue:
+        w = queue.popleft()
+        for s in gens:
+            ws = compose(w, s)
+            if ws not in length:
+                length[ws] = length[w] + 1
+                queue.append(ws)
+    return length
+
+
+@functools.lru_cache(maxsize=None)
+def longest_element(family, n):
+    """The one element of greatest length."""
+    length = weyl_lengths(family, n)
+    top = max(length.values())
+    (w0,) = [w for w, l in length.items() if l == top]
+    return w0
+
+
+def parabolic(family, n, types):
+    """The elements of X = <R minus J>."""
+    gens = simple_reflections(family, n)
+    return list(_closure(len(gens[0]), [s for i, s in enumerate(gens, 1) if i not in types]))
+
+
+class QuotientByElements:
+    """coxeter.ParabolicQuotient over the whole group: the elements of W,
+    by length and then one-line notation, each first one of its coset wX
+    its representative; the row of wX holds the cosets of w x w0, x in X."""
+
+    def __init__(self, family, n, types):
+        length = weyl_lengths(family, n)
+        self.subgroup = parabolic(family, n, types)
+        reps, self.coset_index = [], {}
+        for w in sorted(length, key=lambda w: (length[w], w)):
+            if w not in self.coset_index:
+                self.coset_index.update(dict.fromkeys(
+                    (compose(w, x) for x in self.subgroup), len(reps)))
+                reps.append(w)
+        self.representatives = reps
+        opposite = [compose(x, longest_element(family, n)) for x in self.subgroup]
+        self.adjacency = [sum({1 << self.coset_index[compose(w, u)] for u in opposite})
+                          for w in reps]
+
+
+def shortest_double_coset_by_elements(family, n, types):
+    """The least element of X w0 X, by length and then one-line notation,
+    over every element of the double coset: the closure of w0 under
+    multiplication by X's generators on either side."""
+    length = weyl_lengths(family, n)
+    gens = [s for i, s in enumerate(simple_reflections(family, n), 1) if i not in types]
+    start = longest_element(family, n)
+    seen, todo = {start}, [start]
+    while todo:
+        w = todo.pop()
+        for v in [compose(s, w) for s in gens] + [compose(w, s) for s in gens]:
+            if v not in seen:
+                seen.add(v)
+                todo.append(v)
+    return min(seen, key=lambda w: (length[w], w))

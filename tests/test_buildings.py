@@ -470,6 +470,12 @@ def test_dimension_64_bounds_the_vertex_count(family, n, p):
             buildings.checked_vertex_count(spec)
 
 
+def test_apartment_graph_refuses_point_ids_past_int64():
+    # F_2^71 has point ids up to 2^71 - 1, which int64 would wrap.
+    with pytest.raises(UsageError, match="dimension 71"):
+        apartment_graph(BuildingSpec("A", 70, 2, (1,)))
+
+
 def test_graph_checks_enumerated_count(monkeypatch):
     # An enumerator that loses one subspace is caught by the closed-form
     # count for every spec, not only for the tested ones.

@@ -398,15 +398,38 @@ def test_cross_validate_a3_point_line_flags(capsys):
                            '"rank": 3, "types": [1, 2], "vertices": 12}\n')
 
 
-def test_cross_validate_rank_limit(capsys):
-    # coxeter.MAX_RANK is the one rank limit: rank 6 is refused before
-    # any apartment is built.
-    code, _, err = run(
-        capsys, "cross-validate", "--family", "A", "--rank", "6", "--type",
-        "2", "--p", "2"
-    )
-    assert code == EXIT_USAGE
-    assert "max 5" in err
+def test_cross_validate_size_limits(capsys, monkeypatch):
+    # Refused by apartment_graph before any coset or frame is made: A_6
+    # chambers, with 7! = 5040 frames past buildings.MAX_FRAMES; A_63
+    # points, whose dimension 64 has point ids past int64; B_7 and B_10
+    # maximal spaces over F_7, with 128 and 1024 frames but 137257 and
+    # 47079208 points per frame, past buildings.MAX_POINT_IDS.
+    import kneserlab.buildings as buildings
+    import kneserlab.crossval as crossval
+
+    def made(*args):
+        raise AssertionError("made before the refusal")
+
+    monkeypatch.setattr(crossval, "ParabolicQuotient", made)
+    monkeypatch.setattr(buildings.Geometry, "frames", made)
+    monkeypatch.setattr(buildings, "_rows", made)
+    for family, rank, types, p, named in [
+            ("A", "6", "1,2,3,4,5,6", "2", "5040 frames"), ("A", "63", "1", "2", "dimension 64"),
+            ("B", "7", "7", "7", "17568896 point ids"), ("B", "10", "10", "7", "48209108992 point ids")]:
+        code, out, err = run(capsys, "cross-validate", "--family", family, "--rank", rank,
+                             "--type", types, "--p", p)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert named in err
+
+
+def test_cross_validate_within_the_limits(capsys):
+    # A_6 lines, and A_62 points in F_2^63, whose largest point id is
+    # 2^63 - 1.
+    for rank, types in [("6", "2"), ("62", "1")]:
+        code, out, _ = run(capsys, "cross-validate", "--family", "A", "--rank", rank,
+                           "--type", types, "--p", "2")
+        assert code == EXIT_OK
+        assert json.loads(out)["ok"]
 
 
 def test_cross_validate_rank_5(capsys):

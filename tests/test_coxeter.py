@@ -1,9 +1,17 @@
 """Tests for Weyl groups as signed permutations and the coset-level
-Kneser graphs on parabolic quotients."""
+Kneser graphs on parabolic quotients, against the whole-group oracles."""
 
 import itertools
 
 import pytest
+
+from oracles import (
+    QuotientByElements,
+    longest_element,
+    parabolic,
+    shortest_double_coset_by_elements,
+    weyl_lengths,
+)
 
 from kneserlab.coxeter import (
     ParabolicQuotient,
@@ -29,6 +37,8 @@ def test_group_orders():
     assert weyl_group("D", 4).order == 192
     assert weyl_group("A", 4).order == 120
     assert weyl_group("B", 2).order == 8
+    for family, n in [("A", 5), ("B", 5), ("D", 2), ("D", 3), ("D", 5)]:
+        assert weyl_group(family, n).order == len(weyl_lengths(family, n))
 
 
 def test_longest_elements():
@@ -39,14 +49,16 @@ def test_longest_elements():
     # pattern with an even number of flips.
     w0 = weyl_group("D", 3).w0
     assert sum(1 for x in w0 if x < 0) % 2 == 0
+    for family, n in [("A", 1), ("A", 5), ("B", 5), ("D", 2), ("D", 3), ("D", 5)]:
+        assert weyl_group(family, n).w0 == longest_element(family, n)
 
 
 def test_w0_involution_and_length_descent():
     for family, n in [("A", 3), ("A", 4), ("B", 3), ("D", 4)]:
-        g = weyl_group(family, n)
+        g, length = weyl_group(family, n), weyl_lengths(family, n)
         assert compose(g.w0, g.w0) == identity(g.m)
         for s in g.generators:
-            assert g.length[compose(g.w0, s)] < g.length[g.w0]
+            assert length[compose(g.w0, s)] < length[g.w0]
 
 
 def test_length_matches_positive_root_count():
@@ -54,14 +66,14 @@ def test_length_matches_positive_root_count():
              "D": lambda n: n * (n - 1)}
     for family, n in [("A", 3), ("A", 4), ("B", 3), ("D", 4)]:
         g = weyl_group(family, n)
-        assert g.length[g.w0] == roots[family](n)
+        assert weyl_lengths(family, n)[g.w0] == roots[family](n)
 
 
 def test_coset_counts():
     g = weyl_group("A", 3)
     q = ParabolicQuotient(g, (2,))
     assert q.num_vertices == 6
-    assert q.num_vertices * len(q.subgroup) == g.order
+    assert q.num_vertices * len(parabolic("A", 3, (2,))) == g.order
 
 
 def test_a3_two_subsets_is_perfect_matching():
@@ -84,7 +96,7 @@ def test_a2_chambers_unique_opposite():
     assert graph_degrees(q) == [1] * 6
     g = weyl_group("A", 2)
     for i, w in enumerate(q.representatives):
-        opp = q.coset_index[compose(w, g.w0)]
+        opp = q.index(compose(w, g.w0))
         assert q.is_adjacent(i, opp)
 
 
@@ -153,8 +165,12 @@ def test_shortest_double_coset():
 
 
 def test_rank_limits():
+    # No rank is too large: w0 and |W| are closed forms, and a quotient
+    # makes only its cosets.
+    assert WeylGroup("A", 9).order == 3628800
+    assert ParabolicQuotient(weyl_group("B", 9), (1,)).num_vertices == 18
     with pytest.raises(UsageError):
-        WeylGroup("A", 9)
+        WeylGroup("D", 1)
     with pytest.raises(UsageError):
         WeylGroup("E", 3)
     with pytest.raises(UsageError):
@@ -163,3 +179,26 @@ def test_rank_limits():
     # opposite.
     with pytest.raises(UsageError, match="nonempty"):
         ParabolicQuotient(weyl_group("B", 3), ())
+
+
+@pytest.mark.parametrize("family,n", [("A", n) for n in range(1, 6)]
+                         + [(f, n) for f in "BD" for n in range(2, 6)])
+def test_cosets_match_the_whole_group_oracle(family, n):
+    # Every type set, the empty one included: the representatives in
+    # order, the rows, the index of every element, phi_map from the
+    # chambers and the shortest element of X w0 X.
+    g = weyl_group(family, n)
+    chambers = ParabolicQuotient(g, range(1, n + 1))
+    oracle_chambers = QuotientByElements(family, n, tuple(range(1, n + 1)))
+    for k in range(n + 1):
+        for types in itertools.combinations(range(1, n + 1), k):
+            assert shortest_double_coset(g, types) == shortest_double_coset_by_elements(
+                family, n, types)
+            if not types:
+                continue
+            q, oracle = ParabolicQuotient(g, types), QuotientByElements(family, n, types)
+            assert q.representatives == oracle.representatives
+            assert q.adjacency == oracle.adjacency
+            assert all(q.index(w) == i for w, i in oracle.coset_index.items())
+            assert phi_map(chambers, q) == [oracle.coset_index[w]
+                                            for w in oracle_chambers.representatives]

@@ -7,11 +7,14 @@ import io
 
 import pytest
 
+import kneserlab.buildings as buildings
 from kneserlab.buildings import BuildingSpec, geometry
 from kneserlab.cli import main
 from kneserlab.coxeter import ParabolicQuotient, weyl_group
 from kneserlab.crossval import cross_validate
 from kneserlab.errors import UsageError
+
+from test_coclique import THEOREM_CELLS
 
 
 GRID = [
@@ -113,3 +116,20 @@ def test_flipped_coset_edge_is_the_mismatch(capsys, monkeypatch):
     out, err = capsys.readouterr()
     assert (code, out) == (EXIT_CROSSVAL, json.dumps(report, sort_keys=True) + "\n")
     assert "adjacency" in err
+
+
+# Every theorem cell Tier-1 decides, ranks 6 included, and cells of rank 7.
+DECIDED = THEOREM_CELLS + [BuildingSpec("B", 7, 3, (2,)), BuildingSpec("C", 7, 3, (3,)),
+                           BuildingSpec("D", 7, 2, (2,)), BuildingSpec("A", 7, 2, (1, 7))]
+
+
+@pytest.mark.parametrize("spec", DECIDED, ids=lambda s: "%s%d%s_p%d" % (
+    s.family, s.rank, "".join(map(str, s.types)), s.p))
+def test_cross_validate_decided_cells(monkeypatch, spec):
+    # The coset model and the frames alone: no building is enumerated.
+    def enumerated(geo):
+        raise AssertionError("a building was enumerated")
+
+    monkeypatch.setattr(buildings, "_vertices", enumerated)
+    report = cross_validate(spec)
+    assert report["ok"], report["mismatch"]
