@@ -6,10 +6,11 @@ and the apartment subgraph is the set of coordinate-frame objects.
 
 `geometry(spec)` is the one place that knows what a spec names: the
 subspaces that make up a vertex, the form they are singular for, and
-the label words that name its frame objects. A BuildingSpec is the only
-name of a geometry: `build_graph`, apartment graphs, vertex counts and
-the coset cross-validation all take one and read `geometry(spec)`, and
-`build_graph` holds the one graph cache, keyed by the canonical spec.
+the Weyl group coset quotient whose label-set flags name its frame
+objects. A BuildingSpec is the only name of a geometry: `build_graph`,
+apartment graphs, vertex counts and the coset cross-validation all take
+one and read `geometry(spec)`, and `build_graph` holds the one graph
+cache, keyed by the canonical spec.
 
 Standard forms, fixed once per family:
   D_n: Q(x) = x_1 x_1' + ... + x_n x_n'  on F_p^{2n},
@@ -33,7 +34,6 @@ x is the points P with x ⊂ P^⊥, so that x ~ y iff perp(x) ∩ y = 0.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -51,7 +51,7 @@ from .algebra import (
     rank_mod_p,
     rref,
 )
-from .coxeter import compose, simple_reflections
+from .coxeter import compose, quotient
 from .errors import UsageError
 
 FAMILIES = ("A", "B", "C", "D", "G")
@@ -82,6 +82,8 @@ class BuildingSpec:
         if self.family not in FAMILIES:
             raise UsageError("family must be one of %s" % (FAMILIES,))
         check_prime(self.p)
+        if self.rank < 1:
+            raise UsageError("rank must be at least 1, not %d" % self.rank)
         types = tuple(sorted(set(self.types)))
         object.__setattr__(self, "types", types)
         if not types:
@@ -163,44 +165,25 @@ class Geometry:
         even = rank_mod_p(sub.matrix()[:, 1::2].tolist(), self.dim // 2, self.spec.p) % 2 == 0
         return even == (self.oriflamme == "plus")
 
-    def frame(self, labels):
-        """Frame object of a label word, such as a Weyl group element in
-        one-line notation: the coordinate flag on the word's prefixes. The
-        minus family swaps the n-th label for its partner, so that the even
-        words of D_n name its odd frames."""
-        if self.oriflamme == "minus":
-            k = self.parts[0]
-            labels = tuple(labels[:k - 1]) + (-labels[k - 1],)
-        return tuple(self.coordinate(labels[:k]) for k in self.parts)
+    @property
+    def quotient(self):
+        """The coset quotient whose label-set flags are the frames: W(A_n) in
+        type A, W(D_n) on one D_n family of maximal spaces, and W(B_r) on any
+        other polar form of r pairs (a sign change swaps the two families)."""
+        family, r = self.spec.family, self.dim // 2
+        if family == "A":
+            return quotient("A", self.dim - 1, self.parts)
+        if self.oriflamme:
+            return quotient("D", r, self.spec.types)
+        return quotient("B", r, self.parts)
 
-    def frame_words(self):
-        """One label word per frame object: a set of new labels for each
-        part, never a label beside its partner, and for D_n maximal spaces
-        an even number of primed labels, as in the Weyl group of D_n."""
-        if self.spec.family == "A":
-            alphabet = range(1, self.dim + 1)
-        else:
-            alphabet = [s * a for a in range(1, self.dim // 2 + 1) for s in (1, -1)]
-        words, below = [()], 0
-        for k in self.parts:
-            words = [w + c for w in words for c in itertools.combinations(
-                [l for l in alphabet if l not in w], k - below)]
-            below = k
-        return [w for w in words if len({abs(l) for l in w}) == len(w)
-                and not (self.oriflamme and sum(l < 0 for l in w) % 2)]
+    def frame(self, flag):
+        """Frame object of a flag of label sets, one per part, such as a
+        coset of the quotient: the coordinate subspace of each set."""
+        return tuple(self.coordinate(labels) for labels in flag)
 
     def frames(self):
-        return [self.frame(w) for w in self.frame_words()]
-
-    def weyl_generators(self):
-        """The Weyl group's simple reflections (coxeter.simple_reflections)
-        acting on frame labels: those of S_{n+1} in type A; on a polar form
-        of r pairs, those of W(B_r), and on one D_n family of maximal spaces
-        those of W(D_r), since a single sign change exchanges the two
-        families."""
-        if self.spec.family == "A":
-            return simple_reflections("A", self.dim - 1)
-        return simple_reflections("D" if self.oriflamme else "B", self.dim // 2)
+        return [self.frame(flag) for flag in self.quotient.flags]
 
     def vertex(self, flag, index):
         """The flag of subspaces a list of basis matrices names, checked
@@ -338,9 +321,8 @@ class KneserGraph:
                               for i, row in enumerate(rows, lo + 1))
             bits = np.unpackbits(np.frombuffer(packed, np.uint8).reshape(len(rows), width),
                                  axis=1, count=n, bitorder="little")
-            pairs = np.argwhere(bits)
-            pairs[:, 0] += lo
-            yield pairs
+            tails, heads = np.divmod(np.flatnonzero(bits.view(bool)), n)
+            yield np.column_stack((tails + lo, heads))
 
     def sigma_mask(self):
         m = 0
@@ -363,25 +345,23 @@ def _sorted_vertices(flags):
 
 def _apartment(geo, vertices):
     """Sigma, the sorted indices of the frame objects, and the Weyl group
-    generators as permutations of Sigma positions: a generator maps the
-    frame of a label word to the frame of the word's image."""
+    generators as permutations of Sigma positions: a generator s maps the
+    frame of a coset wX to the frame of s·wX."""
     index = {flag: i for i, flag in enumerate(vertices)}
-
-    def vertex(word):
-        flag = geo.frame(word)
+    at = []
+    for flag in geo.frames():
         if flag not in index:
             raise RuntimeError("frame object is not a vertex: %r" % (flag,))
-        return index[flag]
-
-    words = geo.frame_words()
-    at = [vertex(w) for w in words]
+        at.append(index[flag])
     sigma = sorted(at)
     position = {v: j for j, v in enumerate(sigma)}
+    pos = [position[v] for v in at]
+    q = geo.quotient
     generators = []
-    for gen in geo.weyl_generators():
+    for s in q.group.generators:
         perm = [0] * len(sigma)
-        for w, v in zip(words, at):
-            perm[position[v]] = position[vertex(compose(gen, w))]
+        for j, w in zip(pos, q.representatives):
+            perm[j] = pos[q.index(compose(s, w))]
         generators.append(perm)
     return sigma, generators
 

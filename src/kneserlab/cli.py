@@ -65,12 +65,12 @@ def graph_to_dict(graph):
 
 def _edge_pairs(graph):
     """The edges as (i, j) tuples, made block by block; every pair holds the
-    ints of one list(range(n)), so no edge makes int objects of its own."""
-    ints = list(range(graph.num_vertices))
+    ints of one object array of range(n), gathered by index, so no edge
+    makes int objects of its own."""
+    ints = np.array(list(range(graph.num_vertices)), dtype=object)
     pairs = []
     for block in graph.edge_blocks():
-        tails, heads = block.T.tolist()
-        pairs += zip(map(ints.__getitem__, tails), map(ints.__getitem__, heads))
+        pairs += zip(ints[block[:, 0]].tolist(), ints[block[:, 1]].tolist())
     return pairs
 
 

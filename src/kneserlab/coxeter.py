@@ -11,15 +11,15 @@ The abstract (coset-level) Kneser graph lives on cosets wX of the
 parabolic X = <R minus J>, with wX ~ vX iff v^-1 w lies in the double
 coset X w0 X, that is iff vX is one of the cosets w x w0 X, x in X
 (w0 is an involution). A coset wX is the flag of label sets w({1..j}),
-j in J, whose stabiliser is X. In D_n, type n-1 without n reads w(n) as
--w(n), as Geometry.frame names the minus family, and type n beside n-1
-adds nothing.
+j in J, whose stabiliser is X: a frame, once Geometry.frame maps each
+set to its coordinate subspace. In D_n, type n-1 without n reads w(n) as
+-w(n), the minus family, and type n beside n-1 adds nothing.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import UsageError
 
@@ -89,9 +89,10 @@ class ParabolicQuotient:
     (module notes), in the order of a breadth-first search from X under
     left multiplication by the simple reflections: by depth, then by the
     one-line notation of the representative, the shortest element of the
-    coset. The row of wX holds its opposites w x w0 X for x in X: w
-    applied to the X-orbit of w0X. A coset is its own opposite only if w0
-    lies in X, that is X = W, so the empty type set is refused."""
+    coset, as `flags` and `representatives` list them. The row of wX, made
+    on first use, holds its opposites w x w0 X for x in X: w applied to the
+    X-orbit of w0X. A coset is its own opposite only if w0 lies in X, that
+    is X = W, so the empty type set is refused."""
 
     def __init__(self, group, types):
         types = tuple(sorted(set(types)))
@@ -110,10 +111,15 @@ class ParabolicQuotient:
                 self._prefixes[-1], self._flip = n, True
         cosets = self._orbit(identity(group.m), group.generators)
         self._index = {flag: i for i, flag in enumerate(cosets)}
-        self.representatives = reps = list(cosets.values())
-        sub = [s for i, s in enumerate(group.generators, 1) if i not in types]
-        opposite = self._orbit(group.w0, sub).values()
-        self.adjacency = [sum(1 << self.index(compose(w, u)) for u in opposite) for w in reps]
+        self.flags = tuple(cosets)
+        self.representatives = tuple(cosets.values())
+
+    @cached_property
+    def adjacency(self):
+        sub = [s for i, s in enumerate(self.group.generators, 1) if i not in self.types]
+        opposite = self._orbit(self.group.w0, sub).values()
+        return tuple(sum(1 << self.index(compose(w, u)) for u in opposite)
+                     for w in self.representatives)
 
     def _flag(self, w):
         if self._flip:
@@ -154,6 +160,13 @@ class ParabolicQuotient:
                 j = (bits & -bits).bit_length() - 1
                 yield (i, j)
                 bits &= bits - 1
+
+
+@lru_cache(maxsize=None)
+def quotient(family, n, types):
+    """The ParabolicQuotient of W(family_n) by a sorted type tuple, made
+    once and shared: the geometries' frames and cross_validate read it."""
+    return ParabolicQuotient(weyl_group(family, n), types)
 
 
 def phi_map(fine, coarse):

@@ -2,8 +2,8 @@
 
 The abstract Kneser graph on parabolic cosets of the Weyl group must be
 isomorphic to the subgraph the geometric model induces on its coordinate
-frame, under the canonical labeling that sends a coset representative w
-to the frame object spanned by the images of the first basis directions.
+frame, under the canonical labeling that sends a coset, a flag of label
+sets, to the coordinate flag of those sets (Geometry.frame).
 This is checked by the explicit bijection, never by isomorphism search,
 and is the anti-drift guard for the adopted general-position adjacency.
 """
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from .buildings import apartment_graph, geometry
 from .coclique import _bits
-from .coxeter import ParabolicQuotient, weyl_group
+from .coxeter import quotient
 from .errors import UsageError
 
 WEYL_FAMILY = {"A": "A", "B": "B", "C": "B", "D": "D"}
@@ -21,8 +21,8 @@ WEYL_FAMILY = {"A": "A", "B": "B", "C": "B", "D": "D"}
 def cross_validate(spec):
     """Compare coset and geometric apartment graphs; returns a report.
 
-    A coset representative w, read as a label word, names the frame object
-    geometry(spec).frame(w). The report's "ok" field is False iff the
+    Each coset of coxeter.quotient, a flag of label sets, names the frame
+    object geometry(spec).frame(flag). The report's "ok" field is False iff the
     vertex bijection breaks or some pair differs in adjacency, in which
     case "mismatch" holds the first offending pair.
 
@@ -37,21 +37,20 @@ def cross_validate(spec):
                          "opposite pairs, so the coset model does not describe it"
                          % (spec.to_dict(), n))
     geometric = apartment_graph(spec)
-    group = weyl_group(WEYL_FAMILY[family], n)
-    quotient = ParabolicQuotient(group, types)
-    if quotient.num_vertices != geometric.num_vertices:
+    cosets = quotient(WEYL_FAMILY[family], n, types)
+    if cosets.num_vertices != geometric.num_vertices:
         return {
             "ok": False,
             "mismatch": {
                 "kind": "vertex_count",
-                "coset": quotient.num_vertices,
+                "coset": cosets.num_vertices,
                 "geometric": geometric.num_vertices,
             },
         }
     index_of = {flag: i for i, flag in enumerate(geometric.vertices)}
     mapping = []
-    for w in quotient.representatives:
-        flag = geo.frame(w)
+    for labels, w in zip(cosets.flags, cosets.representatives):
+        flag = geo.frame(labels)
         if flag not in index_of:
             return {
                 "ok": False,
@@ -65,7 +64,7 @@ def cross_validate(spec):
     coset_of = {v: a for a, v in enumerate(mapping)}
     for a, v in enumerate(mapping):
         row = sum(1 << coset_of[u] for u in _bits(geometric.adjacency[v]))
-        diff = (row ^ quotient.adjacency[a]) >> (a + 1)
+        diff = (row ^ cosets.adjacency[a]) >> (a + 1)
         if diff:
             b = a + (diff & -diff).bit_length()
             return {
@@ -73,7 +72,7 @@ def cross_validate(spec):
                 "mismatch": {
                     "kind": "adjacency",
                     "cosets": [a, b],
-                    "coset_adjacent": quotient.is_adjacent(a, b),
+                    "coset_adjacent": cosets.is_adjacent(a, b),
                     "geometric_adjacent": geometric.is_adjacent(v, mapping[b]),
                 },
             }

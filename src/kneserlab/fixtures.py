@@ -103,10 +103,11 @@ def _a_flags(n, i, p):
 
     The witnesses are F = (A, B) on u = e_1 + e_2 and F' = (A', B') on
     v = e_1 + e_n. A frame is a label word S + X (S its small part, S ∪ X
-    its large one), opposite the frame T + X with T the labels outside
-    S ∪ X. C takes from each opposite pair the frame whose small part
-    holds the least label outside X, except that the two such frames
-    opposite a witness give way to their partners.
+    its large one) read off a coset representative, opposite the frame
+    T + X with T the labels outside S ∪ X. C takes from each opposite pair,
+    in word order, the frame whose small part holds the least label outside
+    X, except that the two such frames opposite a witness give way to
+    their partners.
     """
     if not 1 < i < n / 2:
         raise UsageError("A_flags fixture needs 1 < i < n/2")
@@ -126,9 +127,10 @@ def _a_flags(n, i, p):
     labels = set(range(1, n + 1))
     swapped = {(1, *range(3, i + 2), 2, *range(i + 2, n - i + 1)),
                (1, *range(n - i + 1, n), *range(i + 2, n - i + 1), n)}
-    words = [w for w in geo.frame_words() if min(w[:i]) < min(labels - set(w))]
-    coclique = [vertex_lists(geo.frame(tuple(sorted(labels - set(w))) + w[i:]
-                                       if w in swapped else w)) for w in words]
+    words = [w for w in sorted(r[:n - i] for r in geo.quotient.representatives)
+             if min(w[:i]) < min(labels - set(w))]
+    coclique = [vertex_lists(geo.frame((labels - set(w), labels - set(w[:i])) if w in swapped
+                                       else (w[:i], w))) for w in words]
     return spec, coclique, x, y
 
 

@@ -117,7 +117,9 @@ def union_rank(m1, m2, subset):
     r1, r2 = m1._ranks, m2._ranks
     best, sub = k.bit_count(), k
     while sub:
-        best = min(best, (k ^ sub).bit_count() + r1[sub] + r2[sub])
+        size = (k ^ sub).bit_count() + r1[sub] + r2[sub]
+        if size < best:
+            best = size
         sub = (sub - 1) & k
     return best
 

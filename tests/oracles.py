@@ -174,9 +174,65 @@ def enumerate_maximal_cocliques_full(graph, max_cliques=None):
     return out
 
 
+def frame_words(geo):
+    """One label word per frame object, made from the geometry's parts
+    alone: a set of new labels for each part, never a label beside its
+    partner, and for D_n maximal spaces an even number of primed labels,
+    as in the Weyl group of D_n. The reference for Geometry.frames, with
+    frame_of_word."""
+    if geo.spec.family == "A":
+        alphabet = range(1, geo.dim + 1)
+    else:
+        alphabet = [s * a for a in range(1, geo.dim // 2 + 1) for s in (1, -1)]
+    words, below = [()], 0
+    for k in geo.parts:
+        words = [w + c for w in words for c in itertools.combinations(
+            [l for l in alphabet if l not in w], k - below)]
+        below = k
+    return [w for w in words if len({abs(l) for l in w}) == len(w)
+            and not (geo.oriflamme and sum(l < 0 for l in w) % 2)]
+
+
+def frame_of_word(geo, word):
+    """Frame object of a label word, such as a Weyl group element in
+    one-line notation: the coordinate flag on the word's prefixes. The
+    minus family swaps the n-th label for its partner, so that the even
+    words of D_n name its odd frames."""
+    if geo.oriflamme == "minus":
+        k = geo.parts[0]
+        word = tuple(word[:k - 1]) + (-word[k - 1],)
+    return tuple(geo.coordinate(word[:k]) for k in geo.parts)
+
+
+def word_generators(geo):
+    """The simple reflections acting on frame words: those of S_{n+1} in
+    type A; on a polar form of r pairs, those of W(B_r), and on one D_n
+    family of maximal spaces those of W(D_r)."""
+    if geo.spec.family == "A":
+        return simple_reflections("A", geo.dim - 1)
+    return simple_reflections("D" if geo.oriflamme else "B", geo.dim // 2)
+
+
+def apartment_by_words(geo, vertices):
+    """Sigma and its generator permutations from the frame words: a
+    generator maps the frame of a word to the frame of the word's image."""
+    index = {flag: i for i, flag in enumerate(vertices)}
+    words = frame_words(geo)
+    at = [index[frame_of_word(geo, w)] for w in words]
+    sigma = sorted(at)
+    position = {v: j for j, v in enumerate(sigma)}
+    generators = []
+    for gen in word_generators(geo):
+        perm = [0] * len(sigma)
+        for w, v in zip(words, at):
+            perm[position[v]] = position[index[frame_of_word(geo, compose(gen, w))]]
+        generators.append(tuple(perm))
+    return tuple(sigma), tuple(generators)
+
+
 def monomial_generators(geo):
-    """One monomial matrix per generator of Geometry.weyl_generators, in
-    its order, acting on column vectors of F_p^dim. Type A: the
+    """One monomial matrix per generator of word_generators, in its
+    order, acting on column vectors of F_p^dim. Type A: the
     transposition of coordinates i-1 and i. On a polar form, hyperbolic
     pair i on columns 2i-2 and 2i-1: the swap of pairs i and i+1, then on
     the last pair r e_r <-> e_r' for a quadratic form and e_r -> e_r',
@@ -284,10 +340,10 @@ class QuotientByElements:
                 self.coset_index.update(dict.fromkeys(
                     (compose(w, x) for x in self.subgroup), len(reps)))
                 reps.append(w)
-        self.representatives = reps
+        self.representatives = tuple(reps)
         opposite = [compose(x, longest_element(family, n)) for x in self.subgroup]
-        self.adjacency = [sum({1 << self.coset_index[compose(w, u)] for u in opposite})
-                          for w in reps]
+        self.adjacency = tuple(sum({1 << self.coset_index[compose(w, u)] for u in opposite})
+                               for w in reps)
 
 
 def shortest_double_coset_by_elements(family, n, types):

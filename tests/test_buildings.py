@@ -22,7 +22,15 @@ from kneserlab.buildings import (
 )
 from kneserlab.errors import UsageError
 
-from oracles import check_symmetric_irreflexive, edges, expected_num_vertices, perp
+from oracles import (
+    apartment_by_words,
+    check_symmetric_irreflexive,
+    edges,
+    expected_num_vertices,
+    frame_of_word,
+    frame_words,
+    perp,
+)
 
 # The 15 positive and 4 negative cells of the UCEP grid.
 GRID_CELLS = [
@@ -46,6 +54,9 @@ def sigma_degrees(graph):
 def test_spec_validation():
     with pytest.raises(UsageError):
         BuildingSpec("A", 3, 2, ())
+    for rank in (0, -3):
+        with pytest.raises(UsageError, match="rank must be at least 1"):
+            BuildingSpec("A", rank, 2, (1,))
     with pytest.raises(UsageError):
         BuildingSpec("A", 3, 2, (4,))
     with pytest.raises(UsageError):
@@ -150,7 +161,7 @@ def test_polar_kneser_d42():
     # Frame matching: {s,t} is adjacent exactly to {s',t'}.
     geo = geometry(g.spec)
     idx = {g.vertices[v][0]: v for v in g.sigma}
-    for labels in geo.frame_words():
+    for labels in frame_words(geo):
         a = idx[geo.coordinate(labels)]
         b = idx[geo.coordinate(tuple(-l for l in labels))]
         assert g.is_adjacent(a, b)
@@ -227,7 +238,7 @@ def test_d4_planes_paper_witnesses():
     assert g.is_adjacent(idx[pi], idx[pi2])
     # pi is not adjacent to any frame plane through its own vector e_4.
     geo = geometry(g.spec)
-    for labels in geo.frame_words():
+    for labels in frame_words(geo):
         if 4 in labels:
             fr = idx[geo.coordinate(labels)]
             assert not g.is_adjacent(idx[pi], fr)
@@ -553,7 +564,51 @@ def test_geometry_names_the_d_families():
     # Frames of the apartment: 2^(n-1) per family, and the even words of
     # the minus family name odd frames.
     for geo in (plus, minus):
-        assert len(set(geo.frames())) == len(geo.frame_words()) == 16
+        assert len(set(geo.frames())) == len(frame_words(geo)) == 16
     assert not set(plus.frames()) & set(minus.frames())
     assert len(planes.frames()) == 5 * 2 ** 4
-    assert minus.frame((1, 2, 3, 4, 5)) == (plus.coordinate((1, 2, 3, 4, -5)),)
+    assert minus.frames()[0] == frame_of_word(minus, (1, 2, 3, 4, 5)) == (
+        plus.coordinate((1, 2, 3, 4, -5)),)
+
+
+def _oracle_specs(family):
+    """Every spec of the family of rank <= 6 over F_2 and F_3 whose
+    apartment has at most buildings.MAX_FRAMES frames."""
+    specs = []
+    for p, n in itertools.product((2, 3), range(1, 7)):
+        for k in range(1, n + 1):
+            for types in itertools.combinations(range(1, n + 1), k):
+                try:
+                    spec = BuildingSpec(family, n, p, types)
+                    geometry(spec)
+                except UsageError:
+                    continue
+                if buildings._vertex_count(spec, 1) <= buildings.MAX_FRAMES:
+                    specs.append(spec)
+    return specs
+
+
+@pytest.mark.parametrize("family,count", [("A", 206), ("B", 20), ("C", 40), ("D", 50),
+                                          ("G", 1)])
+def test_frames_match_the_word_oracle(family, count):
+    # The coset quotient's frames against the frame words: the same frame
+    # objects, the same apartment_graph vertices, whose rows the kernel
+    # makes from them alone (apart from the three A_6 flag types over F_3
+    # it refuses for their point ids) and, on the specs of at most 3000
+    # vertices, the same Sigma and generator permutations.
+    specs = _oracle_specs(family)
+    assert len(specs) == count
+    for spec in specs:
+        geo = geometry(spec)
+        frames, words = geo.frames(), [frame_of_word(geo, w) for w in frame_words(geo)]
+        assert len(frames) == len(set(frames)) == len(words)
+        assert set(frames) == set(words), spec
+        try:
+            apt = apartment_graph(spec)
+        except UsageError as exc:
+            assert "point ids" in str(exc)
+        else:
+            assert apt.vertices == tuple(buildings._sorted_vertices(words)), spec
+        if buildings._vertex_count(spec) <= 3000:
+            g = buildings._graph(spec)
+            assert (g.sigma, g.sigma_generators) == apartment_by_words(geo, g.vertices), spec

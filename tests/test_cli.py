@@ -332,6 +332,14 @@ def test_verify_fixtures_all(capsys):
     }
 
 
+@pytest.mark.parametrize("rank", ["-3", "0"])
+def test_rank_below_one_is_named(capsys, rank):
+    code, out, err = run(capsys, "check-ucep", "--family", "A", "--rank", rank,
+                         "--type", "1", "--p", "2")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert "rank must be at least 1, not %s" % rank in err
+
+
 def test_verify_fixtures_single_case(capsys):
     code, out, _ = run(capsys, "verify-fixtures", "--case", "D4_34")
     assert code == EXIT_OK
@@ -410,7 +418,8 @@ def test_cross_validate_size_limits(capsys, monkeypatch):
     def made(*args):
         raise AssertionError("made before the refusal")
 
-    monkeypatch.setattr(crossval, "ParabolicQuotient", made)
+    monkeypatch.setattr(crossval, "quotient", made)
+    monkeypatch.setattr(buildings, "quotient", made)
     monkeypatch.setattr(buildings.Geometry, "frames", made)
     monkeypatch.setattr(buildings, "_rows", made)
     for family, rank, types, p, named in [

@@ -10,7 +10,7 @@ import pytest
 import kneserlab.buildings as buildings
 from kneserlab.buildings import BuildingSpec, geometry
 from kneserlab.cli import main
-from kneserlab.coxeter import ParabolicQuotient, weyl_group
+from kneserlab.coxeter import ParabolicQuotient, quotient, weyl_group
 from kneserlab.crossval import cross_validate
 from kneserlab.errors import UsageError
 
@@ -64,9 +64,9 @@ def test_cross_validation_b3_odd_characteristic(types, p):
 
 
 def test_frame_object_labeling_is_injective():
-    q = ParabolicQuotient(weyl_group("D", 4), (3,))
+    q = quotient("D", 4, (3,))
     geo = geometry(BuildingSpec("D", 4, 2, (3,)))
-    flags = {geo.frame(w) for w in q.representatives}
+    flags = {geo.frame(labels) for labels in q.flags}
     assert len(flags) == q.num_vertices
 
 
@@ -98,15 +98,17 @@ def test_flipped_coset_edge_is_the_mismatch(capsys, monkeypatch):
     import kneserlab.crossval as crossval
     from kneserlab.cli import EXIT_CROSSVAL
 
-    a, b = list(ParabolicQuotient(weyl_group("A", 4), (2,)).edges())[-1]
+    a, b = list(quotient("A", 4, (2,)).edges())[-1]
 
-    class Flipped(ParabolicQuotient):
-        def __init__(self, group, types):
-            super().__init__(group, types)
-            self.adjacency[a] ^= 1 << b
-            self.adjacency[b] ^= 1 << a
+    def flipped(family, n, types):
+        q = ParabolicQuotient(weyl_group(family, n), types)
+        rows = list(q.adjacency)
+        rows[a] ^= 1 << b
+        rows[b] ^= 1 << a
+        q.adjacency = tuple(rows)
+        return q
 
-    monkeypatch.setattr(crossval, "ParabolicQuotient", Flipped)
+    monkeypatch.setattr(crossval, "quotient", flipped)
     report = cross_validate(BuildingSpec("A", 4, 2, (2,)))
     assert report == {"ok": False, "mismatch": {
         "kind": "adjacency", "cosets": [a, b], "coset_adjacent": False,
