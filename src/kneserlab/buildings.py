@@ -64,7 +64,7 @@ MAX_VERTICES = 1 << 15
 MAX_FRAMES = 1 << 10
 
 # Most point ids apartment_graph's kernel makes, over the left sets of all
-# its frames (_left_dims); each is d int64 entries in _point_ids.
+# its frames; each is d int64 entries in _point_ids.
 MAX_POINT_IDS = 1 << 18
 
 # Version of every JSON payload: graphs, UCEP reports and fixture reports.
@@ -73,12 +73,21 @@ SCHEMA = 1
 
 @dataclass(frozen=True)
 class BuildingSpec:
+    """The one check of a spec: field types (a bool or float would hash equal
+    to the int spec keying the caches), ranges, and that geometry() names it."""
+
     family: str
     rank: int
     p: int
     types: tuple
 
     def __post_init__(self):
+        for name, kind in (("family", str), ("rank", int), ("p", int)):
+            value = getattr(self, name)
+            if type(value) is not kind:
+                raise UsageError("%s must be of type %s, not %r" % (name, kind.__name__, value))
+        if type(self.types) not in (list, tuple) or any(type(j) is not int for j in self.types):
+            raise UsageError("types must be a list or tuple of ints, not %r" % (self.types,))
         if self.family not in FAMILIES:
             raise UsageError("family must be one of %s" % (FAMILIES,))
         check_prime(self.p)
@@ -92,6 +101,7 @@ class BuildingSpec:
             raise UsageError("type set must be a subset of the diagram nodes")
         if self.family in ("B", "G") and self.p % 2 == 0:
             raise UsageError("family %s model requires odd characteristic" % self.family)
+        geometry(self)
 
     def to_dict(self):
         """The spec as reported; one D_n family of maximal spaces also names
@@ -182,8 +192,10 @@ class Geometry:
         coset of the quotient: the coordinate subspace of each set."""
         return tuple(self.coordinate(labels) for labels in flag)
 
+    # One tuple of frames per geometry, which geometry() keeps alive anyway.
+    @lru_cache(maxsize=None)
     def frames(self):
-        return [self.frame(flag) for flag in self.quotient.flags]
+        return tuple(self.frame(flag) for flag in self.quotient.flags)
 
     def vertex(self, flag, index):
         """The flag of subspaces a list of basis matrices names, checked
@@ -243,7 +255,7 @@ def geometry(spec):
     F_p^{n+1}. G_2 type 1: the points of the B_3 model. B_n, C_n, D_n:
     type k names the totally singular k-spaces, except in D_n, where type
     n is the plus and type n-1 the minus family of maximal ones, and type
-    {n-1, n} the (n-1)-spaces. Every other spec is a UsageError."""
+    {n-1, n} the (n-1)-spaces. BuildingSpec refuses any other spec here."""
     family, n, types = spec.family, spec.rank, spec.types
     name = "%s_%d type %s over F_%d" % (family, n, ",".join(map(str, types)), spec.p)
     if family == "A":
@@ -325,10 +337,7 @@ class KneserGraph:
             yield np.column_stack((tails + lo, heads))
 
     def sigma_mask(self):
-        m = 0
-        for i in self.sigma:
-            m |= 1 << i
-        return m
+        return sum(1 << i for i in self.sigma)
 
 
 def _row_blocks(n):
@@ -464,24 +473,24 @@ def _opposition_rows(conditions, p):
     return rows
 
 
+def _general_position(types, d):
+    """General position of type-J flags F, G in F_p^d as conditions (a, b,
+    dual) in kernel order: F_a ∩ G_b = 0, or when their dimensions sum past
+    d (dual) ann F_a ∩ ann G_b = 0. Its left set is G_b, or ann G_b if dual."""
+    return [(a, b, a_dim + b_dim > d)
+            for a, a_dim in enumerate(types) for b, b_dim in enumerate(types)]
+
+
 def _flag_rows(flags, types, p):
-    """General position of type-J flags in F_p^d, single types included:
-    F_a ∩ G_b = 0 when a + b <= d, else ann F_a ∩ ann G_b = 0, for all
-    a, b in J. P lies in U iff ann(U) P^T = 0, and in ann(U) iff U P^T = 0.
-    """
+    """Adjacency of type-J flags in general position (_general_position)."""
     d = flags[0][0].ambient
     parts = [_matrices([f[a] for f in flags]) for a in range(len(types))]
     anns = [_annihilators(part, p) for part in parts]
-    conditions = []
-    for a, a_dim in enumerate(types):
-        for b, b_dim in enumerate(types):
-            if a_dim + b_dim <= d:
-                conditions.append((parts[b], anns[a]))
-            else:
-                # Both sides with their columns reversed: the annihilators
-                # are then in echelon form (_annihilators), so each point
-                # of theirs has one id, as _point_ids says.
-                conditions.append((anns[b][:, ::-1, ::-1], parts[a][:, :, ::-1]))
+    # P lies in U iff ann(U) P^T = 0, and in ann(U) iff U P^T = 0. A dual
+    # condition reverses both sides' columns, which puts the annihilators in
+    # echelon form (_annihilators), so each of their points has one id.
+    conditions = [(anns[b][:, ::-1, ::-1], parts[a][:, :, ::-1]) if dual else (parts[b], anns[a])
+                  for a, b, dual in _general_position(types, d)]
     return _opposition_rows(conditions, p)
 
 
@@ -506,14 +515,6 @@ def _vertices(geo):
         return _nested_flags([list(enumerate_subspaces(geo.dim, k, p)) for k in geo.parts], p)
     subs = enumerate_singular_subspaces(geo.form, geo.parts[0])
     return [(s,) for s in subs if not geo.oriflamme or geo.in_family(s)]
-
-
-def _left_dims(geo):
-    """The dimension of the left set of each condition _rows pairs, in its
-    order (_flag_rows: b_dim when a_dim + b_dim <= d, else d - b_dim)."""
-    if geo.form is None:
-        return [b if a + b <= geo.dim else geo.dim - b for a in geo.parts for b in geo.parts]
-    return [geo.parts[0]]
 
 
 def _rows(geo, vertices):
@@ -622,7 +623,11 @@ def apartment_graph(spec):
     if frames > MAX_FRAMES:
         raise UsageError("spec %s has %d frames in its apartment, more than the limit of %d"
                          % (spec.to_dict(), frames, MAX_FRAMES))
-    points = frames * sum(_q_integer(k, p) for k in _left_dims(geo))
+    # The left set of each condition _rows pairs: G_b or ann G_b. A polar
+    # type's one condition, on the vertex itself, is the non-dual (0, 0).
+    left = [geo.dim - geo.parts[b] if dual else geo.parts[b]
+            for _, b, dual in _general_position(geo.parts, geo.dim)]
+    points = frames * sum(_q_integer(k, p) for k in left)
     if points > MAX_POINT_IDS:
         raise UsageError("spec %s has %d point ids in its apartment, more than the limit of %d"
                          % (spec.to_dict(), points, MAX_POINT_IDS))

@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from .buildings import SCHEMA, BuildingSpec, build_graph, vertex_lists
+from .buildings import FAMILIES, SCHEMA, BuildingSpec, build_graph, vertex_lists
 from .coclique import check_apartment, check_scan_args, check_ucep
 from .crossval import cross_validate
 from .errors import (
@@ -156,9 +156,7 @@ def cmd_verify_fixtures(args):
     if args.p is not None and not args.case:
         raise UsageError("--p needs --case: each fixture is certified at its own p")
     cases = [args.case] if args.case else list(CASES)
-    reports = []
-    for case in cases:
-        reports.append(verify_nonexample(case, p=args.p))
+    reports = [verify_nonexample(case, p=args.p) for case in cases]
     payload = {"schema": SCHEMA, "fixtures": reports, "certified": len(reports)}
     _write(json.dumps(payload, sort_keys=True) + "\n", args.output)
     return EXIT_OK
@@ -170,15 +168,6 @@ def cmd_cross_validate(args):
     if not report["ok"]:
         raise CrossValidationError(report["mismatch"])
     return EXIT_OK
-
-
-def _field(data, key, kind):
-    """data[key], which must be of the JSON type `kind`."""
-    if key not in data:
-        raise UsageError("stored graph has no %r" % key)
-    if type(data[key]) is not kind:
-        raise UsageError("stored %r is %r, not a JSON %s" % (key, data[key], kind.__name__))
-    return data[key]
 
 
 _ABSENT = object()
@@ -228,12 +217,12 @@ def cmd_export(args):
     schema = data.get("schema") if type(data) is dict else None
     if schema != SCHEMA:
         raise UsageError("unsupported graph schema %r" % (schema,))
-    stored = _field(data, "spec", dict)
-    types = _field(stored, "types", list)
-    if not all(type(t) is int for t in types):
-        raise UsageError("stored 'types' %r is not a list of integers" % (types,))
-    spec = BuildingSpec(_field(stored, "family", str), _field(stored, "rank", int),
-                        _field(stored, "p", int), tuple(types))
+    if "spec" not in data:
+        raise UsageError("stored graph has no 'spec'")
+    stored = data["spec"]
+    if type(stored) is not dict:
+        raise UsageError("stored 'spec' is %r, not a JSON dict" % (stored,))
+    spec = BuildingSpec(*map(stored.get, ("family", "rank", "p", "types")))
     graph = build_graph(spec)
     text = _render_graph(graph, "json")
     if json.dumps(data, sort_keys=True) + "\n" != text:
@@ -252,7 +241,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_spec_flags(sp):
-        sp.add_argument("--family", choices=["A", "B", "C", "D", "G"])
+        sp.add_argument("--family", choices=FAMILIES)
         sp.add_argument("--rank", type=int)
         sp.add_argument("--type", help="comma-separated type set, e.g. 2 or 1,3")
         sp.add_argument("--p", type=int)

@@ -134,7 +134,7 @@ def _a_flags(n, i, p):
     return spec, coclique, x, y
 
 
-def verify_nonexample(case, p=None, n=None, i=None, fixture=None):
+def verify_nonexample(case, p=None, n=None, i=None):
     """Certify one UCEP counterexample; returns the violation report."""
     if case not in CASES:
         raise UsageError("unknown fixture case %r (known: %s)" % (case, CASES))
@@ -154,7 +154,7 @@ def verify_nonexample(case, p=None, n=None, i=None, fixture=None):
             p = 3 if p is None else p
             if p % 2 == 0:
                 raise UsageError("%s requires odd characteristic" % case)
-        data = fixture if fixture is not None else FIXTURES[case]
+        data = FIXTURES[case]
         family, rank, types = data["spec"]
         spec = BuildingSpec(family, rank, p, types)
         d = geometry(spec).dim

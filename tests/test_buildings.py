@@ -20,6 +20,7 @@ from kneserlab.buildings import (
     build_graph,
     geometry,
 )
+from kneserlab.coclique import check_ucep
 from kneserlab.errors import UsageError
 
 from oracles import (
@@ -63,6 +64,35 @@ def test_spec_validation():
         BuildingSpec("B", 3, 2, (1,))
     spec = BuildingSpec("A", 3, 2, (2, 1))
     assert spec.types == (1, 2)
+
+
+@pytest.mark.parametrize("args,field", [
+    (("A", True, 2, (1,)), "rank"), (("A", 3.0, 2, (1,)), "rank"), (("A", "3", 2, (1,)), "rank"),
+    (("A", 3, True, (1,)), "p"), (("A", 3, 2.0, (1,)), "p"), (("A", 3, "2", (1,)), "p"),
+    (("D", 4, 2, (True,)), "types"), (("A", 3, 2, (1.0,)), "types"),
+    (("A", 3, 2, ("1",)), "types"), (("A", 3, 2, 1), "types"), (("A", 3, 2, {1}), "types"),
+    ((1, 3, 2, (1,)), "family"), ((None, 3, 2, (1,)), "family"),
+])
+def test_spec_field_types_are_refused_by_name(args, field):
+    # A bool or float equal to an int would hash equal to the int spec.
+    value = args[("family", "rank", "p", "types").index(field)]
+    with pytest.raises(UsageError, match="^%s must be " % field) as exc:
+        BuildingSpec(*args)
+    assert str(exc.value).endswith(", not %r" % (value,))
+
+
+def test_refused_spec_leaves_the_caches_to_the_int_spec():
+    # Refused before it is hashed, a bool or float rank keys no cache entry
+    # that the equal int spec would then read.
+    geometry.cache_clear()
+    buildings._graph.cache_clear()
+    for rank in (True, 1.0):
+        with pytest.raises(UsageError, match="rank must be"):
+            BuildingSpec("A", rank, 2, (1,))
+    report = check_ucep(build_graph(BuildingSpec("A", 1, 2, (1,)))).to_dict()
+    assert (report["verdict"], report["spec"]) == (
+        "holds", {"family": "A", "rank": 1, "p": 2, "types": [1]})
+    assert type(report["spec"]["rank"]) is int
 
 
 def test_projective_kneser_a32():
@@ -524,11 +554,8 @@ def test_cached_graphs_are_immutable():
     ("G", 2, (2,), 3), ("G", 3, (3,), 3), ("G", 2, (1, 2), 3),
 ])
 def test_geometry_rejects_unnamed_specs(family, n, types, p):
-    spec = BuildingSpec(family, n, p, types)
     with pytest.raises(UsageError, match="%s_%d type" % (family, n)):
-        geometry(spec)
-    with pytest.raises(UsageError):
-        expected_num_vertices(spec)
+        BuildingSpec(family, n, p, types)
 
 
 @pytest.mark.parametrize("n,types,p", [(3, (3,), 2), (3, (2,), 3), (5, (5,), 2)])

@@ -536,7 +536,7 @@ def test_export_bad_schema(capsys, tmp_path):
     cases += [({k: v for k, v in good.items() if k != "spec"}, "error: stored graph has no 'spec'")]
     cases += [({k: v for k, v in good.items() if k != key}, DIFFERS + "%s: stored nothing" % key)
               for key in ("vertices", "edges", "sigma")]
-    cases += [(dict(good, spec=dict(good["spec"], **{key: value})), "error: stored '%s'" % key)
+    cases += [(dict(good, spec=dict(good["spec"], **{key: value})), "error: %s must be" % key)
               for key, value in [("rank", "2"), ("types", 1), ("types", ["1"]), ("p", None),
                                  ("family", 1)]]
     cases += [(dict(good, spec=[]), "error: stored 'spec'")]

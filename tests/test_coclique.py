@@ -93,6 +93,16 @@ def test_extension_set_empty_coclique_is_everything():
     assert extension_set(g, ()) == g.full_mask
 
 
+def test_vertex_indices_out_of_range_are_refused():
+    # A negative index would name a vertex from the end.
+    g = build_graph(BuildingSpec("A", 2, 2, (1,)))
+    n = g.num_vertices
+    for bad in (-1, -n, n, n + 5):
+        for call in (is_coclique, extension_set, span_check):
+            with pytest.raises(UsageError, match="vertex index %d .* %d vertices" % (bad, n)):
+                call(g, [0, bad])
+
+
 def test_extension_set_rejects_non_coclique():
     g = build_graph(BuildingSpec("A", 3, 2, (2,)))
     a, b = edges(g)[0]

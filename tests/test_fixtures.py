@@ -155,14 +155,16 @@ def test_odd_characteristic_variants():
         assert report["verdict"] == "violation_certified"
 
 
-def test_tampered_fixture_raises_integrity_error():
+def test_tampered_fixture_raises_integrity_error(monkeypatch):
     data = copy.deepcopy(FIXTURES["B3_2"])
     # Corrupt a witness so it is no longer totally singular.
     data["witnesses"][0][0] = [0, 0, 0, 0, 0, 0, 1]
+    monkeypatch.setitem(FIXTURES, "B3_2", data)
     with pytest.raises(FixtureIntegrityError):
-        verify_nonexample("B3_2", fixture=data)
+        verify_nonexample("B3_2")
     data = copy.deepcopy(FIXTURES["C3_3"])
     # Corrupt the coclique so two members are adjacent.
     data["coclique_cols"][1] = (1, 3, 5)
+    monkeypatch.setitem(FIXTURES, "C3_3", data)
     with pytest.raises(FixtureIntegrityError):
-        verify_nonexample("C3_3", fixture=data)
+        verify_nonexample("C3_3")
