@@ -189,27 +189,23 @@ class Form:
         self.polar = polar
 
 
-def nullspace(m, p):
-    """Canonical basis of {x : m x^T = 0} for an integer matrix mod p."""
-    rows, d = m.shape
-    reduced = rref([list(r) for r in m], d, p)
-    pivots = []
-    for row in reduced:
-        for j, x in enumerate(row):
-            if x:
-                pivots.append(j)
-                break
-    free = [j for j in range(d) if j not in pivots]
-    basis = []
-    for f in free:
-        v = [0] * d
-        v[f] = 1
-        for i, pc in enumerate(pivots):
-            v[pc] = (-reduced[i][f]) % p
-        basis.append(v)
-    if not basis:
-        return Subspace.zero(d, p)
-    return Subspace.span(basis, d, p)
+def _annihilators(mats, p):
+    """A basis of ann(U) = {x : B x^T = 0} for each RREF basis B in mats, an
+    (N, k, d) array: for each column f that is no pivot of B, the vector
+    e_f - sum_i B[i, f] e_(pivot of row i). B[i, f] is 0 unless f is past
+    the pivot of row i, so the row of f ends in a 1 at column f: with its
+    rows and columns reversed, the basis is in echelon form with pivot
+    entries 1."""
+    n, k, d = mats.shape
+    pivots = (mats != 0).argmax(axis=2)
+    free = np.ones((n, d), dtype=bool)
+    free[np.arange(n)[:, None], pivots] = False
+    free = free.nonzero()[1].reshape(n, d - k)
+    ann = np.zeros((n, d - k, d), dtype=np.int64)
+    at, rows = np.arange(n)[:, None, None], np.arange(d - k)
+    ann[at[:, 0], rows, free] = 1
+    ann[at, rows, pivots[:, :, None]] = -np.take_along_axis(mats, free[:, None], axis=2) % p
+    return ann
 
 
 def is_totally_singular(u, form):

@@ -41,6 +41,7 @@ import numpy as np
 
 from .algebra import (
     _BLOCK_ELEMS,
+    _annihilators,
     _normalised_vectors,
     Subspace,
     check_prime,
@@ -393,25 +394,6 @@ def _point_ids(mats, p):
 
 def _matrices(subspaces):
     return np.array([s.basis for s in subspaces], dtype=np.int64)
-
-
-def _annihilators(mats, p):
-    """A basis of ann(U) = {x : B x^T = 0} for each RREF basis B in mats, an
-    (N, k, d) array: for each column f that is no pivot of B, the vector
-    e_f - sum_i B[i, f] e_(pivot of row i). B[i, f] is 0 unless f is past
-    the pivot of row i, so the row of f ends in a 1 at column f: with its
-    rows and columns reversed, the basis is in echelon form with pivot
-    entries 1."""
-    n, k, d = mats.shape
-    pivots = (mats != 0).argmax(axis=2)
-    free = np.ones((n, d), dtype=bool)
-    free[np.arange(n)[:, None], pivots] = False
-    free = free.nonzero()[1].reshape(n, d - k)
-    ann = np.zeros((n, d - k, d), dtype=np.int64)
-    at, rows = np.arange(n)[:, None, None], np.arange(d - k)
-    ann[at[:, 0], rows, free] = 1
-    ann[at, rows, pivots[:, :, None]] = -np.take_along_axis(mats, free[:, None], axis=2) % p
-    return ann
 
 
 def _run_starts(keys):

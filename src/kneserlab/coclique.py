@@ -11,7 +11,7 @@ Pluecker embedding is sufficient but not necessary, so it lives in a
 separate instrument (span_check) and never decides the verdict. It holds
 psi, the N x C(d,k) matrix of the vertices' Pluecker coordinates (the
 k x k minors of their RREF bases), once per graph, and tests a coclique
-with one nullspace and one matrix product.
+with the annihilator of the RREF of psi(C) and one matrix product.
 
 All vertex sets here are bit masks over the graph's vertex indices, and
 the witness is the lexicographically least violation, so reports are
@@ -27,8 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import nullspace
+from .algebra import Subspace, _annihilators
 from .buildings import SCHEMA, apartment_graph, checked_vertex_count, geometry, vertex_lists
+from .coxeter import _bits
 from .errors import SearchBudgetExceeded, UsageError
 
 # Most maximal cocliques of Sigma an exhaustive decision may meet: each
@@ -40,13 +41,6 @@ MAX_COCLIQUES = 1 << 22
 # Largest sample count: every sampled coclique is kept and sorted. 2^16 is
 # the most maximal cocliques of Σ on the grid (D4 planes over F_2).
 MAX_SAMPLES = 1 << 16
-
-
-def _bits(mask):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask &= mask - 1
 
 
 def _sigma_neighbours(graph):
@@ -418,5 +412,5 @@ def span_check(graph, members):
     members = sorted(set(members))
     d_mask = extension_set(graph, members)
     psi, p = _psi(graph), graph.spec.p
-    ann = nullspace(psi[members], p).matrix()
+    ann = _annihilators(Subspace.span(psi[members].tolist(), psi.shape[1], p).matrix()[None], p)[0]
     return not (psi[list(_bits(d_mask))] @ ann.T % p).any()

@@ -24,6 +24,14 @@ from functools import cached_property, lru_cache
 from .errors import UsageError
 
 
+def _bits(mask):
+    """The positions of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask &= mask - 1
+
+
 def compose(u, v):
     """u after v, as signed permutations."""
     out = []
@@ -155,11 +163,8 @@ class ParabolicQuotient:
 
     def edges(self):
         for i, row in enumerate(self.adjacency):
-            bits = row >> (i + 1) << (i + 1)
-            while bits:
-                j = (bits & -bits).bit_length() - 1
+            for j in _bits(row >> (i + 1) << (i + 1)):
                 yield (i, j)
-                bits &= bits - 1
 
 
 @lru_cache(maxsize=None)
@@ -209,11 +214,7 @@ def check_lifting(fine, coarse):
     for i, a in enumerate(mapping):
         fibers.setdefault(a, []).append(i)
     for i, a in enumerate(mapping):
-        row = coarse.adjacency[a]
-        bits = row
-        while bits:
-            b = (bits & -bits).bit_length() - 1
-            bits &= bits - 1
+        for b in _bits(coarse.adjacency[a]):
             if not any(fine.is_adjacent(i, j) for j in fibers[b]):
                 return False, (i, a, b)
     return True, None

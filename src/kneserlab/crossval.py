@@ -11,8 +11,7 @@ and is the anti-drift guard for the adopted general-position adjacency.
 from __future__ import annotations
 
 from .buildings import apartment_graph, geometry
-from .coclique import _bits
-from .coxeter import quotient
+from .coxeter import _bits, quotient
 from .errors import UsageError
 
 WEYL_FAMILY = {"A": "A", "B": "B", "C": "B", "D": "D"}

@@ -14,7 +14,7 @@ import itertools
 
 import numpy as np
 
-from .algebra import check_prime, nullspace, rref
+from .algebra import _annihilators, check_prime, rref
 from .errors import UsageError
 
 # Most columns a ColumnMatroid takes: its table has 2^n entries.
@@ -26,14 +26,14 @@ def _rank_table(rows, n, p):
 
     The vectors of the row space are histogrammed by support, and one
     subset-sum (zeta) transform counts those that vanish on each S: they
-    number p^(r - rank S). Of the matrix and its nullspace, whose column
-    matroid is the dual, the one of smaller rank r is tabulated.
+    number p^(r - rank S). Of the row space and its annihilator, whose
+    column matroid is the dual, the one of smaller rank r is tabulated.
     """
     basis = rref(rows, n, p)
     r = len(basis)
     dual = 2 * r > n
     if dual:
-        basis = nullspace(np.array(rows, dtype=np.int64), p).basis
+        basis = _annihilators(np.array(basis, dtype=np.int64).reshape(1, r, n), p)[0]
     k = len(basis)
     coeffs = np.array(list(itertools.product(range(p), repeat=k)), dtype=np.int64)
     vectors = coeffs.reshape(p ** k, k) @ np.array(basis, dtype=np.int64).reshape(k, n) % p

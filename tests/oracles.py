@@ -15,13 +15,35 @@ from kneserlab.algebra import (
     Subspace,
     enumerate_subspaces,
     is_totally_singular,
-    nullspace,
     rref,
 )
 from kneserlab.buildings import _row_blocks, _vertex_count
 from kneserlab.coclique import _bits
 from kneserlab.coxeter import compose, identity, simple_reflections
 from kneserlab.errors import SearchBudgetExceeded
+
+
+def nullspace(m, p):
+    """Canonical basis of {x : m x^T = 0} for an integer matrix mod p."""
+    rows, d = m.shape
+    reduced = rref([list(r) for r in m], d, p)
+    pivots = []
+    for row in reduced:
+        for j, x in enumerate(row):
+            if x:
+                pivots.append(j)
+                break
+    free = [j for j in range(d) if j not in pivots]
+    basis = []
+    for f in free:
+        v = [0] * d
+        v[f] = 1
+        for i, pc in enumerate(pivots):
+            v[pc] = (-reduced[i][f]) % p
+        basis.append(v)
+    if not basis:
+        return Subspace.zero(d, p)
+    return Subspace.span(basis, d, p)
 
 
 def perp(u, form):

@@ -14,14 +14,19 @@ from kneserlab.algebra import (
     intersect,
     inverse_mod,
     is_totally_singular,
-    nullspace,
     rank_mod_p,
     rref,
 )
 from kneserlab.buildings import BuildingSpec, geometry
 from kneserlab.errors import UsageError
 
-from oracles import augment_by_parent, gaussian_binomial, perp, singular_subspaces_by_filter
+from oracles import (
+    augment_by_parent,
+    gaussian_binomial,
+    nullspace,
+    perp,
+    singular_subspaces_by_filter,
+)
 
 
 def standard_form(family, n, p):

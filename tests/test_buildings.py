@@ -9,10 +9,10 @@ import pytest
 import kneserlab.buildings as buildings
 from kneserlab.algebra import (
     Subspace,
+    _annihilators,
     enumerate_singular_subspaces,
     enumerate_subspaces,
     intersect,
-    nullspace,
 )
 from kneserlab.buildings import (
     BuildingSpec,
@@ -30,6 +30,7 @@ from oracles import (
     expected_num_vertices,
     frame_of_word,
     frame_words,
+    nullspace,
     perp,
 )
 
@@ -438,14 +439,20 @@ def kernel_rows_at_block_64(monkeypatch, graph):
         return tuple(buildings._rows(geometry(graph.spec), graph.vertices))
 
 
-@pytest.mark.parametrize("d,k,p", [(4, 1, 2), (5, 3, 3), (4, 2, 5), (4, 2, 7)])
+@pytest.mark.parametrize("d,k,p", [
+    (4, 1, 2), (5, 3, 3), (4, 2, 5), (4, 2, 7), (4, 0, 3), (4, 4, 5),
+])
 def test_annihilators_span_the_annihilator(d, k, p):
-    # With rows and columns reversed, each basis gives its points
-    # normalised (first nonzero entry 1), one id per point.
+    # Against the nullspace oracle, from the zero space (k = 0) to the
+    # whole space (k = d), which span_check and the matroid dual reach.
     subs = list(enumerate_subspaces(d, k, p))
-    anns = buildings._annihilators(buildings._matrices(subs), p)
+    anns = _annihilators(buildings._matrices(subs).reshape(len(subs), k, d), p)
     for u, ann in zip(subs, anns):
         assert Subspace.span(ann.tolist(), d, p) == nullspace(u.matrix(), p)
+    if k == d:
+        return  # ann(F_p^d) = 0 has no points
+    # With rows and columns reversed, each basis gives its points
+    # normalised (first nonzero entry 1), one id per point.
     ids = buildings._point_ids(anns[:, ::-1, ::-1], p)
     vectors = ids[..., None] // p ** np.arange(d - 1, -1, -1) % p
     assert (np.take_along_axis(vectors, (vectors != 0).argmax(axis=2)[..., None], axis=2) == 1).all()

@@ -390,14 +390,15 @@ def test_span_check_matches_span_membership_oracle(family, n, k, p):
     # its rows. Then one product against the annihilator of psi(C),
     # against the per-x oracle on sparse multivectors: on seeded cocliques
     # of size 1 to 3, where the span test fails, on seeded
-    # Sigma-cocliques, and on those less one member.
+    # Sigma-cocliques, on those less one member, and on no member at all,
+    # whose D is every vertex and whose span is 0.
     g = build_graph(BuildingSpec(family, n, p, (k,)))
     keys = list(itertools.combinations(range(g.vertices[0][0].ambient), k))
     assert _psi(g).tolist() == [[plucker(u).terms.get(key, 0) for key in keys]
                                 for (u,) in g.vertices]
     rng = random.Random("span:%s%d.%d.%d" % (family, n, k, p))
     cases = rng.sample(maximal_cocliques_sigma(g), 4)
-    cases += [c[:i] + c[i + 1:] for c in cases for i in range(len(c))]
+    cases += [c[:i] + c[i + 1:] for c in cases for i in range(len(c))] + [[]]
     for _ in range(30):
         size, members = rng.randrange(1, 4), []
         for v in rng.sample(range(g.num_vertices), g.num_vertices):
@@ -415,6 +416,7 @@ def test_span_check_matches_span_membership_oracle(family, n, k, p):
         assert span_check(g, members) == want, members
         seen.add(want)
     assert seen == {True, False}
+    assert span_check(g, []) is False
 
 
 def test_span_check_unsupported_spec():

@@ -100,7 +100,7 @@ def test_rank_examples():
 
 def test_rank_table_matches_rank_mod_p_on_every_mask():
     # Seeded matrices over each field: random ones, a zero matrix, zero
-    # columns, and full-rank ones (the dual path tabulates their nullspace).
+    # columns, and full-rank ones (the dual path tabulates their annihilator).
     rng = random.Random(20261018)
     for p in (2, 3, 5, 7):
         mats = [[[0] * 5, [0] * 5]]
