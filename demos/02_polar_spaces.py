@@ -9,7 +9,6 @@ hexagon over F_3 are type 1 of each.
 """
 
 from kneserlab import BuildingSpec, build_graph, check_ucep
-from kneserlab.buildings import geometry
 
 lines = build_graph(BuildingSpec("D", 4, 2, (2,)))
 print("totally singular lines of D_4 over F_2:", lines.num_vertices)
@@ -28,7 +27,7 @@ print("  plus family:", plus.num_vertices, "members,",
       check_ucep(plus).verdict)
 print("  minus family:", minus.num_vertices, "members,",
       check_ucep(minus).verdict)
-print("  reference space:", geometry(plus.spec).coordinate((1, 2, 3, 4)).basis)
+print("  reference space:", plus.spec.coordinate((1, 2, 3, 4)).basis)
 
 points = build_graph(BuildingSpec("B", 3, 3, (1,)))
 print("\nsingular points of the B_3 quadric over F_3:", points.num_vertices)

@@ -90,9 +90,14 @@ class Subspace:
 
     @classmethod
     def coordinate(cls, cols, ambient, p):
-        """Span of the standard basis vectors e_c for c in cols (0-based)."""
-        rows = []
-        for c in sorted(cols):
+        """Span of the standard basis vectors e_c for c in cols (0-based),
+        each in 0..ambient-1 and named once."""
+        rows, cols = [], sorted(cols)
+        for i, c in enumerate(cols):
+            if not 0 <= c < ambient:
+                raise UsageError("column %r is not in 0..%d" % (c, ambient - 1))
+            if i and c == cols[i - 1]:
+                raise UsageError("column %r is repeated" % (c,))
             v = [0] * ambient
             v[c] = 1
             rows.append(v)
@@ -230,7 +235,7 @@ def _normalised_vectors(d, p, form=None):
     column starts in it: rows starts[c]:starts[c + 1] are e_c + t, t over
     F_p^(d-1-c) in lexicographic order. Made in blocks of _BLOCK_ELEMS
     entries."""
-    digits, step = p ** np.arange(d - 1, -1, -1), max(1, _BLOCK_ELEMS // d)
+    digits, step = p ** np.arange(d - 1, -1, -1), max(1, _BLOCK_ELEMS // (d or 1))
     blocks, starts = [np.zeros((0, d), dtype=np.int64)], [0]
     for c in range(d):
         lead = p ** (d - 1 - c)  # e_c read as a base-p integer: as many as the t

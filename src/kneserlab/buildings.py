@@ -4,13 +4,11 @@ Vertices are canonical geometric objects (RREF subspaces, or nested
 flags of them), adjacency is stored as one bit-vector row per vertex,
 and the apartment subgraph is the set of coordinate-frame objects.
 
-`geometry(spec)` is the one place that knows what a spec names: the
-subspaces that make up a vertex, the form they are singular for, and
-the Weyl group coset quotient whose label-set flags name its frame
-objects. A BuildingSpec is the only name of a geometry: `build_graph`,
+A BuildingSpec is its geometry: it knows the subspaces that make up a
+vertex, the form they are singular for, and the Weyl group coset
+quotient whose label-set flags name its frame objects. `build_graph`,
 apartment graphs, vertex counts and the coset cross-validation all take
-one and read `geometry(spec)`, and `build_graph` holds the one graph
-cache, keyed by the canonical spec.
+one, and `build_graph` holds the one graph cache, keyed by the spec.
 
 Standard forms, fixed once per family:
   D_n: Q(x) = x_1 x_1' + ... + x_n x_n'  on F_p^{2n},
@@ -34,7 +32,7 @@ x is the points P with x ⊂ P^⊥, so that x ~ y iff perp(x) ∩ y = 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -74,13 +72,32 @@ SCHEMA = 1
 
 @dataclass(frozen=True)
 class BuildingSpec:
-    """The one check of a spec: field types (a bool or float would hash equal
-    to the int spec keying the caches), ranges, and that geometry() names it."""
+    """One geometry of a building over F_p, checked at construction: field
+    types (a bool or float would hash equal to the int spec keying the
+    caches), then ranges, then that the normaliser names it.
+
+    The normaliser reads the spec. Type A: flags of the type dimensions in
+    F_p^{n+1}. G_2 type 1: the points of the B_3 model. B_n, C_n, D_n:
+    type k names the totally singular k-spaces, except in D_n, where type
+    n is the plus and type n-1 the minus family of maximal ones, and type
+    {n-1, n} the (n-1)-spaces. Any other spec is refused.
+    """
 
     family: str
     rank: int
     p: int
     types: tuple
+    # A vertex is a flag of subspaces of F_p^dim with the dimensions in parts;
+    # for a polar spec, one totally singular subspace, from one D_n family of
+    # maximal ones when oriflamme is "plus" or "minus" (the form has dim // 2
+    # hyperbolic pairs). self_opposite is False for type-A flags whose type set
+    # is not self-opposite, and for one family of maximal spaces of D_n with n
+    # odd: two spaces of one family then meet in odd dimension, so none is
+    # opposite another. Set by the normaliser; not compared, hashed or shown.
+    dim: int = field(init=False, repr=False, compare=False)
+    parts: tuple = field(init=False, repr=False, compare=False)
+    oriflamme: str = field(init=False, repr=False, compare=False)
+    self_opposite: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name, kind in (("family", str), ("rank", int), ("p", int)):
@@ -102,7 +119,29 @@ class BuildingSpec:
             raise UsageError("type set must be a subset of the diagram nodes")
         if self.family in ("B", "G") and self.p % 2 == 0:
             raise UsageError("family %s model requires odd characteristic" % self.family)
-        geometry(self)
+        for name, value in zip(("dim", "parts", "oriflamme", "self_opposite"), self._normalised()):
+            object.__setattr__(self, name, value)
+
+    def _normalised(self):
+        """dim, parts, oriflamme and self_opposite, by the class notes."""
+        family, n, types = self.family, self.rank, self.types
+        name = "%s_%d type %s over F_%d" % (family, n, ",".join(map(str, types)), self.p)
+        if family == "A":
+            return n + 1, types, None, len(types) == 1 or {n + 1 - j for j in types} == set(types)
+        if family == "G":
+            if (n, types) != (2, (1,)):
+                raise UsageError("%s: the G_2 model has rank 2 and type 1 (points) only" % name)
+            family, n = "B", 3
+        if n < 2:
+            raise UsageError("%s: polar rank must be at least 2" % name)
+        special = {(n,): (n, "plus"), (n - 1,): (n, "minus"), (n - 1, n): (n - 1, None)}
+        if family == "D" and types in special:
+            k, oriflamme = special[types]
+        elif len(types) == 1:
+            (k,), oriflamme = types, None
+        else:
+            raise UsageError("%s: a polar type set is one type, or {n-1, n} in D_n" % name)
+        return 2 * n + (family == "B"), (k,), oriflamme, not (oriflamme and n % 2)
 
     def to_dict(self):
         """The spec as reported; one D_n family of maximal spaces also names
@@ -113,37 +152,15 @@ class BuildingSpec:
             "p": self.p,
             "types": list(self.types),
         }
-        oriflamme = geometry(self).oriflamme
-        if oriflamme:
-            d["selector"] = oriflamme
+        if self.oriflamme:
+            d["selector"] = self.oriflamme
         return d
-
-
-@dataclass(frozen=True)
-class Geometry:
-    """What a spec names, without its vertices.
-
-    A vertex is a flag of subspaces of F_p^dim with the dimensions in
-    `parts`. For a polar spec (one that has a `form`) it is one totally
-    singular subspace, taken from one D_n family of maximal ones when
-    `oriflamme` is "plus" or "minus"; the form has dim // 2 hyperbolic
-    pairs. `self_opposite` is False for type-A flags whose type set is not
-    self-opposite, and for one family of maximal spaces of D_n with n odd:
-    two spaces of one family then meet in odd dimension, so none is
-    opposite another.
-    """
-
-    spec: BuildingSpec
-    dim: int
-    parts: tuple
-    oriflamme: str = None
-    self_opposite: bool = True
 
     @cached_property
     def form(self):
         """The standard form of the spec's polar family (module notes),
         made on first use; None in type A."""
-        family, d, p = self.spec.family, self.dim, self.spec.p
+        family, d, p = self.family, self.dim, self.p
         if family == "A":
             return None
         gram = np.zeros((d, d), dtype=np.int64)
@@ -160,20 +177,20 @@ class Geometry:
         """Coordinate subspace on frame labels: label l is column l-1 in
         type A; for a polar form, hyperbolic-pair label l is column 2l-2
         and its partner -l column 2l-1."""
-        if self.spec.family == "A":
+        if self.family == "A":
             cols = [l - 1 for l in labels if 0 < l <= self.dim]
         else:
             cols = [2 * abs(l) - 1 - (l > 0) for l in labels if 0 < abs(l) <= self.dim // 2]
         if len(cols) != len(labels):
             raise UsageError("frame label out of range")
-        return Subspace.coordinate(cols, self.dim, self.spec.p)
+        return Subspace.coordinate(cols, self.dim, self.p)
 
     def in_family(self, sub):
         """Whether a maximal totally singular space A is in this D_n
         family. A is in the plus family iff dim(A ∩ A0) = n mod 2, for A0
         the span of the unprimed columns; A ∩ A0 is the kernel of A's
         primed columns, so that is iff those columns have even rank."""
-        even = rank_mod_p(sub.matrix()[:, 1::2].tolist(), self.dim // 2, self.spec.p) % 2 == 0
+        even = rank_mod_p(sub.matrix()[:, 1::2].tolist(), self.dim // 2, self.p) % 2 == 0
         return even == (self.oriflamme == "plus")
 
     @property
@@ -181,11 +198,11 @@ class Geometry:
         """The coset quotient whose label-set flags are the frames: W(A_n) in
         type A, W(D_n) on one D_n family of maximal spaces, and W(B_r) on any
         other polar form of r pairs (a sign change swaps the two families)."""
-        family, r = self.spec.family, self.dim // 2
+        family, r = self.family, self.dim // 2
         if family == "A":
             return quotient("A", self.dim - 1, self.parts)
         if self.oriflamme:
-            return quotient("D", r, self.spec.types)
+            return quotient("D", r, self.types)
         return quotient("B", r, self.parts)
 
     def frame(self, flag):
@@ -193,19 +210,19 @@ class Geometry:
         coset of the quotient: the coordinate subspace of each set."""
         return tuple(self.coordinate(labels) for labels in flag)
 
-    # One tuple of frames per geometry, which geometry() keeps alive anyway.
+    # One tuple of frames per spec.
     @lru_cache(maxsize=None)
     def frames(self):
         return tuple(self.frame(flag) for flag in self.quotient.flags)
 
     def vertex(self, flag, index):
         """The flag of subspaces a list of basis matrices names, checked
-        against the geometry: one canonical RREF basis per part (so entries
+        against the spec: one canonical RREF basis per part (so entries
         in 0..p-1), of the part's dimension in F_p^dim, nested, and for a
         polar spec totally singular and in the named family of maximal
         spaces. Otherwise a UsageError names the vertex by `index`. It is
         the inverse of vertex_lists."""
-        p, d = self.spec.p, self.dim
+        p, d = self.p, self.dim
 
         def bad(why):
             return UsageError("vertex %s %s" % (index, why))
@@ -235,7 +252,7 @@ class Geometry:
         independent of the point-incidence kernel: for a polar type the
         pairing B_x G B_y^T has full rank; for type-A flags every pair of
         parts spans as much as general position allows."""
-        p, d = self.spec.p, self.dim
+        p, d = self.p, self.dim
         if self.form is not None:
             (x,), (y,) = fx, fy
             return rank_mod_p((x.matrix() @ self.form.polar @ y.matrix().T % p).tolist(),
@@ -248,34 +265,6 @@ def vertex_lists(flag):
     """A vertex as every output writes it: one basis matrix per part, as
     lists of rows."""
     return [[list(row) for row in part.basis] for part in flag]
-
-
-@lru_cache(maxsize=None)
-def geometry(spec):
-    """The one spec normaliser. Type A: flags of the type dimensions in
-    F_p^{n+1}. G_2 type 1: the points of the B_3 model. B_n, C_n, D_n:
-    type k names the totally singular k-spaces, except in D_n, where type
-    n is the plus and type n-1 the minus family of maximal ones, and type
-    {n-1, n} the (n-1)-spaces. BuildingSpec refuses any other spec here."""
-    family, n, types = spec.family, spec.rank, spec.types
-    name = "%s_%d type %s over F_%d" % (family, n, ",".join(map(str, types)), spec.p)
-    if family == "A":
-        return Geometry(spec, n + 1, types, None,
-                        len(types) == 1 or {n + 1 - j for j in types} == set(types))
-    if family == "G":
-        if (n, types) != (2, (1,)):
-            raise UsageError("%s: the G_2 model has rank 2 and type 1 (points) only" % name)
-        family, n = "B", 3
-    if n < 2:
-        raise UsageError("%s: polar rank must be at least 2" % name)
-    special = {(n,): (n, "plus"), (n - 1,): (n, "minus"), (n - 1, n): (n - 1, None)}
-    if family == "D" and types in special:
-        k, oriflamme = special[types]
-    elif len(types) == 1:
-        (k,), oriflamme = types, None
-    else:
-        raise UsageError("%s: a polar type set is one type, or {n-1, n} in D_n" % name)
-    return Geometry(spec, 2 * n + (family == "B"), (k,), oriflamme, not (oriflamme and n % 2))
 
 
 @dataclass(frozen=True, eq=False)
@@ -353,20 +342,20 @@ def _sorted_vertices(flags):
     return sorted(flags, key=lambda flag: tuple(s.key for s in flag))
 
 
-def _apartment(geo, vertices):
+def _apartment(spec, vertices):
     """Sigma, the sorted indices of the frame objects, and the Weyl group
     generators as permutations of Sigma positions: a generator s maps the
     frame of a coset wX to the frame of s·wX."""
     index = {flag: i for i, flag in enumerate(vertices)}
     at = []
-    for flag in geo.frames():
+    for flag in spec.frames():
         if flag not in index:
             raise RuntimeError("frame object is not a vertex: %r" % (flag,))
         at.append(index[flag])
     sigma = sorted(at)
     position = {v: j for j, v in enumerate(sigma)}
     pos = [position[v] for v in at]
-    q = geo.quotient
+    q = spec.quotient
     generators = []
     for s in q.group.generators:
         perm = [0] * len(sigma)
@@ -463,19 +452,6 @@ def _general_position(types, d):
             for a, a_dim in enumerate(types) for b, b_dim in enumerate(types)]
 
 
-def _flag_rows(flags, types, p):
-    """Adjacency of type-J flags in general position (_general_position)."""
-    d = flags[0][0].ambient
-    parts = [_matrices([f[a] for f in flags]) for a in range(len(types))]
-    anns = [_annihilators(part, p) for part in parts]
-    # P lies in U iff ann(U) P^T = 0, and in ann(U) iff U P^T = 0. A dual
-    # condition reverses both sides' columns, which puts the annihilators in
-    # echelon form (_annihilators), so each of their points has one id.
-    conditions = [(anns[b][:, ::-1, ::-1], parts[a][:, :, ::-1]) if dual else (parts[b], anns[a])
-                  for a, b, dual in _general_position(types, d)]
-    return _opposition_rows(conditions, p)
-
-
 def _nested_flags(levels, p):
     """All chains u_1 < u_2 < ... with u_j drawn from levels[j]; u < w is
     the subset test on their projective point ids, made only for flags of
@@ -489,36 +465,47 @@ def _nested_flags(levels, p):
     return flags
 
 
-def _vertices(geo):
-    """Canonical vertices of a geometry, sorted by their bases: the
-    enumerators emit each level in that order, and _nested_flags keeps it."""
-    p = geo.spec.p
-    if geo.form is None:
-        return _nested_flags([list(enumerate_subspaces(geo.dim, k, p)) for k in geo.parts], p)
-    subs = enumerate_singular_subspaces(geo.form, geo.parts[0])
-    return [(s,) for s in subs if not geo.oriflamme or geo.in_family(s)]
+def _vertices(spec):
+    """Canonical vertices of a spec, sorted by their bases: the enumerators
+    emit each level in that order, and _nested_flags keeps it."""
+    p = spec.p
+    if spec.form is None:
+        return _nested_flags([list(enumerate_subspaces(spec.dim, k, p)) for k in spec.parts], p)
+    subs = enumerate_singular_subspaces(spec.form, spec.parts[0])
+    return [(s,) for s in subs if not spec.oriflamme or spec.in_family(s)]
 
 
-def _rows(geo, vertices):
-    """Flags: general position. Polar types: x ~ y iff perp(x) ∩ y = 0,
-    where P lies in perp(x) iff (B_x G) P^T = 0."""
-    if geo.form is None:
-        return _flag_rows(vertices, geo.parts, geo.spec.p)
-    mats = _matrices([f[0] for f in vertices])
-    return _opposition_rows([(mats, mats @ geo.form.polar)], geo.spec.p)
+def _rows(spec, vertices):
+    """Adjacency of the vertices in general position (_general_position).
+    P lies in U iff ann(U) P^T = 0, and in ann(U) iff U P^T = 0. A polar
+    type has one condition, the non-dual (0, 0), whose right side is
+    B_x G in place of ann(x): P lies in perp(x) iff (B_x G) P^T = 0, so
+    x ~ y iff perp(x) ∩ y = 0."""
+    p = spec.p
+    parts = [_matrices([f[a] for f in vertices]) for a in range(len(spec.parts))]
+    if spec.form is None:
+        anns = [_annihilators(part, p) for part in parts]
+    else:
+        anns = [parts[0] @ spec.form.polar]
+    # A dual condition reverses both sides' columns, which puts the
+    # annihilators in echelon form (_annihilators), so each of their points
+    # has one id.
+    conditions = [(anns[b][:, ::-1, ::-1], parts[a][:, :, ::-1]) if dual else (parts[b], anns[a])
+                  for a, b, dual in _general_position(spec.parts, spec.dim)]
+    return _opposition_rows(conditions, p)
 
 
 def checked_vertex_count(spec):
     """The closed-form vertex count of a spec (_vertex_count), after build's
-    refusals: a type set that is not self-opposite (see Geometry), then a
+    refusals: a type set that is not self-opposite (see BuildingSpec), then a
     count past MAX_VERTICES (N vertices take N^2/8 bytes of adjacency). The
     count is made only below dimension 64: in F_p^d a type-A spec has at
     least p^(d-1) vertices, and one on a polar form of rank n at least
     p^(2n-2), so past that every count is over 10^18."""
-    if not geometry(spec).self_opposite:
+    if not spec.self_opposite:
         raise UsageError("spec %s: type set %s is not self-opposite; Kneser adjacency within "
                          "one type is undefined" % (spec.to_dict(), list(spec.types)))
-    count = _vertex_count(spec) if geometry(spec).dim < 64 else None
+    count = _vertex_count(spec) if spec.dim < 64 else None
     if count is None or count > MAX_VERTICES:
         named = count if count is not None and count <= 10 ** 18 else "over 10^18"
         raise UsageError("spec %s has %s vertices, more than the limit of %d"
@@ -533,13 +520,12 @@ def _graph(spec):
     the enumerated vertices must number _vertex_count(spec). Sigma comes
     with the Weyl group's generators as permutations of it (_apartment)."""
     count = _vertex_count(spec)
-    geo = geometry(spec)
-    vertices = _vertices(geo)
+    vertices = _vertices(spec)
     if len(vertices) != count:
         raise RuntimeError("enumerated %d vertices for spec %s, expected %d"
                            % (len(vertices), spec.to_dict(), count))
-    sigma, generators = _apartment(geo, vertices)
-    return KneserGraph(spec, vertices, _rows(geo, vertices), sigma, generators)
+    sigma, generators = _apartment(spec, vertices)
+    return KneserGraph(spec, vertices, _rows(spec, vertices), sigma, generators)
 
 
 def build_graph(spec):
@@ -564,7 +550,7 @@ def _vertex_count(spec, q=None):
     (e = 0 for D_n, 1 for B_n and C_n); one D_n family of maximal ones is
     half of them, which leaves out the factor i = 1, a 2.
     """
-    geo, q = geometry(spec), spec.p if q is None else q
+    q = spec.p if q is None else q
 
     def binomial(d, k):
         num = den = 1
@@ -575,14 +561,14 @@ def _vertex_count(spec, q=None):
 
     if spec.family == "A":
         count, below = 1, 0
-        for a in geo.parts:
-            count *= binomial(geo.dim - below, a - below)
+        for a in spec.parts:
+            count *= binomial(spec.dim - below, a - below)
             below = a
         return count
-    n, k = geo.dim // 2, geo.parts[0]
+    n, k = spec.dim // 2, spec.parts[0]
     e = 0 if spec.family == "D" else 1
     count = binomial(n, k)
-    for i in range(n - k + 1 + bool(geo.oriflamme), n + 1):
+    for i in range(n - k + 1 + bool(spec.oriflamme), n + 1):
         count *= q ** (i + e - 1) + 1
     return count
 
@@ -597,21 +583,21 @@ def apartment_graph(spec):
     more than MAX_FRAMES frames (_vertex_count at q = 1); more than
     MAX_POINT_IDS points in the left sets of all the frames.
     """
-    geo, p = geometry(spec), spec.p
-    if geo.dim > 63 or p ** geo.dim > 1 << 63:
+    p = spec.p
+    if spec.dim > 63 or p ** spec.dim > 1 << 63:
         raise UsageError("spec %s: dimension %d is too large for the kernel's int64 point "
-                         "ids, which need p^d <= 2^63" % (spec.to_dict(), geo.dim))
+                         "ids, which need p^d <= 2^63" % (spec.to_dict(), spec.dim))
     frames = _vertex_count(spec, 1)
     if frames > MAX_FRAMES:
         raise UsageError("spec %s has %d frames in its apartment, more than the limit of %d"
                          % (spec.to_dict(), frames, MAX_FRAMES))
     # The left set of each condition _rows pairs: G_b or ann G_b. A polar
     # type's one condition, on the vertex itself, is the non-dual (0, 0).
-    left = [geo.dim - geo.parts[b] if dual else geo.parts[b]
-            for _, b, dual in _general_position(geo.parts, geo.dim)]
+    left = [spec.dim - spec.parts[b] if dual else spec.parts[b]
+            for _, b, dual in _general_position(spec.parts, spec.dim)]
     points = frames * sum(_q_integer(k, p) for k in left)
     if points > MAX_POINT_IDS:
         raise UsageError("spec %s has %d point ids in its apartment, more than the limit of %d"
                          % (spec.to_dict(), points, MAX_POINT_IDS))
-    vertices = _sorted_vertices(geo.frames())
-    return KneserGraph(geo.spec, vertices, _rows(geo, vertices), range(len(vertices)))
+    vertices = _sorted_vertices(spec.frames())
+    return KneserGraph(spec, vertices, _rows(spec, vertices), range(len(vertices)))

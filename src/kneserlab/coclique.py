@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import Subspace, _annihilators
-from .buildings import SCHEMA, apartment_graph, checked_vertex_count, geometry, vertex_lists
+from .buildings import SCHEMA, apartment_graph, checked_vertex_count, vertex_lists
 from .coxeter import _bits
 from .errors import SearchBudgetExceeded, UsageError
 
@@ -259,13 +259,17 @@ def _scan(graph, cocliques):
 
 
 def check_scan_args(mode, samples, seed):
-    """Reject a bad mode or sample count, or a sample count or seed outside
-    sampling mode, before any work."""
+    """Reject a bad mode or sample count, a sample count or seed that is not
+    an int (a bool or float would pass as one), or either outside sampling
+    mode, before any work."""
     if mode not in ("all", "sample"):
         raise UsageError("mode must be 'all' or 'sample'")
     if mode == "all" and (samples is not None or seed is not None):
         raise UsageError("exhaustive mode takes no sample count or seed, got samples=%r, seed=%r"
                          % (samples, seed))
+    for name, value in (("samples", samples), ("seed", seed)):
+        if value is not None and type(value) is not int:
+            raise UsageError("%s must be of type int, not %r" % (name, value))
     if mode == "sample" and (samples is None or samples < 1):
         raise UsageError("sampling mode needs a sample count of at least 1, got %r" % (samples,))
     if mode == "sample" and samples > MAX_SAMPLES:
@@ -363,10 +367,10 @@ def max_coclique(graph, budget=None):
 
 
 def _span_supported(graph):
-    """Whether geometry(spec) names single subspaces of a type-A graph, or
+    """Whether the spec names single subspaces of a type-A graph, or
     totally singular lines of a D_n graph."""
-    spec, parts = graph.spec, geometry(graph.spec).parts
-    return len(parts) == 1 if spec.family == "A" else spec.family == "D" and parts == (2,)
+    family, parts = graph.spec.family, graph.spec.parts
+    return len(parts) == 1 if family == "A" else family == "D" and parts == (2,)
 
 
 # psi per graph; graphs hash by identity, and one built by hand is not

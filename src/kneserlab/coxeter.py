@@ -11,7 +11,7 @@ The abstract (coset-level) Kneser graph lives on cosets wX of the
 parabolic X = <R minus J>, with wX ~ vX iff v^-1 w lies in the double
 coset X w0 X, that is iff vX is one of the cosets w x w0 X, x in X
 (w0 is an involution). A coset wX is the flag of label sets w({1..j}),
-j in J, whose stabiliser is X: a frame, once Geometry.frame maps each
+j in J, whose stabiliser is X: a frame, once BuildingSpec.frame maps each
 set to its coordinate subspace. In D_n, type n-1 without n reads w(n) as
 -w(n), the minus family, and type n beside n-1 adds nothing.
 """
@@ -51,7 +51,7 @@ def simple_reflections(family, n):
     """The simple generators of W(A_n), W(B_n) or W(D_n), in order, as
     signed permutations: the transpositions (i, i+1), then for B_n the
     sign change of n, and for D_n the swap of n-1 and n with both signs
-    changed. The one table of them: WeylGroup and Geometry read it."""
+    changed. The one table of them: WeylGroup and BuildingSpec read it."""
     m = n + 1 if family == "A" else n
     moves = [{i: i + 1, i + 1: i} for i in range(1, m)]
     if family == "B":

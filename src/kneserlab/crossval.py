@@ -3,14 +3,14 @@
 The abstract Kneser graph on parabolic cosets of the Weyl group must be
 isomorphic to the subgraph the geometric model induces on its coordinate
 frame, under the canonical labeling that sends a coset, a flag of label
-sets, to the coordinate flag of those sets (Geometry.frame).
+sets, to the coordinate flag of those sets (BuildingSpec.frame).
 This is checked by the explicit bijection, never by isomorphism search,
 and is the anti-drift guard for the adopted general-position adjacency.
 """
 
 from __future__ import annotations
 
-from .buildings import apartment_graph, geometry
+from .buildings import apartment_graph
 from .coxeter import _bits, quotient
 from .errors import UsageError
 
@@ -21,7 +21,7 @@ def cross_validate(spec):
     """Compare coset and geometric apartment graphs; returns a report.
 
     Each coset of coxeter.quotient, a flag of label sets, names the frame
-    object geometry(spec).frame(flag). The report's "ok" field is False iff the
+    object spec.frame(flag). The report's "ok" field is False iff the
     vertex bijection breaks or some pair differs in adjacency, in which
     case "mismatch" holds the first offending pair.
 
@@ -30,8 +30,7 @@ def cross_validate(spec):
     family, n, types = spec.family, spec.rank, spec.types
     if family not in WEYL_FAMILY:
         raise UsageError("cross-validation supports families A, B, C, D")
-    geo = geometry(spec)
-    if geo.oriflamme and not geo.self_opposite:
+    if spec.oriflamme and not spec.self_opposite:
         raise UsageError("spec %s: one family of maximal spaces of D_%d, n odd, has no "
                          "opposite pairs, so the coset model does not describe it"
                          % (spec.to_dict(), n))
@@ -49,7 +48,7 @@ def cross_validate(spec):
     index_of = {flag: i for i, flag in enumerate(geometric.vertices)}
     mapping = []
     for labels, w in zip(cosets.flags, cosets.representatives):
-        flag = geo.frame(labels)
+        flag = spec.frame(labels)
         if flag not in index_of:
             return {
                 "ok": False,

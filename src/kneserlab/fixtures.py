@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 
 from .algebra import Subspace
-from .buildings import SCHEMA, BuildingSpec, geometry, vertex_lists
+from .buildings import SCHEMA, BuildingSpec, vertex_lists
 from .errors import FixtureIntegrityError, UsageError
 
 CASES = ("B3_2", "C3_3", "D4_34", "A_flags")
@@ -71,30 +71,29 @@ def verify_witness(spec, coclique, x, y):
     """Certify a UCEP violation (C, x, y) of spec from basis matrices alone.
 
     Each object is a flag of RREF basis matrices (one per part) and must
-    be a vertex of geometry(spec); C must consist of frame objects, be a
+    be a vertex of spec; C must consist of frame objects, be a
     coclique and be maximal in Σ; x and y must be opposite each other and
     opposite no member of C, so both lie in the extension set D(C) and
-    D(C) is not a coclique. Opposition is Geometry.opposite, by exact
+    D(C) is not a coclique. Opposition is BuildingSpec.opposite, by exact
     ranks. Returns |Σ| and the number of frame objects opposite x or y.
     """
-    geo = geometry(spec)
     try:
-        members = [geo.vertex(m, "C[%d]" % j) for j, m in enumerate(coclique)]
-        x, y = geo.vertex(x, "x"), geo.vertex(y, "y")
+        members = [spec.vertex(m, "C[%d]" % j) for j, m in enumerate(coclique)]
+        x, y = spec.vertex(x, "x"), spec.vertex(y, "y")
     except UsageError as exc:
         raise FixtureIntegrityError("witness condition failed: %s" % exc)
-    frames = geo.frames()
+    frames = spec.frames()
     _require(set(members) <= set(frames), "C lies in the apartment")
-    _require(not any(geo.opposite(a, b) for a, b in itertools.combinations(members, 2)),
+    _require(not any(spec.opposite(a, b) for a, b in itertools.combinations(members, 2)),
              "C is a coclique")
-    _require(all(f in members or any(geo.opposite(f, c) for c in members) for f in frames),
+    _require(all(f in members or any(spec.opposite(f, c) for c in members) for f in frames),
              "C is maximal in the apartment")
-    _require(geo.opposite(x, y), "x and y are opposite")
-    _require(not any(geo.opposite(w, c) for w in (x, y) for c in members),
+    _require(spec.opposite(x, y), "x and y are opposite")
+    _require(not any(spec.opposite(w, c) for w in (x, y) for c in members),
              "x and y are opposite no member of C")
     return {
         "sigma_size": len(frames),
-        "sigma_vertices_blocked": sum(geo.opposite(f, x) or geo.opposite(f, y) for f in frames),
+        "sigma_vertices_blocked": sum(spec.opposite(f, x) or spec.opposite(f, y) for f in frames),
     }
 
 
@@ -112,7 +111,6 @@ def _a_flags(n, i, p):
     if not 1 < i < n / 2:
         raise UsageError("A_flags fixture needs 1 < i < n/2")
     spec = BuildingSpec("A", n - 1, p, (i, n - i))
-    geo = geometry(spec)
 
     def e(*cols):
         return [int(j in cols) for j in range(n)]
@@ -127,10 +125,10 @@ def _a_flags(n, i, p):
     labels = set(range(1, n + 1))
     swapped = {(1, *range(3, i + 2), 2, *range(i + 2, n - i + 1)),
                (1, *range(n - i + 1, n), *range(i + 2, n - i + 1), n)}
-    words = [w for w in sorted(r[:n - i] for r in geo.quotient.representatives)
+    words = [w for w in sorted(r[:n - i] for r in spec.quotient.representatives)
              if min(w[:i]) < min(labels - set(w))]
-    coclique = [vertex_lists(geo.frame((labels - set(w), labels - set(w[:i])) if w in swapped
-                                       else (w[:i], w))) for w in words]
+    coclique = [vertex_lists(spec.frame((labels - set(w), labels - set(w[:i])) if w in swapped
+                                        else (w[:i], w))) for w in words]
     return spec, coclique, x, y
 
 
@@ -157,7 +155,7 @@ def verify_nonexample(case, p=None, n=None, i=None):
         data = FIXTURES[case]
         family, rank, types = data["spec"]
         spec = BuildingSpec(family, rank, p, types)
-        d = geometry(spec).dim
+        d = spec.dim
         x, y = ([[c % p for c in row] for row in w] for w in data["witnesses"])
         coclique = [[list(r) for r in Subspace.coordinate(cols, d, p).basis]
                     for cols in data["coclique_cols"]]

@@ -200,9 +200,9 @@ def frame_words(geo):
     """One label word per frame object, made from the geometry's parts
     alone: a set of new labels for each part, never a label beside its
     partner, and for D_n maximal spaces an even number of primed labels,
-    as in the Weyl group of D_n. The reference for Geometry.frames, with
+    as in the Weyl group of D_n. The reference for BuildingSpec.frames, with
     frame_of_word."""
-    if geo.spec.family == "A":
+    if geo.family == "A":
         alphabet = range(1, geo.dim + 1)
     else:
         alphabet = [s * a for a in range(1, geo.dim // 2 + 1) for s in (1, -1)]
@@ -230,7 +230,7 @@ def word_generators(geo):
     """The simple reflections acting on frame words: those of S_{n+1} in
     type A; on a polar form of r pairs, those of W(B_r), and on one D_n
     family of maximal spaces those of W(D_r)."""
-    if geo.spec.family == "A":
+    if geo.family == "A":
         return simple_reflections("A", geo.dim - 1)
     return simple_reflections("D" if geo.oriflamme else "B", geo.dim // 2)
 
@@ -260,7 +260,7 @@ def monomial_generators(geo):
     the last pair r e_r <-> e_r' for a quadratic form and e_r -> e_r',
     e_r' -> -e_r for the alternating one; for one D_n family of maximal
     spaces, e_{r-1} <-> e_r' and e_{r-1}' <-> e_r instead."""
-    d, p = geo.dim, geo.spec.p
+    d, p = geo.dim, geo.p
 
     def matrix(moves):
         """The matrix sending e_c to sign * e_t for each c: (t, sign)."""

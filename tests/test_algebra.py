@@ -17,7 +17,7 @@ from kneserlab.algebra import (
     rank_mod_p,
     rref,
 )
-from kneserlab.buildings import BuildingSpec, geometry
+from kneserlab.buildings import BuildingSpec
 from kneserlab.errors import UsageError
 
 from oracles import (
@@ -30,8 +30,8 @@ from oracles import (
 
 
 def standard_form(family, n, p):
-    """The form of the polar family's points, as geometry(spec) gives it."""
-    return geometry(BuildingSpec(family, n, p, (1,))).form
+    """The form of the polar family's points, as its BuildingSpec gives it."""
+    return BuildingSpec(family, n, p, (1,)).form
 
 
 def random_subspace(rng, d, k, p):
@@ -94,6 +94,19 @@ def test_subspace_identity_is_bytewise():
     assert u == w
     assert u.basis == w.basis
     assert hash(u) == hash(w)
+
+
+@pytest.mark.parametrize("cols,message", [
+    ([-1], "column -1 is not in 0..3"),
+    ([4], "column 4 is not in 0..3"),
+    ([1, 1], "column 1 is repeated"),
+])
+def test_coordinate_refuses_bad_columns(cols, message):
+    # Unchecked, [-1] gave e_3, [4] an IndexError and [1, 1] a two-row
+    # basis that is not in RREF.
+    with pytest.raises(UsageError, match="^%s$" % message):
+        Subspace.coordinate(cols, 4, 2)
+    assert Subspace.coordinate([3, 0], 4, 2).basis == ((1, 0, 0, 0), (0, 0, 0, 1))
 
 
 def test_intersect_examples():
@@ -285,7 +298,7 @@ def test_augment_matches_per_parent_oracle(monkeypatch, family, n, p, k):
     # The same bases in the same order as one parent at a time, also when
     # 64-entry blocks make each step take one or a few parents. Type A
     # k = 2, 3 over F_2 are the parts of A_4 {2,3} flags.
-    geo = geometry(BuildingSpec(family, n, p, (1,)))
+    geo = BuildingSpec(family, n, p, (1,))
     expected = augment_by_parent(geo.dim, k, p, geo.form)
     for block in (algebra._BLOCK_ELEMS, 64):
         monkeypatch.setattr(algebra, "_BLOCK_ELEMS", block)

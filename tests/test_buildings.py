@@ -18,7 +18,6 @@ from kneserlab.buildings import (
     BuildingSpec,
     apartment_graph,
     build_graph,
-    geometry,
 )
 from kneserlab.coclique import check_ucep
 from kneserlab.errors import UsageError
@@ -85,7 +84,6 @@ def test_spec_field_types_are_refused_by_name(args, field):
 def test_refused_spec_leaves_the_caches_to_the_int_spec():
     # Refused before it is hashed, a bool or float rank keys no cache entry
     # that the equal int spec would then read.
-    geometry.cache_clear()
     buildings._graph.cache_clear()
     for rank in (True, 1.0):
         with pytest.raises(UsageError, match="rank must be"):
@@ -179,7 +177,7 @@ def test_flag_kneser_paper_witnesses_adjacent():
     b = Subspace.span([u, [0, 0, 1, 0, 0], [0, 0, 0, 0, 1]], d, p)
     b2 = Subspace.span([v, [0, 0, 0, 1, 0], [0, 1, 0, 0, 0]], d, p)
     assert b.contains(a) and b2.contains(a2)
-    geo = geometry(BuildingSpec("A", d - 1, p, (2, 3)))
+    geo = BuildingSpec("A", d - 1, p, (2, 3))
     assert geo.opposite((a, b), (a2, b2))
     assert not geo.opposite((a, b), (a, b))
 
@@ -190,7 +188,7 @@ def test_polar_kneser_d42():
     assert len(g.sigma) == 24
     assert sigma_degrees(g) == [1] * 24
     # Frame matching: {s,t} is adjacent exactly to {s',t'}.
-    geo = geometry(g.spec)
+    geo = g.spec
     idx = {g.vertices[v][0]: v for v in g.sigma}
     for labels in frame_words(geo):
         a = idx[geo.coordinate(labels)]
@@ -215,7 +213,7 @@ def test_polar_adjacency_reflexive_pairing():
     # perp(L) meets M trivially iff L meets perp(M) trivially, on all
     # totally singular line pairs of the hyperbolic D_4 space.
     g = build_graph(BuildingSpec("D", 4, 2, (2,)))
-    form = geometry(g.spec).form
+    form = g.spec.form
 
     rng = random.Random(20240631)
     verts = [v[0] for v in g.vertices]
@@ -231,7 +229,7 @@ def test_d4_maximal_families():
     minus = build_graph(BuildingSpec("D", 4, 2, (3,)))
     assert plus.num_vertices == minus.num_vertices == 135
     assert len(plus.sigma) == len(minus.sigma) == 8
-    plus_family = geometry(plus.spec)
+    plus_family = plus.spec
     assert all(plus_family.in_family(v[0]) for v in plus.vertices)
     assert not any(plus_family.in_family(v[0]) for v in minus.vertices)
     # Within one family adjacency is plain disjointness.
@@ -243,7 +241,7 @@ def test_d4_maximal_families():
 def test_d_family_split_vs_intersection_oracle(n, p):
     # A maximal space A is in the plus family iff dim(A ∩ A0) = n mod 2,
     # for A0 the span of the unprimed columns.
-    plus, minus = (geometry(BuildingSpec("D", n, p, (t,))) for t in (n, n - 1))
+    plus, minus = (BuildingSpec("D", n, p, (t,)) for t in (n, n - 1))
     a0 = plus.coordinate(range(1, n + 1))
     for a in enumerate_singular_subspaces(plus.form, n):
         in_plus = intersect(a, a0).dim % 2 == n % 2
@@ -268,7 +266,7 @@ def test_d4_planes_paper_witnesses():
     assert pi in idx and pi2 in idx
     assert g.is_adjacent(idx[pi], idx[pi2])
     # pi is not adjacent to any frame plane through its own vector e_4.
-    geo = geometry(g.spec)
+    geo = g.spec
     for labels in frame_words(geo):
         if 4 in labels:
             fr = idx[geo.coordinate(labels)]
@@ -308,7 +306,7 @@ def test_build_graph_dispatch():
     plus = build_graph(BuildingSpec("D", 4, 2, (4,)))
     minus = build_graph(BuildingSpec("D", 4, 2, (3,)))
     assert plus.num_vertices == minus.num_vertices == 135
-    plus_family = geometry(plus.spec)
+    plus_family = plus.spec
     assert all(plus_family.in_family(v[0]) for v in plus.vertices)
     assert not any(plus_family.in_family(v[0]) for v in minus.vertices)
 
@@ -405,7 +403,7 @@ def test_apartment_graph_matches_full_builder_sigma():
     ("A", 4, (2, 3), 3)])
 def test_vertices_enumerated_in_canonical_order(family, n, types, p):
     # The builder keeps the enumerators' order and never sorts it.
-    vertices = buildings._vertices(geometry(BuildingSpec(family, n, p, types)))
+    vertices = buildings._vertices(BuildingSpec(family, n, p, types))
     assert vertices == sorted(vertices, key=lambda flag: tuple(s.key for s in flag))
 
 
@@ -418,16 +416,16 @@ def test_vertex_counts_vs_filter_oracle():
     slow = sum(
         1
         for u in enumerate_subspaces(6, 2, 2)
-        if is_totally_singular(u, geometry(spec).form)
+        if is_totally_singular(u, spec.form)
     )
     assert build_graph(spec).num_vertices == slow
 
 
 def rank_oracle(graph):
-    """Per-pair adjacency from Geometry.opposite: exact ranks of the basis
+    """Per-pair adjacency from BuildingSpec.opposite: exact ranks of the basis
     matrices (general position of flags, or full rank of B_x G B_y^T for
     polar types), independent of the point-incidence kernel."""
-    geo, verts = geometry(graph.spec), graph.vertices
+    geo, verts = graph.spec, graph.vertices
     return lambda a, b: geo.opposite(verts[a], verts[b])
 
 
@@ -436,7 +434,7 @@ def kernel_rows_at_block_64(monkeypatch, graph):
     column of points at a time."""
     with monkeypatch.context() as patch:
         patch.setattr(buildings, "_BLOCK_ELEMS", 64)
-        return tuple(buildings._rows(geometry(graph.spec), graph.vertices))
+        return tuple(buildings._rows(graph.spec, graph.vertices))
 
 
 @pytest.mark.parametrize("d,k,p", [
@@ -449,11 +447,11 @@ def test_annihilators_span_the_annihilator(d, k, p):
     anns = _annihilators(buildings._matrices(subs).reshape(len(subs), k, d), p)
     for u, ann in zip(subs, anns):
         assert Subspace.span(ann.tolist(), d, p) == nullspace(u.matrix(), p)
-    if k == d:
-        return  # ann(F_p^d) = 0 has no points
     # With rows and columns reversed, each basis gives its points
-    # normalised (first nonzero entry 1), one id per point.
+    # normalised (first nonzero entry 1), one id per point; ann(F_p^d) = 0
+    # has none.
     ids = buildings._point_ids(anns[:, ::-1, ::-1], p)
+    assert ids.shape == (len(subs), (p ** (d - k) - 1) // (p - 1))
     vectors = ids[..., None] // p ** np.arange(d - 1, -1, -1) % p
     assert (np.take_along_axis(vectors, (vectors != 0).argmax(axis=2)[..., None], axis=2) == 1).all()
     assert all(len(set(row)) == len(row) for row in ids.tolist())
@@ -508,11 +506,11 @@ def test_dimension_64_bounds_the_vertex_count(family, n, p):
     # rank that reaches it, over the least field, every single type, A {1,n}
     # and D {n-1,n} already has more than 10^18 vertices; counts only grow
     # with the rank and with p.
-    assert geometry(BuildingSpec(family, n - 1, p, (1,))).dim < 64
+    assert BuildingSpec(family, n - 1, p, (1,)).dim < 64
     extra = {"A": [(1, n)], "D": [(n - 1, n)]}.get(family, [])
     for types in [(k,) for k in range(1, n + 1)] + extra:
         spec = BuildingSpec(family, n, p, types)
-        assert geometry(spec).dim >= 64
+        assert spec.dim >= 64
         assert buildings._vertex_count(spec) > 10 ** 18, types
         with pytest.raises(UsageError, match="has over 10\\^18 vertices"):
             buildings.checked_vertex_count(spec)
@@ -570,7 +568,7 @@ def test_build_graph_refuses_one_family_of_odd_d(n, types, p, monkeypatch):
     # For n odd two maximal spaces of one family meet in odd dimension, so
     # none is opposite another: the type is not self-opposite.
     spec = BuildingSpec("D", n, p, types)
-    assert not geometry(spec).self_opposite
+    assert not spec.self_opposite
     monkeypatch.setattr(buildings, "_vertices", None)
     with pytest.raises(UsageError, match="not self-opposite"):
         build_graph(spec)
@@ -582,17 +580,17 @@ def test_odd_d_other_types_still_build():
     assert (lines.num_vertices, points.num_vertices) == (105, 35)
     assert lines.num_edges() and points.num_edges()
     for n in (2, 4):
-        assert geometry(BuildingSpec("D", n, 2, (n,))).self_opposite
-        assert geometry(BuildingSpec("D", n, 2, (n - 1,))).self_opposite
-    assert geometry(BuildingSpec("D", 5, 2, (4, 5))).self_opposite
+        assert BuildingSpec("D", n, 2, (n,)).self_opposite
+        assert BuildingSpec("D", n, 2, (n - 1,)).self_opposite
+    assert BuildingSpec("D", 5, 2, (4, 5)).self_opposite
 
 
 def test_geometry_names_the_d_families():
-    plus, minus, planes = (geometry(BuildingSpec("D", 5, 2, t)) for t in [(5,), (4,), (4, 5)])
+    plus, minus, planes = (BuildingSpec("D", 5, 2, t) for t in [(5,), (4,), (4, 5)])
     assert (plus.parts, plus.oriflamme) == ((5,), "plus")
     assert (minus.parts, minus.oriflamme) == ((5,), "minus")
     assert (planes.parts, planes.oriflamme) == ((4,), None)
-    g2, b3 = (geometry(BuildingSpec(f, n, 3, (1,))) for f, n in [("G", 2), ("B", 3)])
+    g2, b3 = (BuildingSpec(f, n, 3, (1,)) for f, n in [("G", 2), ("B", 3)])
     assert g2.dim == b3.dim == 7
     assert (g2.form.kind, g2.form.gram.tolist()) == (b3.form.kind, b3.form.gram.tolist())
     # Frames of the apartment: 2^(n-1) per family, and the even words of
@@ -614,7 +612,6 @@ def _oracle_specs(family):
             for types in itertools.combinations(range(1, n + 1), k):
                 try:
                     spec = BuildingSpec(family, n, p, types)
-                    geometry(spec)
                 except UsageError:
                     continue
                 if buildings._vertex_count(spec, 1) <= buildings.MAX_FRAMES:
@@ -633,7 +630,7 @@ def test_frames_match_the_word_oracle(family, count):
     specs = _oracle_specs(family)
     assert len(specs) == count
     for spec in specs:
-        geo = geometry(spec)
+        geo = spec
         frames, words = geo.frames(), [frame_of_word(geo, w) for w in frame_words(geo)]
         assert len(frames) == len(set(frames)) == len(words)
         assert set(frames) == set(words), spec

@@ -16,7 +16,6 @@ from kneserlab.buildings import (
     BuildingSpec,
     KneserGraph,
     build_graph,
-    geometry,
 )
 from kneserlab.coclique import (
     MAX_COCLIQUES,
@@ -114,7 +113,7 @@ def test_extension_set_of_polar_point_frame_is_maximal_subspace():
     # One frame point per hyperbolic pair spans a maximal totally
     # isotropic subspace; D is exactly the point set of that subspace.
     g = build_graph(BuildingSpec("C", 3, 2, (1,)))
-    geo = geometry(g.spec)
+    geo = g.spec
     idx = {v[0]: i for i, v in enumerate(g.vertices)}
     c = [idx[geo.coordinate((l,))] for l in (1, 2, 3)]
     assert is_coclique(g, c)
@@ -194,6 +193,14 @@ def test_check_ucep_sample_needs_count():
             check_ucep(g, mode="sample", samples=samples)
     with pytest.raises(UsageError, match="limit of %d" % MAX_SAMPLES):
         check_ucep(g, mode="sample", samples=MAX_SAMPLES + 1)
+    # A bool or float would pass as a count or seed, and a string seed
+    # would be reported as given.
+    for name in ("samples", "seed"):
+        for value in (True, 2.5, "x"):
+            args = {"samples": 1, "seed": 0, name: value}
+            with pytest.raises(UsageError, match="^%s must be of type int, not %r$"
+                               % (name, value)):
+                check_ucep(g, mode="sample", **args)
 
 
 def record_scans(monkeypatch):
@@ -212,7 +219,7 @@ def _opposite(geo, fx, fy):
     """Opposition from basis matrices and exact ranks alone: for a polar
     type, the pairing B_x G B_y^T is nonsingular; for type-A flags, each
     pair of parts spans as much as general position allows."""
-    p, d = geo.spec.p, geo.dim
+    p, d = geo.p, geo.dim
     if geo.form is not None:
         g = geo.form.polar.tolist()
         pairing = [[sum(a[i] * g[i][j] * b[j] for i in range(d) for j in range(d))
@@ -246,14 +253,14 @@ def test_check_ucep_negative_grid_cells(monkeypatch, family, n, types, p, count)
     want = sigma_cocliques_by_bron_kerbosch(g)
     assert report.cocliques_checked == len(want)
     index = want.index(tuple(report.witness["coclique_indices"]))
-    perms = automorphism_permutations(g, monomial_generators(geometry(spec)))
+    perms = automorphism_permutations(g, monomial_generators(spec))
     met, first = set(), []
     for c in want[:index + 1]:
         if c not in met:
             met |= orbit(c, perms)
             first.append(c)
     assert scanned == [extension_set(g, c) for c in first]
-    geo, w = geometry(spec), report.witness
+    geo, w = spec, report.witness
     coc, x, y = w["coclique"], w["x"], w["y"]
     assert len(coc) == len(g.sigma) // 2
     assert _opposite(geo, x, y)
@@ -469,7 +476,7 @@ def test_sigma_generators_are_graph_automorphisms(family, n, types, p):
     # family's form: the matrix keeps the form, maps every vertex to a
     # vertex and every edge to an edge, and moves Sigma as stored.
     g = build_graph(BuildingSpec(family, n, p, types))
-    geo = geometry(g.spec)
+    geo = g.spec
     mats = monomial_generators(geo)
     if geo.form is not None:
         for mat in mats:
@@ -497,7 +504,7 @@ def test_orbit_counts_pinned(monkeypatch, family, n, types, p, orbits):
     reps = coclique._orbit_representatives(pairs, g.sigma_generators)
     assert len(reps) == orbits
     if (family, n, types) == ("D", 4, (2,)):
-        perms = automorphism_permutations(g, monomial_generators(geometry(g.spec)))
+        perms = automorphism_permutations(g, monomial_generators(g.spec))
         met, first = set(), []
         for c in sigma_cocliques_by_bron_kerbosch(g):
             if c not in met:
@@ -526,7 +533,7 @@ def theorem_cells():
         for types in [(i,) for i in range(1, n + 1)] + [(1, n)]:
             try:
                 spec = BuildingSpec(family, n, p, types)
-                if (theorem_class(spec) is None or not geometry(spec).self_opposite
+                if (theorem_class(spec) is None or not spec.self_opposite
                         or buildings._vertex_count(spec) > 1600):
                     continue
                 check_apartment(spec)

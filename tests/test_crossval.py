@@ -8,7 +8,7 @@ import io
 import pytest
 
 import kneserlab.buildings as buildings
-from kneserlab.buildings import BuildingSpec, geometry
+from kneserlab.buildings import BuildingSpec
 from kneserlab.cli import main
 from kneserlab.coxeter import ParabolicQuotient, quotient, weyl_group
 from kneserlab.crossval import cross_validate
@@ -65,7 +65,7 @@ def test_cross_validation_b3_odd_characteristic(types, p):
 
 def test_frame_object_labeling_is_injective():
     q = quotient("D", 4, (3,))
-    geo = geometry(BuildingSpec("D", 4, 2, (3,)))
+    geo = BuildingSpec("D", 4, 2, (3,))
     flags = {geo.frame(labels) for labels in q.flags}
     assert len(flags) == q.num_vertices
 

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from kneserlab.buildings import BuildingSpec, geometry
+from kneserlab.buildings import BuildingSpec
 from kneserlab.errors import FixtureIntegrityError, UsageError
 from kneserlab.fixtures import CASES, FIXTURES, verify_nonexample, verify_witness
 
@@ -46,7 +46,7 @@ def witness_of(case):
 def test_verify_witness_accepts_fixture_data(case):
     spec, coc, x, y = witness_of(case)
     facts = verify_witness(spec, coc, x, y)
-    assert facts["sigma_size"] == len(geometry(spec).frames())
+    assert facts["sigma_size"] == len(spec.frames())
 
 
 def frame_flag(frame):
@@ -56,7 +56,7 @@ def frame_flag(frame):
 @pytest.mark.parametrize("case", CASES)
 def test_verify_witness_refuses_single_corruptions(case):
     spec, coc, x, y = witness_of(case)
-    geo = geometry(spec)
+    geo = spec
 
     def refused(what, coc=coc, x=x, y=y):
         with pytest.raises(FixtureIntegrityError, match=what):
