@@ -10,6 +10,9 @@ canonical augmentation: appending a row to a basis one dimension lower.
 
 from __future__ import annotations
 
+import operator
+from dataclasses import dataclass, field
+
 import numpy as np
 
 from .errors import UsageError
@@ -18,7 +21,8 @@ SUPPORTED_PRIMES = (2, 3, 5, 7)
 
 
 def check_prime(p):
-    if p not in SUPPORTED_PRIMES:
+    """p, if it is an int in SUPPORTED_PRIMES (2.0 would pass `in`)."""
+    if type(p) is not int or p not in SUPPORTED_PRIMES:
         raise UsageError("modulus must be one of %s, got %r" % (SUPPORTED_PRIMES, p))
     return p
 
@@ -36,10 +40,14 @@ def rref(rows, d, p):
 
     Returns a tuple of row tuples with strictly increasing pivot columns,
     pivot entries 1, pivot columns zero elsewhere, and no zero rows.
-    Idempotent and span-preserving.
+    Idempotent and span-preserving. Entries are integers, numpy ones too;
+    a float is refused, not truncated.
     """
     check_prime(p)
-    mat = [list(int(x) % p for x in row) for row in rows]
+    try:
+        mat = [[operator.index(x) % p for x in row] for row in rows]
+    except TypeError as e:
+        raise UsageError("matrix entries must be integers: %s" % e) from None
     for row in mat:
         if len(row) != d:
             raise UsageError("row length %d does not match ambient %d" % (len(row), d))
@@ -69,16 +77,14 @@ def rank_mod_p(rows, d, p):
     return len(rref(rows, d, p))
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class Subspace:
-    """A subspace of F_p^d, identified by its canonical RREF basis."""
+    """A subspace of F_p^d, identified by its canonical RREF basis: the
+    constructor takes a basis already in RREF; use Subspace.span otherwise."""
 
-    __slots__ = ("ambient", "p", "basis")
-
-    def __init__(self, ambient, p, basis):
-        # `basis` must already be canonical; use Subspace.span otherwise.
-        self.ambient = ambient
-        self.p = p
-        self.basis = basis
+    ambient: int
+    p: int
+    basis: tuple
 
     @classmethod
     def span(cls, vectors, ambient, p):
@@ -124,17 +130,6 @@ class Subspace:
         if self.ambient != other.ambient or self.p != other.p:
             raise UsageError("subspaces live in different ambient spaces")
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Subspace)
-            and self.ambient == other.ambient
-            and self.p == other.p
-            and self.basis == other.basis
-        )
-
-    def __hash__(self):
-        return hash((self.ambient, self.p, self.basis))
-
     def __lt__(self, other):
         return self.key < other.key
 
@@ -156,6 +151,7 @@ def intersect(u, w):
     return Subspace.span(inter, d, p) if inter else Subspace.zero(d, p)
 
 
+@dataclass(frozen=True, eq=False, repr=False)
 class Form:
     """An alternating or quadratic form on F_p^d.
 
@@ -165,11 +161,16 @@ class Form:
     characteristic including 2. Both are read-only int64 arrays.
     """
 
-    __slots__ = ("kind", "dim", "p", "gram", "polar")
-
     KINDS = ("alternating", "quadratic")
 
-    def __init__(self, kind, gram, p):
+    kind: str
+    gram: np.ndarray
+    p: int
+    dim: int = field(init=False)
+    polar: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        kind, gram, p = self.kind, self.gram, self.p
         if kind not in self.KINDS:
             raise UsageError("unknown form kind %r" % kind)
         check_prime(p)
@@ -187,11 +188,8 @@ class Form:
         polar = (g + g.T) % p if kind == "quadratic" else g
         g.setflags(write=False)
         polar.setflags(write=False)
-        self.kind = kind
-        self.dim = d
-        self.p = p
-        self.gram = g
-        self.polar = polar
+        for name, value in (("dim", d), ("gram", g), ("polar", polar)):
+            object.__setattr__(self, name, value)
 
 
 def _annihilators(mats, p):

@@ -231,18 +231,8 @@ class UcepReport:
     seed: int = None
 
     def to_dict(self):
-        d = {
-            "schema": SCHEMA,
-            "spec": self.spec,
-            "verdict": self.verdict,
-            "cocliques_checked": self.cocliques_checked,
-            "mode": self.mode,
-        }
-        if self.witness is not None:
-            d["witness"] = self.witness
-        if self.seed is not None:
-            d["seed"] = self.seed
-        return d
+        """The fields that are set, and the schema; written with sorted keys."""
+        return dict({k: v for k, v in vars(self).items() if v is not None}, schema=SCHEMA)
 
 
 def _scan(graph, cocliques):
@@ -373,8 +363,8 @@ def _span_supported(graph):
     return len(parts) == 1 if family == "A" else family == "D" and parts == (2,)
 
 
-# psi per graph; graphs hash by identity, and one built by hand is not
-# kept alive by its entry.
+# psi per graph, read-only; graphs hash by identity, and one built by hand
+# is not kept alive by its entry.
 _PSI = weakref.WeakKeyDictionary()
 
 
@@ -397,6 +387,7 @@ def _psi(graph):
             inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
             psi += term if inversions % 2 == 0 else p - term
         psi %= p
+        psi.setflags(write=False)
         _PSI[graph] = psi
     return _PSI[graph]
 

@@ -19,6 +19,7 @@ set to its coordinate subspace. In D_n, type n-1 without n reads w(n) as
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .errors import UsageError
@@ -51,7 +52,8 @@ def simple_reflections(family, n):
     """The simple generators of W(A_n), W(B_n) or W(D_n), in order, as
     signed permutations: the transpositions (i, i+1), then for B_n the
     sign change of n, and for D_n the swap of n-1 and n with both signs
-    changed. The one table of them: WeylGroup and BuildingSpec read it."""
+    changed. The one table of them: WeylGroup reads it, and the word-based
+    frame oracle in the tests."""
     m = n + 1 if family == "A" else n
     moves = [{i: i + 1, i + 1: i} for i in range(1, m)]
     if family == "B":
@@ -61,26 +63,31 @@ def simple_reflections(family, n):
     return tuple(tuple(move.get(j, j) for j in range(1, m + 1)) for move in moves)
 
 
+@dataclass(frozen=True, eq=False, repr=False)
 class WeylGroup:
     """A Weyl group by its simple generators, its longest element w0 and
-    its order."""
+    its order: W(family_rank) acts on m letters."""
 
-    def __init__(self, family, n):
+    family: str
+    rank: int
+
+    def __post_init__(self):
+        family, n = self.family, self.rank
         if family not in ("A", "B", "D"):
             raise UsageError("Weyl family must be A, B or D")
         if n < 1 or (family == "D" and n < 2):
             raise UsageError("rank too small for family %s" % family)
-        self.family = family
-        self.m = m = n + 1 if family == "A" else n
-        self.generators = gens = simple_reflections(family, n)
-        self.rank = len(gens)
+        m = n + 1 if family == "A" else n
         # w0 reverses the letters in type A and negates them in B and D,
         # but for the last one in D_n with n odd, where -1 is not in W.
         if family == "A":
-            self.w0 = tuple(range(m, 0, -1))
+            w0 = tuple(range(m, 0, -1))
         else:
-            self.w0 = tuple(range(-1, -m, -1)) + (m if family == "D" and m % 2 else -m,)
-        self.order = math.factorial(m) << (0 if family == "A" else m - (family == "D"))
+            w0 = tuple(range(-1, -m, -1)) + (m if family == "D" and m % 2 else -m,)
+        order = math.factorial(m) << (0 if family == "A" else m - (family == "D"))
+        for name, value in (("m", m), ("generators", simple_reflections(family, n)),
+                            ("w0", w0), ("order", order)):
+            object.__setattr__(self, name, value)
 
     def generator(self, i):
         """Simple generator s_i, 1-based."""
@@ -92,6 +99,7 @@ def weyl_group(family, n):
     return WeylGroup(family, n)
 
 
+@dataclass(frozen=True, eq=False, repr=False)
 class ParabolicQuotient:
     """Cosets wX of X = <R minus J>, each made as its flag of label sets
     (module notes), in the order of a breadth-first search from X under
@@ -102,25 +110,27 @@ class ParabolicQuotient:
     X-orbit of w0X. A coset is its own opposite only if w0 lies in X, that
     is X = W, so the empty type set is refused."""
 
-    def __init__(self, group, types):
-        types = tuple(sorted(set(types)))
+    group: WeylGroup
+    types: tuple
+
+    def __post_init__(self):
+        group, types = self.group, tuple(sorted(set(self.types)))
         if not types:
             raise UsageError("type set must be nonempty")
         if any(j < 1 or j > group.rank for j in types):
             raise UsageError("type set not contained in the diagram nodes")
-        self.group = group
-        self.types = types
-        n = group.rank
-        self._prefixes, self._flip = list(types), False
+        n, prefixes, flip = group.rank, list(types), False
         if group.family == "D" and n - 1 in types:
             if n in types:
-                self._prefixes.remove(n)
+                prefixes.remove(n)
             else:
-                self._prefixes[-1], self._flip = n, True
+                prefixes[-1], flip = n, True
+        for name, value in (("types", types), ("_prefixes", tuple(prefixes)), ("_flip", flip)):
+            object.__setattr__(self, name, value)
         cosets = self._orbit(identity(group.m), group.generators)
-        self._index = {flag: i for i, flag in enumerate(cosets)}
-        self.flags = tuple(cosets)
-        self.representatives = tuple(cosets.values())
+        for name, value in (("_index", {flag: i for i, flag in enumerate(cosets)}),
+                            ("flags", tuple(cosets)), ("representatives", tuple(cosets.values()))):
+            object.__setattr__(self, name, value)
 
     @cached_property
     def adjacency(self):

@@ -11,10 +11,13 @@ same coordinates as k x k minors of the stacked bases, and `plucker` with
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from .algebra import Subspace, check_prime, rank_mod_p
 from .errors import UsageError
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class Multivector:
     """Sparse element of the exterior algebra of F_p^d.
 
@@ -22,12 +25,14 @@ class Multivector:
     residues; the zero multivector has no terms.
     """
 
-    __slots__ = ("ambient", "p", "terms")
+    ambient: int
+    p: int
+    terms: dict
 
-    def __init__(self, ambient, p, terms):
-        check_prime(p)
+    def __post_init__(self):
+        ambient, p = self.ambient, check_prime(self.p)
         clean = {}
-        for key, coeff in terms.items():
+        for key, coeff in self.terms.items():
             c = int(coeff) % p
             if c == 0:
                 continue
@@ -37,9 +42,7 @@ class Multivector:
             if key and (key[0] < 0 or key[-1] >= ambient):
                 raise UsageError("index out of range for ambient %d" % ambient)
             clean[key] = c
-        self.ambient = ambient
-        self.p = p
-        self.terms = clean
+        object.__setattr__(self, "terms", clean)
 
     @classmethod
     def from_vector(cls, v, p):
@@ -51,14 +54,6 @@ class Multivector:
     def _check_compatible(self, other):
         if self.ambient != other.ambient or self.p != other.p:
             raise UsageError("multivectors live in different algebras")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Multivector)
-            and self.ambient == other.ambient
-            and self.p == other.p
-            and self.terms == other.terms
-        )
 
     def __repr__(self):
         return "Multivector(d=%d, p=%d, %r)" % (self.ambient, self.p, self.terms)

@@ -3,12 +3,14 @@ perp oracle, and (singular) subspace enumeration."""
 
 import random
 
+import numpy as np
 import pytest
 
 import kneserlab.algebra as algebra
 from kneserlab.algebra import (
     SUPPORTED_PRIMES,
     Subspace,
+    check_prime,
     enumerate_singular_subspaces,
     enumerate_subspaces,
     intersect,
@@ -19,6 +21,7 @@ from kneserlab.algebra import (
 )
 from kneserlab.buildings import BuildingSpec
 from kneserlab.errors import UsageError
+from kneserlab.matroid import ColumnMatroid
 
 from oracles import (
     augment_by_parent,
@@ -335,6 +338,19 @@ def test_unsupported_modulus_rejected():
         Subspace.span([[1, 0]], 2, 4)
     with pytest.raises(UsageError):
         rref([[1, 0]], 2, 11)
+
+
+def test_non_integer_modulus_and_entries_rejected():
+    # A float modulus passed the membership test and died in pow; a float
+    # entry was truncated. Numpy integers still count as integers.
+    for call in (lambda: check_prime(2.0), lambda: rref([[1, 0]], 2, 2.0),
+                 lambda: ColumnMatroid([[1, 0]], 2.0)):
+        with pytest.raises(UsageError, match="^modulus must be"):
+            call()
+    for rows in ([[1.5, 0]], np.array([[1.0, 0.0]])):
+        with pytest.raises(UsageError, match="^matrix entries must be integers"):
+            Subspace.span(rows, 2, 3)
+    assert Subspace.span(np.array([[2, 1]]), 2, 3) == Subspace(2, 3, ((1, 2),))
 
 
 def test_ragged_rows_rejected():

@@ -1,6 +1,7 @@
 """Tests for the concrete Kneser graph builders and their apartments."""
 
 import itertools
+import json
 import random
 
 import numpy as np
@@ -19,7 +20,8 @@ from kneserlab.buildings import (
     apartment_graph,
     build_graph,
 )
-from kneserlab.coclique import check_ucep
+from kneserlab.cli import graph_to_dict
+from kneserlab.coclique import _psi, check_ucep
 from kneserlab.errors import UsageError
 
 from oracles import (
@@ -551,6 +553,33 @@ def test_cached_graphs_are_immutable():
     with pytest.raises(AttributeError):
         g.adjacency = ()
     assert build_graph(BuildingSpec("D", 4, 2, (2,))).adjacency[0] != 0
+
+
+@pytest.mark.parametrize("family,n,types", [("A", 3, (2,)), ("C", 3, (1,))])
+def test_shared_values_refuse_assignment(family, n, types):
+    # What the caches share with every caller refuses assignment: a vertex
+    # of a built graph, a frame, the form, the quotient and its Weyl group;
+    # psi refuses writes. The graph's JSON, and that of the same type at
+    # p = 3, built afterwards from the same shared quotient, do not move.
+    spec, other = (BuildingSpec(family, n, p, types) for p in (2, 3))
+
+    def dump(s):
+        return json.dumps(graph_to_dict(build_graph(s)), sort_keys=True)
+
+    before = dump(spec), dump(other)
+    buildings._graph.cache_clear()
+    g, q = build_graph(spec), spec.quotient
+    attempts = [(g.vertices[0][0], "basis", g.vertices[-1][0].basis),
+                (spec.frames()[0][0], "basis", spec.frames()[-1][0].basis),
+                (q, "flags", q.flags[:2]), (q.group, "w0", q.group.generators[0])]
+    if spec.form is not None:
+        attempts.append((spec.form, "polar", spec.form.gram))
+    for obj, name, value in attempts:
+        with pytest.raises(AttributeError):
+            setattr(obj, name, value)
+    with pytest.raises(ValueError, match="read-only"):
+        _psi(g)[0, 0] = 1
+    assert (dump(spec), dump(other)) == before
 
 
 @pytest.mark.parametrize("family,n,types,p", [

@@ -234,6 +234,8 @@ def _opposite(geo, fx, fy):
     ("D", 4, (3, 4), 2, 2 ** 16),
     ("A", 4, (2, 3), 2, 2 ** 15),
     ("C", 4, (3,), 2, 2 ** 16),
+    ("A", 4, (2, 3), 3, 2 ** 15),
+    ("C", 3, (3,), 5, 2 ** 4),
 ])
 def test_check_ucep_negative_grid_cells(monkeypatch, family, n, types, p, count):
     # Sigma is a perfect matching on these cells, so its maximal cocliques

@@ -105,7 +105,7 @@ def test_flipped_coset_edge_is_the_mismatch(capsys, monkeypatch):
         rows = list(q.adjacency)
         rows[a] ^= 1 << b
         rows[b] ^= 1 << a
-        q.adjacency = tuple(rows)
+        vars(q)["adjacency"] = tuple(rows)
         return q
 
     monkeypatch.setattr(crossval, "quotient", flipped)

@@ -1,5 +1,6 @@
-"""The demo scripts run to completion, and print the same bytes as when
-their stdout was pinned."""
+"""The demo scripts run to completion with runtime and deprecation
+warnings as errors, and print the same bytes as when their stdout was
+pinned."""
 
 import hashlib
 import os
@@ -32,7 +33,9 @@ def test_demo_exits_0(script):
     src = os.path.join(ROOT, "src")
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
-    proc = subprocess.run([sys.executable, os.path.join(ROOT, "demos", script)],
+    # pytest's filterwarnings does not reach a subprocess.
+    warnings = ["-W", "error::RuntimeWarning", "-W", "error::DeprecationWarning"]
+    proc = subprocess.run([sys.executable, *warnings, os.path.join(ROOT, "demos", script)],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert hashlib.sha256(proc.stdout.encode()).hexdigest() == STDOUT_SHA256[script]
