@@ -35,19 +35,25 @@ def inverse_mod(a, p):
     return pow(a, p - 2, p)
 
 
+def _residues(rows, p, what):
+    """The entries of rows mod p, as lists of ints. Entries are integers,
+    numpy ones too; any other, such as a float, is refused as `what` rather
+    than truncated."""
+    try:
+        return [[operator.index(x) % p for x in row] for row in rows]
+    except TypeError as e:
+        raise UsageError("%s must be integers: %s" % (what, e)) from None
+
+
 def rref(rows, d, p):
     """Reduced row echelon form of the span of `rows` in F_p^d.
 
     Returns a tuple of row tuples with strictly increasing pivot columns,
     pivot entries 1, pivot columns zero elsewhere, and no zero rows.
-    Idempotent and span-preserving. Entries are integers, numpy ones too;
-    a float is refused, not truncated.
+    Idempotent and span-preserving. Entries are integers (_residues).
     """
     check_prime(p)
-    try:
-        mat = [[operator.index(x) % p for x in row] for row in rows]
-    except TypeError as e:
-        raise UsageError("matrix entries must be integers: %s" % e) from None
+    mat = _residues(rows, p, "matrix entries")
     for row in mat:
         if len(row) != d:
             raise UsageError("row length %d does not match ambient %d" % (len(row), d))
@@ -177,7 +183,7 @@ class Form:
         d = len(gram)
         if any(len(row) != d for row in gram):
             raise UsageError("gram matrix must be square")
-        g = np.array([[int(x) % p for x in row] for row in gram], dtype=np.int64).reshape(d, d)
+        g = np.array(_residues(gram, p, "gram entries"), dtype=np.int64).reshape(d, d)
         if kind == "alternating":
             if g.diagonal().any():
                 raise UsageError("alternating form needs zero diagonal")

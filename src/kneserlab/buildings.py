@@ -28,12 +28,15 @@ points of its annihilator. Flags of type J: for each (a, b) in J×J, the
 points of F_a and G_b when a+b <= n+1, else of their annihilators.
 Polar types: the left set of y is its own points, and the right set of
 x is the points P with x ⊂ P^⊥, so that x ~ y iff perp(x) ∩ y = 0.
+Flag nesting reads the same point incidence: w holds u iff every point
+of u lies in w, so the masks of u's points are ANDed, not ORed.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
@@ -50,7 +53,7 @@ from .algebra import (
     rank_mod_p,
     rref,
 )
-from .coxeter import compose, quotient
+from .coxeter import _bits, compose, quotient
 from .errors import UsageError
 
 FAMILIES = ("A", "B", "C", "D", "G")
@@ -298,12 +301,19 @@ class KneserGraph:
         return (1 << len(self.vertices)) - 1
 
     def is_adjacent(self, i, j):
-        """Also for numpy integers, such as the entries of edge_blocks(): a row
-        shifted by a numpy integer is cast to int64 and overflows."""
-        return i != j and bool(self.adjacency[i] >> int(j) & 1)
+        i, j = self._vertex(i), self._vertex(j)
+        return i != j and bool(self.adjacency[i] >> j & 1)
 
     def degree(self, i):
-        return self.adjacency[i].bit_count()
+        return self.adjacency[self._vertex(i)].bit_count()
+
+    def _vertex(self, i):
+        """A vertex index in 0..N-1 as an int: a row shifted by a numpy integer,
+        such as an entry of edge_blocks(), is cast to int64 and overflows."""
+        if not 0 <= i < len(self.vertices):
+            raise UsageError("vertex index %r is out of range for %d vertices"
+                             % (i, len(self.vertices)))
+        return operator.index(i)
 
     def num_edges(self):
         return sum(self.degree(i) for i in range(self.num_vertices)) // 2
@@ -392,56 +402,42 @@ def _run_starts(keys):
     return new
 
 
-def _opposition_rows(conditions, p):
-    """Adjacency rows from "no shared point" conditions.
+def _incidence(left, right, p):
+    """Point incidence between two stacks of basis matrices, N_y left and
+    N_x right: y's point set is the points of the row space of left[y], x's
+    the points P with right[x] P^T = 0. Returns y's point ids, as
+    _point_ids, and masks[P], the x whose set holds P, for each distinct P.
 
-    Each condition is (left, right), two stacks of basis matrices, one
-    entry per vertex: y's left set is the points of the row space of
-    left[y], x's right set the points P with right[x] P^T = 0. With
-    masks[P] the x whose right set holds P, row[y] = full & ~(bit(y) | OR
-    of masks[P] over y's left set, in every condition). The pairing runs
-    in column blocks of _BLOCK_ELEMS entries. When rows of right repeat
-    (mod p), it is made once per distinct row, each keyed as a base-p
-    integer: zero[u, P] = row_u P^T = 0, and x's right set holds P iff
+    The pairing runs in column blocks of _BLOCK_ELEMS entries. When rows of
+    right repeat (mod p), it is made once per distinct row, each keyed as a
+    base-p integer: zero[u, P] = row_u P^T = 0, and x's set holds P iff
     zero[u, P] for each of x's rows u.
     """
-    n = len(conditions[0][0])
-    sides = []
-    for left, right in conditions:
-        ids = _point_ids(left, p)
-        cols = np.sort(ids, axis=None)
-        cols = cols[_run_starts(cols)]
-        k, d = right.shape[1:]
-        digits = p ** np.arange(d - 1, -1, -1)
-        vecs = cols[:, None] // digits % p
-        # Row j of every x, then row j + 1: the AND over x's rows runs over
-        # the outer axis, which numpy does in one pass.
-        rows = right.transpose(1, 0, 2).reshape(-1, d) % p
-        keys = rows @ digits
-        order = np.argsort(keys, kind="stable")
-        new = _run_starts(keys[order])
-        which = None
-        if not new.all():
-            rows, which = rows[order[new]], np.empty(n * k, dtype=np.intp)
-            which[order] = np.cumsum(new) - 1
-        step = max(1, _BLOCK_ELEMS // (n * k))
-        masks = {}
-        for lo in range(0, len(cols), step):
-            zero = rows @ vecs[lo:lo + step].T % p == 0
-            inside = (zero if which is None else zero[which]).reshape(k, n, -1).all(axis=0)
-            packed = np.packbits(inside, axis=0, bitorder="little")
-            for pid, col in zip(cols[lo:lo + step].tolist(), packed.T):
-                masks[pid] = int.from_bytes(col.tobytes(), "little")
-        sides.append((ids, masks))
-    full = (1 << n) - 1
-    rows = []
-    for y in range(n):
-        blocked = 1 << y
-        for ids, masks in sides:
-            for pid in ids[y].tolist():
-                blocked |= masks[pid]
-        rows.append(full & ~blocked)
-    return rows
+    ids = _point_ids(left, p)
+    cols = np.sort(ids, axis=None)
+    cols = cols[_run_starts(cols)]
+    n, k, d = right.shape
+    digits = p ** np.arange(d - 1, -1, -1)
+    vecs = cols[:, None] // digits % p
+    # Row j of every x, then row j + 1: the AND over x's rows runs over
+    # the outer axis, which numpy does in one pass.
+    rows = right.transpose(1, 0, 2).reshape(-1, d) % p
+    keys = rows @ digits
+    order = np.argsort(keys, kind="stable")
+    new = _run_starts(keys[order])
+    which = None
+    if not new.all():
+        rows, which = rows[order[new]], np.empty(n * k, dtype=np.intp)
+        which[order] = np.cumsum(new) - 1
+    step = max(1, _BLOCK_ELEMS // (n * k))
+    masks = {}
+    for lo in range(0, len(cols), step):
+        zero = rows @ vecs[lo:lo + step].T % p == 0
+        inside = (zero if which is None else zero[which]).reshape(k, n, -1).all(axis=0)
+        packed = np.packbits(inside, axis=0, bitorder="little")
+        for pid, col in zip(cols[lo:lo + step].tolist(), packed.T):
+            masks[pid] = int.from_bytes(col.tobytes(), "little")
+    return ids, masks
 
 
 def _general_position(types, d):
@@ -453,16 +449,17 @@ def _general_position(types, d):
 
 
 def _nested_flags(levels, p):
-    """All chains u_1 < u_2 < ... with u_j drawn from levels[j]; u < w is
-    the subset test on their projective point ids, made only for flags of
-    more than one part."""
-    flags = [(u,) for u in levels[0]]
-    if levels[1:]:
-        points = {u: frozenset(r) for lvl in levels
-                  for u, r in zip(lvl, _point_ids(_matrices(lvl), p).tolist())}
-        for lvl in levels[1:]:
-            flags = [f + (w,) for f in flags for w in lvl if points[f[-1]] <= points[w]]
-    return flags
+    """All chains u_1 < u_2 < ... with u_j drawn from levels[j], each made
+    with the index of its last part in its level. w holds u iff every point
+    of u lies in w, in ann(w)'s zero set: the AND of u's _incidence masks
+    against the next level's annihilators."""
+    flags = [((u,), i) for i, u in enumerate(levels[0])]
+    for lower, upper in zip(levels, levels[1:]):
+        ids, masks = _incidence(_matrices(lower), _annihilators(_matrices(upper), p), p)
+        above = [list(_bits(reduce(operator.and_, map(masks.__getitem__, pids.tolist()))))
+                 for pids in ids]
+        flags = [(f + (upper[j],), j) for f, i in flags for j in above[i]]
+    return [f for f, _ in flags]
 
 
 def _vertices(spec):
@@ -476,10 +473,11 @@ def _vertices(spec):
 
 
 def _rows(spec, vertices):
-    """Adjacency of the vertices in general position (_general_position).
-    P lies in U iff ann(U) P^T = 0, and in ann(U) iff U P^T = 0. A polar
-    type has one condition, the non-dual (0, 0), whose right side is
-    B_x G in place of ann(x): P lies in perp(x) iff (B_x G) P^T = 0, so
+    """Adjacency of the vertices in general position (_general_position):
+    row[y] is full & ~(bit(y) | the OR of y's _incidence masks, over every
+    condition). P lies in U iff ann(U) P^T = 0, and in ann(U) iff U P^T = 0.
+    A polar type has one condition, the non-dual (0, 0), whose right side
+    is B_x G in place of ann(x): P lies in perp(x) iff (B_x G) P^T = 0, so
     x ~ y iff perp(x) ∩ y = 0."""
     p = spec.p
     parts = [_matrices([f[a] for f in vertices]) for a in range(len(spec.parts))]
@@ -490,9 +488,17 @@ def _rows(spec, vertices):
     # A dual condition reverses both sides' columns, which puts the
     # annihilators in echelon form (_annihilators), so each of their points
     # has one id.
-    conditions = [(anns[b][:, ::-1, ::-1], parts[a][:, :, ::-1]) if dual else (parts[b], anns[a])
-                  for a, b, dual in _general_position(spec.parts, spec.dim)]
-    return _opposition_rows(conditions, p)
+    sides = [_incidence(anns[b][:, ::-1, ::-1], parts[a][:, :, ::-1], p) if dual
+             else _incidence(parts[b], anns[a], p)
+             for a, b, dual in _general_position(spec.parts, spec.dim)]
+    full, rows = (1 << len(vertices)) - 1, []
+    for y in range(len(vertices)):
+        blocked = 1 << y
+        for ids, masks in sides:
+            for pid in ids[y].tolist():
+                blocked |= masks[pid]
+        rows.append(full & ~blocked)
+    return rows
 
 
 def checked_vertex_count(spec):

@@ -176,10 +176,8 @@ def check_apartment(spec):
 
 def is_coclique(graph, members):
     """Whether no two members, vertex indices below N, are adjacent."""
-    n = graph.num_vertices
     for v in members:
-        if not 0 <= v < n:
-            raise UsageError("vertex index %r is out of range for %d vertices" % (v, n))
+        graph._vertex(v)
     return not any(graph.is_adjacent(a, b) for a, b in itertools.combinations(members, 2))
 
 

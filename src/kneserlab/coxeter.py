@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from types import MappingProxyType
 
 from .errors import UsageError
 
@@ -128,7 +129,8 @@ class ParabolicQuotient:
         for name, value in (("types", types), ("_prefixes", tuple(prefixes)), ("_flip", flip)):
             object.__setattr__(self, name, value)
         cosets = self._orbit(identity(group.m), group.generators)
-        for name, value in (("_index", {flag: i for i, flag in enumerate(cosets)}),
+        index = MappingProxyType({flag: i for i, flag in enumerate(cosets)})
+        for name, value in (("_index", index),
                             ("flags", tuple(cosets)), ("representatives", tuple(cosets.values()))):
             object.__setattr__(self, name, value)
 

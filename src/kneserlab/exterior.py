@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import Subspace, check_prime, rank_mod_p
+from .algebra import _residues, Subspace, check_prime, rank_mod_p
 from .errors import UsageError
 
 
@@ -32,8 +32,7 @@ class Multivector:
     def __post_init__(self):
         ambient, p = self.ambient, check_prime(self.p)
         clean = {}
-        for key, coeff in self.terms.items():
-            c = int(coeff) % p
+        for key, c in zip(self.terms, _residues([self.terms.values()], p, "coefficients")[0]):
             if c == 0:
                 continue
             key = tuple(key)

@@ -14,7 +14,7 @@ import itertools
 
 import numpy as np
 
-from .algebra import _annihilators, check_prime, rref
+from .algebra import _annihilators, _residues, check_prime, rref
 from .errors import UsageError
 
 # Most columns a ColumnMatroid takes: its table has 2^n entries.
@@ -62,7 +62,7 @@ class ColumnMatroid:
 
     def __init__(self, rows, p):
         check_prime(p)
-        rows = tuple(tuple(int(x) % p for x in r) for r in rows)
+        rows = tuple(map(tuple, _residues(rows, p, "matrix entries")))
         if not rows:
             raise UsageError("matrix needs at least one row")
         n = len(rows[0])

@@ -117,6 +117,18 @@ def augment_by_parent(d, k, p, form=None):
     return [Subspace(d, p, basis) for basis in level]
 
 
+def nested_flags_by_rank(d, parts, p):
+    """buildings._vertices of a type-A spec: the flags of F_p^d with the
+    part dimensions in parts, in canonical order. Each level comes from
+    enumerate_subspaces, and a part is kept when it contains the one
+    before, by the rank test of Subspace.contains."""
+    flags = [()]
+    for k in parts:
+        level = list(enumerate_subspaces(d, k, p))
+        flags = [f + (w,) for f in flags for w in level if not f or w.contains(f[-1])]
+    return flags
+
+
 def singular_subspaces_by_filter(form, k):
     """The totally singular k-subspaces, by filtering all k-subspaces."""
     return [u for u in enumerate_subspaces(form.dim, k, form.p) if is_totally_singular(u, form)]

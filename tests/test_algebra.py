@@ -9,6 +9,7 @@ import pytest
 import kneserlab.algebra as algebra
 from kneserlab.algebra import (
     SUPPORTED_PRIMES,
+    Form,
     Subspace,
     check_prime,
     enumerate_singular_subspaces,
@@ -356,3 +357,43 @@ def test_non_integer_modulus_and_entries_rejected():
 def test_ragged_rows_rejected():
     with pytest.raises(UsageError):
         rref([[1, 0], [1]], 2, 2)
+
+
+@pytest.mark.parametrize("kind,gram,message", [
+    ("symmetric", [[0, 1], [1, 0]], "^unknown form kind 'symmetric'$"),
+    ("quadratic", [[0, 1]], "^gram matrix must be square$"),
+    ("alternating", [[1, 0], [0, 0]], "^alternating form needs zero diagonal$"),
+    ("alternating", [[0, 1], [1, 0]], r"^alternating form needs gram = -gram\^T$"),
+    ("quadratic", [[0, 0], [1, 0]], "^quadratic form needs an upper-triangular gram matrix$"),
+    ("quadratic", [[0, 1.5], [0, 0]], "^gram entries must be integers"),
+])
+def test_form_refusals(kind, gram, message):
+    # The standard forms pass every check, so only a hand-made form reaches
+    # these. A float entry was truncated: 1.5 became 1.
+    with pytest.raises(UsageError, match=message):
+        Form(kind, gram, 3)
+    assert Form("quadratic", np.array([[0, 4], [0, 0]]), 3).gram.tolist() == [[0, 1], [0, 0]]
+
+
+def test_different_ambient_spaces_refused():
+    u = Subspace.coordinate([0], 3, 3)
+    for other in (Subspace.coordinate([0], 4, 3), Subspace.coordinate([0], 3, 2)):
+        with pytest.raises(UsageError, match="^subspaces live in different ambient spaces$"):
+            u.contains(other)
+    form = Form("alternating", [[0, 1], [2, 0]], 3)
+    for v in (u, Subspace.coordinate([0], 2, 2)):
+        with pytest.raises(UsageError, match="^subspace and form live in different spaces$"):
+            is_totally_singular(v, form)
+
+
+def test_enumeration_refusals_and_empty_levels():
+    # k = 4 on the rank-2 form of C_2 over F_2 leaves no level-2 parent,
+    # which ends the augmentation early.
+    assert enumerate_singular_subspaces(standard_form("C", 2, 2), 4) == []
+    for k in (-1, 4):
+        with pytest.raises(UsageError, match="^need 0 <= k <= d$"):
+            list(enumerate_subspaces(3, k, 2))
+    with pytest.raises(UsageError, match="^need k >= 0$"):
+        enumerate_singular_subspaces(standard_form("C", 2, 2), -1)
+    with pytest.raises(ZeroDivisionError, match="^0 has no inverse mod 5$"):
+        inverse_mod(10, 5)

@@ -31,6 +31,7 @@ from oracles import (
     expected_num_vertices,
     frame_of_word,
     frame_words,
+    nested_flags_by_rank,
     nullspace,
     perp,
 )
@@ -409,6 +410,16 @@ def test_vertices_enumerated_in_canonical_order(family, n, types, p):
     assert vertices == sorted(vertices, key=lambda flag: tuple(s.key for s in flag))
 
 
+@pytest.mark.parametrize("n,types,p", [
+    (3, (1, 2, 3), 2), (3, (1, 2, 3), 3), (2, (1, 2), 3), (3, (1, 3), 3),
+    (4, (1, 4), 2), (5, (1, 5), 2)])
+def test_nested_flags_match_rank_oracle(n, types, p):
+    # Nesting read from point masks, against the per-pair rank test, list
+    # for list, on type-A flag cells the graph pins do not cover.
+    vertices = buildings._vertices(BuildingSpec("A", n, p, types))
+    assert vertices == nested_flags_by_rank(n + 1, types, p)
+
+
 def test_vertex_counts_vs_filter_oracle():
     # Independent brute-force count: filter all k-subspaces by total
     # singularity instead of the incremental builder.
@@ -559,8 +570,9 @@ def test_cached_graphs_are_immutable():
 def test_shared_values_refuse_assignment(family, n, types):
     # What the caches share with every caller refuses assignment: a vertex
     # of a built graph, a frame, the form, the quotient and its Weyl group;
-    # psi refuses writes. The graph's JSON, and that of the same type at
-    # p = 3, built afterwards from the same shared quotient, do not move.
+    # psi and the quotient's coset index refuse writes. The graph's JSON,
+    # and that of the same type at p = 3, built afterwards from the same
+    # shared quotient, do not move.
     spec, other = (BuildingSpec(family, n, p, types) for p in (2, 3))
 
     def dump(s):
@@ -579,7 +591,23 @@ def test_shared_values_refuse_assignment(family, n, types):
             setattr(obj, name, value)
     with pytest.raises(ValueError, match="read-only"):
         _psi(g)[0, 0] = 1
+    with pytest.raises(TypeError):
+        q._index[q.flags[0]] = 1
     assert (dump(spec), dump(other)) == before
+
+
+def test_vertex_index_out_of_range_is_refused():
+    # A negative index answered for vertex N-1, and an index past N-1
+    # answered False or raised IndexError or ValueError, by its position.
+    g = build_graph(BuildingSpec("A", 3, 2, (2,)))
+    for call in (lambda: g.degree(-1), lambda: g.degree(35), lambda: g.is_adjacent(-1, 0),
+                 lambda: g.is_adjacent(0, 40), lambda: g.is_adjacent(40, 0),
+                 lambda: g.is_adjacent(0, -1)):
+        with pytest.raises(UsageError, match="out of range for 35 vertices"):
+            call()
+    a, b = next(g.edge_blocks())[0]
+    assert g.is_adjacent(a, b) and g.is_adjacent(np.int64(b), np.int64(a))
+    assert g.degree(np.int64(34)) == g.degree(34) == g.adjacency[34].bit_count()
 
 
 @pytest.mark.parametrize("family,n,types,p", [
@@ -672,3 +700,39 @@ def test_frames_match_the_word_oracle(family, count):
         if buildings._vertex_count(spec) <= 3000:
             g = buildings._graph(spec)
             assert (g.sigma, g.sigma_generators) == apartment_by_words(geo, g.vertices), spec
+
+
+def test_spec_and_frame_refusals():
+    with pytest.raises(UsageError, match=r"^family must be one of \('A', 'B', 'C', 'D', 'G'\)$"):
+        BuildingSpec("E", 6, 2, (1,))
+    for family, labels in (("A", [5]), ("A", [0]), ("C", [4]), ("C", [-4])):
+        with pytest.raises(UsageError, match="^frame label out of range$"):
+            BuildingSpec(family, 3, 2, (1,)).coordinate(labels)
+    # An apartment whose frames are missing from the vertex list is an
+    # engine defect, not a usage error.
+    with pytest.raises(RuntimeError, match="^frame object is not a vertex"):
+        buildings._apartment(BuildingSpec("A", 2, 2, (1,)), [])
+
+
+def e(*cols, d=4):
+    """Rows e_c of F_p^d, one per column."""
+    return [[int(c == j) for j in range(d)] for c in cols]
+
+
+A3_13 = BuildingSpec("A", 3, 2, (1, 3))
+
+
+@pytest.mark.parametrize("spec,flag,why", [
+    (A3_13, [e(0)], "does not have 2 parts"),
+    (A3_13, (e(0), e(0, 1, 2)), "does not have 2 parts"),
+    (A3_13, [e(0), e(0, 1)], r"is not a flag of \(1, 3\)-spaces of F_2\^4"),
+    (A3_13, [[[1, 0, 0]], e(0, 1, 2)], r"is not a flag of \(1, 3\)"),
+    (A3_13, [[[1.0, 0, 0, 0]], e(0, 1, 2)], r"is not a flag of \(1, 3\)"),
+    (A3_13, [e(0), e(1, 2, 3)], "is not a nested flag"),
+    # e_1', e_2, e_3, e_4: totally singular, with primed columns of rank 1.
+    (BuildingSpec("D", 4, 2, (4,)), [e(1, 2, 4, 6, d=8)], "is not in the plus family"),
+])
+def test_vertex_refusals(spec, flag, why):
+    with pytest.raises(UsageError, match="^vertex 7 %s" % why):
+        spec.vertex(flag, 7)
+    assert BuildingSpec("D", 4, 2, (3,)).vertex([e(1, 2, 4, 6, d=8)], 0)[0].dim == 4

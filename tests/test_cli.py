@@ -9,7 +9,9 @@ import time
 
 import pytest
 
+from kneserlab.buildings import BuildingSpec, build_graph
 from kneserlab.cli import (
+    _render_graph,
     EXIT_CROSSVAL,
     EXIT_FIXTURE,
     EXIT_NO_VIOLATION_FOUND,
@@ -18,6 +20,7 @@ from kneserlab.cli import (
     EXIT_USAGE,
     main,
 )
+from kneserlab.errors import UsageError
 
 
 DIFFERS = "error: stored graph differs from what build writes at "
@@ -732,3 +735,10 @@ def test_stdout_reproduces_bytewise(capsys, tmp_path, argv):
     argv = [str(graph) if arg == "GRAPH" else arg for arg in argv]
     first = run(capsys, *argv)
     assert first[1] and first == run(capsys, *argv)
+
+
+def test_render_refuses_an_unknown_format():
+    # argparse's choices keep it from the command line; the renderer
+    # still names a format it has no writer for.
+    with pytest.raises(UsageError, match="^unknown format 'xml'$"):
+        _render_graph(build_graph(BuildingSpec("A", 2, 2, (1,))), "xml")

@@ -639,3 +639,13 @@ def test_check_apartment_counts_as_the_built_sigma(monkeypatch, family, n, types
         assert len(listed) <= int(most.group(1))
     else:
         assert "has %d vertices and %d maximal" % (size, 2 ** (size // 2)) in str(exc.value)
+
+
+def test_sigma_generator_that_breaks_the_matching_is_a_defect():
+    # Sigma = {0, 1} + {2, 3}; swapping positions 1 and 2 maps the pair
+    # {0, 1} to {0, 2}, no pair, so a generator's table cannot be made.
+    points = [(u,) for u in enumerate_subspaces(3, 1, 2)][:4]
+    g = KneserGraph(BuildingSpec("A", 2, 2, (1,)), points, [0b10, 0b1, 0b1000, 0b100], range(4),
+                    [[0, 2, 1, 3]])
+    with pytest.raises(RuntimeError, match="^a Sigma generator does not keep the matching$"):
+        check_ucep(g)

@@ -202,3 +202,20 @@ def test_cosets_match_the_whole_group_oracle(family, n):
             assert all(q.index(w) == i for w, i in oracle.coset_index.items())
             assert phi_map(chambers, q) == [oracle.coset_index[w]
                                             for w in oracle_chambers.representatives]
+
+
+def test_phi_map_refusals():
+    # Quotients of two equal but distinct groups; and a coarse quotient
+    # with one edge removed, which the fine quotient's edge then misses.
+    with pytest.raises(UsageError, match="^quotients belong to different groups$"):
+        phi_map(ParabolicQuotient(weyl_group("A", 3), (1,)),
+                ParabolicQuotient(WeylGroup("A", 3), (1,)))
+    fine, coarse = (ParabolicQuotient(weyl_group("A", 4), (2,)) for _ in range(2))
+    a, b = next(fine.edges())
+    rows = list(coarse.adjacency)
+    rows[a] ^= 1 << b
+    rows[b] ^= 1 << a
+    vars(coarse)["adjacency"] = tuple(rows)
+    with pytest.raises(UsageError, match=r"^coset map is not a homomorphism: edge \(%d,%d\) "
+                       "collapses$" % (a, b)):
+        phi_map(fine, coarse)

@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import json
 import io
+import types
 
 import pytest
 
@@ -135,3 +136,23 @@ def test_cross_validate_decided_cells(monkeypatch, spec):
     monkeypatch.setattr(buildings, "_vertices", enumerated)
     report = cross_validate(spec)
     assert report["ok"], report["mismatch"]
+
+
+def test_coset_labeling_mismatches_are_reported(monkeypatch):
+    # The reports the coset side can give before any row is compared, each
+    # from a quotient that does not describe A_4 type 2 (10 lines): type 1
+    # has 5 cosets; type 3 has 10, whose 3-sets name no line; and one flag
+    # named ten times maps every coset to one frame.
+    import kneserlab.crossval as crossval
+
+    spec, group = BuildingSpec("A", 4, 2, (2,)), weyl_group("A", 4)
+    points, planes = ParabolicQuotient(group, (1,)), ParabolicQuotient(group, (3,))
+    lines = quotient("A", 4, (2,))
+    repeated = types.SimpleNamespace(num_vertices=10, flags=(lines.flags[0],) * 10,
+                                     representatives=lines.representatives)
+    for fake, mismatch in (
+            (points, {"kind": "vertex_count", "coset": 5, "geometric": 10}),
+            (planes, {"kind": "unmapped_coset", "representative": [1, 2, 3, 4, 5]}),
+            (repeated, {"kind": "labeling_not_injective"})):
+        monkeypatch.setattr(crossval, "quotient", lambda family, n, types: fake)
+        assert cross_validate(spec) == {"ok": False, "mismatch": mismatch}

@@ -1,8 +1,11 @@
 """The package keeps only what it runs: every public function and method
 in src/kneserlab is referenced somewhere in src/, demos/ or bench/.
-Reference implementations that only tests call belong in tests/oracles.py."""
+Reference implementations that only tests call belong in tests/oracles.py.
+The same holds for private functions and methods, whose own definition
+does not count, so a helper a refactor leaves behind shows here."""
 
 import ast
+import collections
 import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -14,26 +17,45 @@ def trees(*dirs):
             yield path, ast.parse(path.read_text(), str(path))
 
 
-def public_defs(tree):
-    """Public top-level functions and public methods of top-level classes."""
+def defs(tree):
+    """Top-level functions and methods of top-level classes, as (qualified
+    name, node)."""
     for node in tree.body:
         body = node.body if isinstance(node, ast.ClassDef) else [node]
         for item in body:
-            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) \
-                    and not item.name.startswith("_"):
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 owner = node.name + "." if isinstance(node, ast.ClassDef) else ""
-                yield owner + item.name, item.name
+                yield owner + item.name, item
+
+
+def references(node):
+    """How often each name is read under node, as a variable or an attribute."""
+    return collections.Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def used():
+    total = collections.Counter()
+    for _, tree in trees("src", "demos", "bench"):
+        total += references(tree)
+    return total
 
 
 def test_every_public_def_has_a_caller_outside_tests():
-    used = set()
-    for _, tree in trees("src", "demos", "bench"):
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
+    names = used()
     unused = ["%s: %s" % (path.name, qualname)
               for path, tree in trees("src/kneserlab")
-              for qualname, name in public_defs(tree) if name not in used]
+              for qualname, node in defs(tree)
+              if not node.name.startswith("_") and not names[node.name]]
     assert unused == [], "public names nothing in src/, demos/ or bench/ uses: %s" % unused
+
+
+def test_every_private_def_has_a_caller_outside_itself():
+    names = used()
+    unused = ["%s: %s" % (path.name, qualname)
+              for path, tree in trees("src/kneserlab")
+              for qualname, node in defs(tree)
+              if node.name.startswith("_") and not node.name.endswith("__")
+              and names[node.name] == references(node)[node.name]]
+    assert unused == [], "private names nothing else in src/, demos/ or bench/ uses: %s" % unused

@@ -3,6 +3,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from kneserlab.algebra import Subspace, enumerate_subspaces, intersect
@@ -157,3 +158,19 @@ def test_mixed_ambient_rejected():
         wedge(mv(3, 2, {}), mv(4, 2, {}))
     with pytest.raises(UsageError):
         wedge(mv(3, 2, {}), mv(3, 3, {}))
+
+
+@pytest.mark.parametrize("terms,message", [
+    ({(1, 0): 1}, "^index sets must be strictly increasing$"),
+    ({(0, 0): 1}, "^index sets must be strictly increasing$"),
+    ({(3,): 1}, "^index out of range for ambient 3$"),
+    ({(-1,): 1}, "^index out of range for ambient 3$"),
+    ({(0,): 1.5}, "^coefficients must be integers"),
+])
+def test_multivector_input_refusals(terms, message):
+    # A float coefficient was truncated: 1.5 became the term 1.
+    with pytest.raises(UsageError, match=message):
+        Multivector(3, 3, terms)
+    assert Multivector(3, 3, {(0, 2): np.int64(4), (1,): 3}).terms == {(0, 2): 1}
+    with pytest.raises(UsageError, match="^plucker expects a Subspace$"):
+        plucker([[1, 0, 0]])

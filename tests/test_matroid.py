@@ -203,3 +203,15 @@ def test_ground_mismatch_rejected():
     m2 = ColumnMatroid([[1, 0, 0]], 2)
     with pytest.raises(UsageError):
         union_rank(m1, m2, {0})
+
+
+@pytest.mark.parametrize("rows,message", [
+    ([], "^matrix needs at least one row$"),
+    ([[1, 0], [1]], "^ragged matrix$"),
+    ([[1.5, 0]], "^matrix entries must be integers"),
+])
+def test_matrix_input_refusals(rows, message):
+    with pytest.raises(UsageError, match=message):
+        ColumnMatroid(rows, 3)
+    with pytest.raises(UsageError, match="^zero subspace has an empty matrix$"):
+        ColumnMatroid.from_subspace(Subspace.zero(3, 3))
