@@ -304,19 +304,19 @@ class KneserGraph:
         i, j = self._vertex(i), self._vertex(j)
         return i != j and bool(self.adjacency[i] >> j & 1)
 
-    def degree(self, i):
-        return self.adjacency[self._vertex(i)].bit_count()
-
     def _vertex(self, i):
         """A vertex index in 0..N-1 as an int: a row shifted by a numpy integer,
-        such as an entry of edge_blocks(), is cast to int64 and overflows."""
+        such as an entry of edge_blocks(), is cast to int64 and overflows. A
+        bool, float or str is refused by name, not read as a position."""
+        if isinstance(i, bool) or not hasattr(i, "__index__"):
+            raise UsageError("vertex index %r is a %s, not an integer" % (i, type(i).__name__))
         if not 0 <= i < len(self.vertices):
             raise UsageError("vertex index %r is out of range for %d vertices"
                              % (i, len(self.vertices)))
         return operator.index(i)
 
     def num_edges(self):
-        return sum(self.degree(i) for i in range(self.num_vertices)) // 2
+        return sum(row.bit_count() for row in self.adjacency) // 2
 
     def edge_blocks(self):
         """The edges i < j in row order (i, then j), as one (m, 2) array per

@@ -9,9 +9,9 @@ meets the orbits' least members in sorted order and stops at the first D
 with an edge. The span criterion through the
 Pluecker embedding is sufficient but not necessary, so it lives in a
 separate instrument (span_check) and never decides the verdict. It holds
-psi, the N x C(d,k) matrix of the vertices' Pluecker coordinates (the
-k x k minors of their RREF bases), once per graph, and tests a coclique
-with the annihilator of the RREF of psi(C) and one matrix product.
+psi, the matrix of the vertices' Pluecker coordinates (the Kronecker
+product of their parts' k x k minors), once per graph, and tests a
+coclique with the annihilator of the RREF of psi(C) and one product.
 
 All vertex sets here are bit masks over the graph's vertex indices, and
 the witness is the lexicographically least violation, so reports are
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import Subspace, _annihilators
-from .buildings import SCHEMA, apartment_graph, checked_vertex_count, vertex_lists
+from .buildings import SCHEMA, _matrices, apartment_graph, checked_vertex_count, vertex_lists
 from .coxeter import _bits
 from .errors import SearchBudgetExceeded, UsageError
 
@@ -176,14 +176,13 @@ def check_apartment(spec):
 
 def is_coclique(graph, members):
     """Whether no two members, vertex indices below N, are adjacent."""
-    for v in members:
-        graph._vertex(v)
+    members = [graph._vertex(v) for v in members]
     return not any(graph.is_adjacent(a, b) for a, b in itertools.combinations(members, 2))
 
 
 def extension_set(graph, members):
     """Bit mask of all vertices nonadjacent to every member of C."""
-    members = sorted(set(members))
+    members = sorted({graph._vertex(v) for v in members})
     if not is_coclique(graph, members):
         raise UsageError("extension_set requires a coclique")
     mask = graph.full_mask
@@ -354,37 +353,34 @@ def max_coclique(graph, budget=None):
     return best_size, tuple(_bits(best_set))
 
 
-def _span_supported(graph):
-    """Whether the spec names single subspaces of a type-A graph, or
-    totally singular lines of a D_n graph."""
-    family, parts = graph.spec.family, graph.spec.parts
-    return len(parts) == 1 if family == "A" else family == "D" and parts == (2,)
-
-
 # psi per graph, read-only; graphs hash by identity, and one built by hand
 # is not kept alive by its entry.
 _PSI = weakref.WeakKeyDictionary()
 
 
 def _psi(graph):
-    """Pluecker coordinates of every vertex, one row each, on the columns
-    itertools.combinations(range(d), k): the k x k minors of the stacked
-    RREF bases mod p. Each minor is the Leibniz sum over the permutations
-    s of range(k) of sign(s) prod_r B[r, cols[s(r)]], added one
-    permutation at a time over all vertices and columns."""
+    """Pluecker coordinates of every vertex, one row each: the Kronecker
+    product, in part order, of each part's k x k minors of the stacked RREF
+    bases mod p, on the columns itertools.combinations(range(d), k). Each
+    minor is the Leibniz sum over the permutations s of range(k) of
+    sign(s) prod_r B[r, cols[s(r)]], added one permutation at a time over
+    all vertices and columns."""
     if graph not in _PSI:
-        bases = np.array([u.basis for (u,) in graph.vertices], dtype=np.int64)
-        _, k, d = bases.shape
-        p = graph.spec.p
-        cols = np.array(list(itertools.combinations(range(d), k)))
-        psi = np.zeros((len(bases), len(cols)), dtype=np.int64)
-        for perm in itertools.permutations(range(k)):
-            term = 1
-            for r, c in enumerate(perm):
-                term = term * bases[:, r, cols[:, c]] % p
-            inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
-            psi += term if inversions % 2 == 0 else p - term
-        psi %= p
+        p, n = graph.spec.p, graph.num_vertices
+        psi = np.ones((n, 1), dtype=np.int64)
+        for bases in map(_matrices, zip(*graph.vertices)):
+            _, k, d = bases.shape
+            cols = np.array(list(itertools.combinations(range(d), k)))
+            minors = np.zeros((n, len(cols)), dtype=np.int64)
+            for perm in itertools.permutations(range(k)):
+                term = 1
+                for r, c in enumerate(perm):
+                    term = term * bases[:, r, cols[:, c]] % p
+                inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+                minors += term if inversions % 2 == 0 else p - term
+            psi = psi[:, :, None] * minors[:, None, :]
+            psi %= p
+            psi = psi.reshape(n, -1)
         psi.setflags(write=False)
         _PSI[graph] = psi
     return _PSI[graph]
@@ -393,16 +389,14 @@ def _psi(graph):
 def span_check(graph, members):
     """Instrumented span criterion: psi(x) in <psi(C)> for all x in D.
 
-    Only meaningful for graphs whose vertices are single subspaces with a
-    Pluecker embedding (type-A single-type graphs and D_{n,2}). A vector
-    lies in the row space of psi[C] iff it kills the annihilator of those
-    rows, so one product psi[D] ann^T mod p decides every x at once.
+    Adjacency is a nonzero value of a bilinear pairing of psi rows (the
+    wedge in type A, det(B_x G B_y^T) on a polar type by Cauchy-Binet, on
+    a flag the product over parts a of det[F_a; G_(d-a)]), so on every
+    spec span implies that D has no edge. A vector lies in the row space
+    of psi[C] iff it kills the annihilator of those rows, so one product
+    psi[D] ann^T mod p decides every x at once.
     """
-    if not _span_supported(graph):
-        raise UsageError(
-            "span_check supports single-type A graphs and D_{n,2} only"
-        )
-    members = sorted(set(members))
+    members = sorted({graph._vertex(v) for v in members})
     d_mask = extension_set(graph, members)
     psi, p = _psi(graph), graph.spec.p
     ann = _annihilators(Subspace.span(psi[members].tolist(), psi.shape[1], p).matrix()[None], p)[0]

@@ -3,6 +3,7 @@
 import itertools
 import json
 import random
+import re
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from kneserlab.buildings import (
     build_graph,
 )
 from kneserlab.cli import graph_to_dict
-from kneserlab.coclique import _psi, check_ucep
+from kneserlab.coclique import _psi, check_ucep, extension_set, is_coclique
 from kneserlab.errors import UsageError
 
 from oracles import (
@@ -600,14 +601,23 @@ def test_vertex_index_out_of_range_is_refused():
     # A negative index answered for vertex N-1, and an index past N-1
     # answered False or raised IndexError or ValueError, by its position.
     g = build_graph(BuildingSpec("A", 3, 2, (2,)))
-    for call in (lambda: g.degree(-1), lambda: g.degree(35), lambda: g.is_adjacent(-1, 0),
+    for call in (lambda: g.is_adjacent(35, 0), lambda: g.is_adjacent(-1, 0),
                  lambda: g.is_adjacent(0, 40), lambda: g.is_adjacent(40, 0),
                  lambda: g.is_adjacent(0, -1)):
         with pytest.raises(UsageError, match="out of range for 35 vertices"):
             call()
     a, b = next(g.edge_blocks())[0]
     assert g.is_adjacent(a, b) and g.is_adjacent(np.int64(b), np.int64(a))
-    assert g.degree(np.int64(34)) == g.degree(34) == g.adjacency[34].bit_count()
+    # A float raised a bare TypeError, True named vertex 1, and "1" raised
+    # TypeError from the range test.
+    for bad, kind in ((1.5, "float"), (True, "bool"), ("1", "str"), (np.float64(2), "float64")):
+        for call in (lambda: g.is_adjacent(0, bad), lambda: g.is_adjacent(bad, 0),
+                     lambda: is_coclique(g, [bad]), lambda: extension_set(g, [bad]),
+                     lambda: extension_set(g, [0, bad])):
+            with pytest.raises(UsageError, match="vertex index %s is a %s, not an integer"
+                               % (re.escape(repr(bad)), kind)):
+                call()
+    assert g.num_edges() == len(edges(g))
 
 
 @pytest.mark.parametrize("family,n,types,p", [

@@ -31,7 +31,7 @@ from kneserlab.coclique import (
     span_check,
 )
 from kneserlab.errors import SearchBudgetExceeded, UsageError
-from kneserlab.exterior import plucker, span_membership
+from kneserlab.exterior import Multivector, plucker, span_membership
 from kneserlab.fixtures import verify_witness
 
 from oracles import (
@@ -47,6 +47,11 @@ from oracles import (
 from test_acceptance import POSITIVE_GRID
 
 NEGATIVE_GRID = [("B", 3, (2,), 3), ("C", 3, (3,), 3), ("D", 4, (3, 4), 2), ("A", 4, (2, 3), 2)]
+
+
+def type_ids(value):
+    """A type set's test id as its types joined by commas, so (2,) reads 2."""
+    return ",".join(map(str, value)) if isinstance(value, tuple) else None
 
 
 def test_matching_apartment_has_power_of_two_cocliques():
@@ -107,6 +112,8 @@ def test_extension_set_rejects_non_coclique():
     a, b = edges(g)[0]
     with pytest.raises(UsageError):
         extension_set(g, (a, b))
+    # The members were read twice, so an iterator was taken for a coclique.
+    assert not is_coclique(g, iter((a, b)))
 
 
 def test_extension_set_of_polar_point_frame_is_maximal_subspace():
@@ -391,21 +398,31 @@ def test_span_check_single_vertex_complete_graph():
     assert span_check(g, (0,))
 
 
-@pytest.mark.parametrize("family,n,k,p", [
-    ("A", 3, 2, 2), ("A", 3, 2, 3), ("A", 4, 2, 2), ("D", 4, 2, 2), ("A", 4, 3, 3),
-])
-def test_span_check_matches_span_membership_oracle(family, n, k, p):
-    # psi, the k x k minors of every vertex's basis, against the wedge of
-    # its rows. Then one product against the annihilator of psi(C),
-    # against the per-x oracle on sparse multivectors: on seeded cocliques
-    # of size 1 to 3, where the span test fails, on seeded
-    # Sigma-cocliques, on those less one member, and on no member at all,
-    # whose D is every vertex and whose span is 0.
-    g = build_graph(BuildingSpec(family, n, p, (k,)))
-    keys = list(itertools.combinations(range(g.vertices[0][0].ambient), k))
-    assert _psi(g).tolist() == [[plucker(u).terms.get(key, 0) for key in keys]
-                                for (u,) in g.vertices]
-    rng = random.Random("span:%s%d.%d.%d" % (family, n, k, p))
+@pytest.mark.parametrize("family,n,types,p", [
+    ("A", 3, (2,), 2), ("A", 3, (2,), 3), ("A", 4, (2,), 2), ("D", 4, (2,), 2), ("A", 4, (3,), 3),
+    ("C", 3, (2,), 2), ("A", 3, (1, 3), 2),
+], ids=type_ids)
+def test_span_check_matches_span_membership_oracle(family, n, types, p):
+    # psi, the minors of every part's basis, against the Kronecker product
+    # over a vertex's parts of the wedges of their rows, each on the
+    # columns in combinations order. Then one product against the
+    # annihilator of psi(C), against the per-x oracle on those products as
+    # sparse vectors: on seeded cocliques of size 1 to 3, where the span
+    # test fails, on seeded Sigma-cocliques, on those less one member, and
+    # on no member at all, whose D is every vertex and whose span is 0.
+    g = build_graph(BuildingSpec(family, n, p, types))
+    d = g.vertices[0][0].ambient
+    want_psi = []
+    for flag in g.vertices:
+        row = np.ones(1, dtype=np.int64)
+        for u in flag:
+            coeffs = plucker(u).terms
+            row = np.kron(row, [coeffs.get(key, 0) for key in
+                                itertools.combinations(range(d), u.dim)])
+        want_psi.append(row.tolist())
+    assert _psi(g).tolist() == want_psi
+    vectors = [Multivector.from_vector(row, p) for row in want_psi]
+    rng = random.Random("span:%s%d.%s.%d" % (family, n, ",".join(map(str, types)), p))
     cases = rng.sample(maximal_cocliques_sigma(g), 4)
     cases += [c[:i] + c[i + 1:] for c in cases for i in range(len(c))] + [[]]
     for _ in range(30):
@@ -418,9 +435,9 @@ def test_span_check_matches_span_membership_oracle(family, n, k, p):
         cases.append(members)
     seen = set()
     for members in cases:
-        gens = [plucker(g.vertices[c][0]) for c in members]
+        gens = [vectors[c] for c in members]
         d_mask = extension_set(g, members)
-        want = all(span_membership(plucker(g.vertices[x][0]), gens)
+        want = all(span_membership(vectors[x], gens)
                    for x in range(g.num_vertices) if d_mask >> x & 1)
         assert span_check(g, members) == want, members
         seen.add(want)
@@ -428,15 +445,54 @@ def test_span_check_matches_span_membership_oracle(family, n, k, p):
     assert span_check(g, []) is False
 
 
-def test_span_check_unsupported_spec():
+def test_span_check_answers_on_flags_and_unbuilt_types():
+    # No kind of spec is refused. On A_2 chambers span holds on every
+    # Sigma-coclique. D_3 type 2 names the minus family of maximal planes,
+    # which has no opposite pairs; build_graph refuses it, so it is built
+    # through the graph cache, and D(C) is every vertex.
     g = build_graph(BuildingSpec("A", 2, 2, (1, 2)))
-    with pytest.raises(UsageError):
-        span_check(g, ())
-    # D_3 type 2 names the minus family of maximal planes, not lines;
-    # build_graph refuses it, so it is built through the graph cache.
+    cocliques = maximal_cocliques_sigma(g)
+    assert len(cocliques) == 8 and all(span_check(g, c) for c in cocliques)
+    assert span_check(g, ()) is False
     g = buildings._graph(BuildingSpec("D", 3, 2, (2,)))
-    with pytest.raises(UsageError):
-        span_check(g, g.sigma[:1])
+    assert g.num_edges() == 0
+    assert span_check(g, g.sigma[:1]) is False
+    assert span_check(g, range(g.num_vertices)) is True
+
+
+# Span per cell, as data: on how many of the cell's orbit representatives
+# (the least transversal of each orbit; every Sigma here is a matching)
+# span holds, out of how many. Span implies UCEP, not the converse:
+# Lambda^k is not the spin or Lagrangian module, so span fails on maximal
+# spaces where UCEP holds, and on every `fails` cell.
+SPAN_RECORD = [
+    # Adjoint: p (x) h of A_n {1,n}.
+    ("A", 3, (1, 3), 2, 4, 4), ("A", 3, (1, 3), 3, 4, 4), ("A", 4, (1, 4), 2, 12, 12),
+    ("A", 5, (1, 5), 2, 56, 56),
+    # Natural module: polar points, and G_2.
+    ("B", 3, (1,), 3, 1, 1), ("G", 2, (1,), 3, 1, 1), ("C", 3, (1,), 2, 1, 1),
+    ("D", 4, (1,), 2, 1, 1), ("D", 4, (1,), 3, 1, 1),
+    # Other single types.
+    ("C", 3, (2,), 2, 3, 3), ("D", 4, (2,), 2, 18, 18),
+    # UCEP holds, span fails.
+    ("C", 3, (3,), 2, 0, 3), ("B", 3, (3,), 3, 0, 3), ("D", 4, (4,), 2, 0, 2),
+    # UCEP fails.
+    ("A", 3, (1, 2, 3), 2, 0, 192), ("A", 4, (2, 3), 2, 0, 324), ("B", 3, (2,), 3, 0, 3),
+    ("C", 3, (3,), 3, 0, 3), ("D", 4, (3, 4), 2, 0, 237),
+]
+
+
+@pytest.mark.parametrize("family,n,types,p,held,orbits", SPAN_RECORD, ids=type_ids)
+def test_span_record_per_cell(family, n, types, p, held, orbits):
+    # Where span holds, D(C) has no edge, on every spec.
+    g = build_graph(BuildingSpec(family, n, p, types))
+    pairs = coclique._check_sigma(g)[1]
+    reps = coclique._orbit_representatives(pairs, g.sigma_generators).tolist()
+    cocliques = list(coclique._transversals(g.sigma, pairs, reps))
+    spans = [span_check(g, c) for c in cocliques]
+    assert (sum(spans), len(cocliques)) == (held, orbits)
+    for c, span in zip(cocliques, spans):
+        assert not span or coclique._first_violation(g, extension_set(g, c)) is None, c
 
 
 def test_sigma_cocliques_match_networkx():
