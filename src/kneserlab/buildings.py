@@ -54,7 +54,7 @@ from .algebra import (
     rref,
 )
 from .coxeter import _bits, compose, quotient
-from .errors import UsageError
+from .errors import UsageError, check_fields, check_index
 
 FAMILIES = ("A", "B", "C", "D", "G")
 
@@ -103,10 +103,7 @@ class BuildingSpec:
     self_opposite: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name, kind in (("family", str), ("rank", int), ("p", int)):
-            value = getattr(self, name)
-            if type(value) is not kind:
-                raise UsageError("%s must be of type %s, not %r" % (name, kind.__name__, value))
+        check_fields(self, (("family", str), ("rank", int), ("p", int)))
         if type(self.types) not in (list, tuple) or any(type(j) is not int for j in self.types):
             raise UsageError("types must be a list or tuple of ints, not %r" % (self.types,))
         if self.family not in FAMILIES:
@@ -305,15 +302,10 @@ class KneserGraph:
         return i != j and bool(self.adjacency[i] >> j & 1)
 
     def _vertex(self, i):
-        """A vertex index in 0..N-1 as an int: a row shifted by a numpy integer,
-        such as an entry of edge_blocks(), is cast to int64 and overflows. A
-        bool, float or str is refused by name, not read as a position."""
-        if isinstance(i, bool) or not hasattr(i, "__index__"):
-            raise UsageError("vertex index %r is a %s, not an integer" % (i, type(i).__name__))
-        if not 0 <= i < len(self.vertices):
-            raise UsageError("vertex index %r is out of range for %d vertices"
-                             % (i, len(self.vertices)))
-        return operator.index(i)
+        """A vertex index in 0..N-1 as an int (check_index): a row shifted by a
+        numpy integer, such as an entry of edge_blocks(), is cast to int64 and
+        overflows."""
+        return check_index(i, len(self.vertices), "vertex", "vertices")
 
     def num_edges(self):
         return sum(row.bit_count() for row in self.adjacency) // 2
@@ -395,11 +387,10 @@ def _matrices(subspaces):
     return np.array([s.basis for s in subspaces], dtype=np.int64)
 
 
-def _run_starts(keys):
-    """Where each run of equal entries of a sorted array starts."""
-    new = np.ones(len(keys), dtype=bool)
-    new[1:] = keys[1:] != keys[:-1]
-    return new
+def _distinct(keys):
+    """The distinct entries of an array of non-negative integers, sorted."""
+    keys = np.sort(keys, axis=None)
+    return keys[np.diff(keys, prepend=-1) != 0]
 
 
 def _incidence(left, right, p):
@@ -408,35 +399,30 @@ def _incidence(left, right, p):
     the points P with right[x] P^T = 0. Returns y's point ids, as
     _point_ids, and masks[P], the x whose set holds P, for each distinct P.
 
-    The pairing runs in column blocks of _BLOCK_ELEMS entries. When rows of
-    right repeat (mod p), it is made once per distinct row, each keyed as a
-    base-p integer: zero[u, P] = row_u P^T = 0, and x's set holds P iff
-    zero[u, P] for each of x's rows u.
+    The rows of right are keyed (mod p) as base-p integers and paired once
+    per distinct row u, in blocks of points of at most _BLOCK_ELEMS entries:
+    zero[P, u] = row_u P^T = 0, and x's set holds P iff zero[P, u] for each
+    of x's rows u. A point's mask is packed from one contiguous row.
     """
     ids = _point_ids(left, p)
-    cols = np.sort(ids, axis=None)
-    cols = cols[_run_starts(cols)]
-    n, k, d = right.shape
+    cols = _distinct(ids)
+    n, _, d = right.shape
     digits = p ** np.arange(d - 1, -1, -1)
     vecs = cols[:, None] // digits % p
-    # Row j of every x, then row j + 1: the AND over x's rows runs over
-    # the outer axis, which numpy does in one pass.
-    rows = right.transpose(1, 0, 2).reshape(-1, d) % p
-    keys = rows @ digits
-    order = np.argsort(keys, kind="stable")
-    new = _run_starts(keys[order])
-    which = None
-    if not new.all():
-        rows, which = rows[order[new]], np.empty(n * k, dtype=np.intp)
-        which[order] = np.cumsum(new) - 1
-    step = max(1, _BLOCK_ELEMS // (n * k))
+    keys = right % p @ digits
+    distinct = _distinct(keys)
+    which = np.searchsorted(distinct, keys.T)
+    rows = distinct[:, None] // digits % p
+    step = max(1, _BLOCK_ELEMS // max(n, len(rows)))
     masks = {}
     for lo in range(0, len(cols), step):
-        zero = rows @ vecs[lo:lo + step].T % p == 0
-        inside = (zero if which is None else zero[which]).reshape(k, n, -1).all(axis=0)
-        packed = np.packbits(inside, axis=0, bitorder="little")
-        for pid, col in zip(cols[lo:lo + step].tolist(), packed.T):
-            masks[pid] = int.from_bytes(col.tobytes(), "little")
+        zero = vecs[lo:lo + step] @ rows.T % p == 0
+        held = np.take(zero, which[0], axis=1)
+        for u in which[1:]:
+            held &= np.take(zero, u, axis=1)
+        packed = np.packbits(held, axis=1, bitorder="little")
+        for pid, bits in zip(cols[lo:lo + step].tolist(), packed):
+            masks[pid] = int.from_bytes(bits.tobytes(), "little")
     return ids, masks
 
 

@@ -202,7 +202,12 @@ def _first_violation(graph, d_mask):
 
 
 def sample_maximal_cocliques(graph, k, seed):
-    """k pseudo-random maximal cocliques of Sigma (greedy, seeded)."""
+    """k pseudo-random maximal cocliques of Sigma (greedy, seeded), after
+    check_scan_args. The seed must be an int: None would seed from the OS,
+    and the sample would not repeat."""
+    check_scan_args("sample", k, seed)
+    if seed is None:
+        raise UsageError("sampling needs a seed of type int, not None")
     rng = random.Random(seed)
     sigma, nbrs = graph.sigma, _sigma_neighbours(graph)
     out = []
@@ -310,8 +315,10 @@ def max_coclique(graph, budget=None):
     Maximum clique search on the complement with a greedy-coloring bound;
     vertices are explored in canonical order so the witness is
     reproducible. Raises SearchBudgetExceeded with bounds if the node
-    budget runs out.
+    budget, None or a non-negative int, runs out.
     """
+    if budget is not None and (type(budget) is not int or budget < 0):
+        raise UsageError("budget must be None or a non-negative int, not %r" % (budget,))
     n = graph.num_vertices
     full = graph.full_mask
     comp = [(~graph.adjacency[v] & full) & ~(1 << v) for v in range(n)]
@@ -364,10 +371,11 @@ def _psi(graph):
     bases mod p, on the columns itertools.combinations(range(d), k). Each
     minor is the Leibniz sum over the permutations s of range(k) of
     sign(s) prod_r B[r, cols[s(r)]], added one permutation at a time over
-    all vertices and columns."""
+    all vertices and columns. Every entry is below p <= 7, so psi is kept as
+    uint8, and a product of two entries, below 49, fits it too."""
     if graph not in _PSI:
         p, n = graph.spec.p, graph.num_vertices
-        psi = np.ones((n, 1), dtype=np.int64)
+        psi = np.ones((n, 1), dtype=np.uint8)
         for bases in map(_matrices, zip(*graph.vertices)):
             _, k, d = bases.shape
             cols = np.array(list(itertools.combinations(range(d), k)))
@@ -378,7 +386,7 @@ def _psi(graph):
                     term = term * bases[:, r, cols[:, c]] % p
                 inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
                 minors += term if inversions % 2 == 0 else p - term
-            psi = psi[:, :, None] * minors[:, None, :]
+            psi = psi[:, :, None] * (minors % p).astype(np.uint8)[:, None, :]
             psi %= p
             psi = psi.reshape(n, -1)
         psi.setflags(write=False)
@@ -394,7 +402,7 @@ def span_check(graph, members):
     a flag the product over parts a of det[F_a; G_(d-a)]), so on every
     spec span implies that D has no edge. A vector lies in the row space
     of psi[C] iff it kills the annihilator of those rows, so one product
-    psi[D] ann^T mod p decides every x at once.
+    psi[D] ann^T mod p, in int64 as ann is, decides every x at once.
     """
     members = sorted({graph._vertex(v) for v in members})
     d_mask = extension_set(graph, members)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from types import MappingProxyType
 
-from .errors import UsageError
+from .errors import UsageError, check_fields
 
 
 def _bits(mask):
@@ -67,12 +67,14 @@ def simple_reflections(family, n):
 @dataclass(frozen=True, eq=False, repr=False)
 class WeylGroup:
     """A Weyl group by its simple generators, its longest element w0 and
-    its order: W(family_rank) acts on m letters."""
+    its order: W(family_rank) acts on m letters. The family must be a str
+    and the rank an int."""
 
     family: str
     rank: int
 
     def __post_init__(self):
+        check_fields(self, (("family", str), ("rank", int)))
         family, n = self.family, self.rank
         if family not in ("A", "B", "D"):
             raise UsageError("Weyl family must be A, B or D")
@@ -95,7 +97,9 @@ class WeylGroup:
         return self.generators[i - 1]
 
 
-@lru_cache(maxsize=None)
+# typed: a bool or float rank gets its own entry, so it reaches WeylGroup's
+# refusal rather than the entry of the int rank it equals.
+@lru_cache(maxsize=None, typed=True)
 def weyl_group(family, n):
     return WeylGroup(family, n)
 
@@ -109,13 +113,18 @@ class ParabolicQuotient:
     coset, as `flags` and `representatives` list them. The row of wX, made
     on first use, holds its opposites w x w0 X for x in X: w applied to the
     X-orbit of w0X. A coset is its own opposite only if w0 lies in X, that
-    is X = W, so the empty type set is refused."""
+    is X = W, so the empty type set is refused, as is a group that is not a
+    WeylGroup or a type set that is not of ints."""
 
     group: WeylGroup
     types: tuple
 
     def __post_init__(self):
-        group, types = self.group, tuple(sorted(set(self.types)))
+        check_fields(self, (("group", WeylGroup),))
+        types = tuple(self.types) if hasattr(self.types, "__iter__") else None
+        if types is None or any(type(j) is not int for j in types):
+            raise UsageError("types must be an iterable of ints, not %r" % (self.types,))
+        group, types = self.group, tuple(sorted(set(types)))
         if not types:
             raise UsageError("type set must be nonempty")
         if any(j < 1 or j > group.rank for j in types):
@@ -179,7 +188,7 @@ class ParabolicQuotient:
                 yield (i, j)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def quotient(family, n, types):
     """The ParabolicQuotient of W(family_n) by a sorted type tuple, made
     once and shared: the geometries' frames and cross_validate read it."""

@@ -15,7 +15,7 @@ import itertools
 import numpy as np
 
 from .algebra import _annihilators, _residues, check_prime, rref
-from .errors import UsageError
+from .errors import UsageError, check_index
 
 # Most columns a ColumnMatroid takes: its table has 2^n entries.
 MAX_COLUMNS = 12
@@ -90,10 +90,8 @@ class ColumnMatroid:
     def _mask(self, subset):
         mask = 0
         for j in subset:
-            if j < 0 or j >= self.n:
-                raise UsageError("column index out of range")
-            mask |= 1 << j
-        return int(mask)
+            mask |= 1 << check_index(j, self.n, "column", "columns")
+        return mask
 
     def rank(self, subset):
         return self._ranks[self._mask(subset)]

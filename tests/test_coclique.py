@@ -189,6 +189,22 @@ def test_check_ucep_sampling_deterministic():
     assert r1.seed == 7
 
 
+@pytest.mark.parametrize("k,seed,message", [
+    (2, None, "^sampling needs a seed of type int, not None$"),
+    (-3, 1, "^sampling mode needs a sample count of at least 1, got -3$"),
+    (2.0, 1, "^samples must be of type int, not 2.0$"),
+    (True, 1, "^samples must be of type int, not True$"),
+    (MAX_SAMPLES + 1, 1, "more than the limit"),
+    (2, 1.0, "^seed must be of type int, not 1.0$"),
+], ids=["seed-None", "k-negative", "k-float", "k-bool", "k-past-limit", "seed-float"])
+def test_sample_maximal_cocliques_refuses_arguments(monkeypatch, k, seed, message):
+    # Refused before any draw: a None seed would seed from the OS.
+    g = build_graph(BuildingSpec("A", 3, 2, (2,)))
+    monkeypatch.setattr(coclique.random, "Random", lambda seed: pytest.fail("drew a sample"))
+    with pytest.raises(UsageError, match=message):
+        sample_maximal_cocliques(g, k, seed)
+
+
 def test_check_ucep_sample_needs_count():
     g = build_graph(BuildingSpec("A", 3, 2, (2,)))
     with pytest.raises(UsageError):
@@ -353,6 +369,15 @@ def test_max_coclique_witness_is_coclique():
     size, witness = max_coclique(g)
     assert len(witness) == size
     assert is_coclique(g, witness)
+
+
+@pytest.mark.parametrize("budget", [True, 2.5, "10", -1])
+def test_max_coclique_budget_refused(budget):
+    # True would be a budget of 1, and -1 raised SearchBudgetExceeded as if
+    # a search had run.
+    g = build_graph(BuildingSpec("A", 3, 2, (2,)))
+    with pytest.raises(UsageError, match="^budget must be None or a non-negative int, not "):
+        max_coclique(g, budget)
 
 
 def test_max_coclique_budget():

@@ -2,6 +2,9 @@
 Kneser graphs on parabolic quotients, against the whole-group oracles."""
 
 import itertools
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -179,6 +182,46 @@ def test_rank_limits():
     # opposite.
     with pytest.raises(UsageError, match="nonempty"):
         ParabolicQuotient(weyl_group("B", 3), ())
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda: weyl_group("A", True), "^rank must be of type int, not True$"),
+    (lambda: weyl_group("A", 4.0), "^rank must be of type int, not 4.0$"),
+    (lambda: WeylGroup(1, 3), "^family must be of type str, not 1$"),
+    (lambda: ParabolicQuotient(weyl_group("A", 3), (2.0,)), r"^types must be an iterable of ints"),
+    (lambda: ParabolicQuotient(weyl_group("A", 3), ("2",)), r"^types must be an iterable of ints"),
+    (lambda: ParabolicQuotient(weyl_group("A", 3), (True,)), r"^types must be an iterable of ints"),
+    (lambda: ParabolicQuotient(weyl_group("A", 3), 2), r"^types must be an iterable of ints"),
+    (lambda: ParabolicQuotient(("A", 3), (2,)), "^group must be of type WeylGroup"),
+], ids=["rank-bool", "rank-float", "family-int", "types-float", "types-str", "types-bool",
+        "types-int", "group-tuple"])
+def test_weyl_groups_and_quotients_refuse_field_types(make, message):
+    # A bool or float hashes equal to the int that keys the caches, so it
+    # must be refused before anything is cached under that key.
+    with pytest.raises(UsageError, match=message):
+        make()
+    assert type(weyl_group("A", 1).rank) is int
+
+
+def test_refused_fields_leave_the_caches_clean():
+    # Fresh caches, as in a new process: a refused quotient must not be
+    # cached under the key of the int type set a spec asks for next.
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    script = ("from kneserlab.buildings import BuildingSpec\n"
+              "from kneserlab.coxeter import quotient, weyl_group\n"
+              "from kneserlab.errors import UsageError\n"
+              "refused = []\n"
+              "for call in (lambda: weyl_group('A', True), lambda: quotient('A', 3, (True,))):\n"
+              "    try:\n"
+              "        call()\n"
+              "        refused.append(False)\n"
+              "    except UsageError:\n"
+              "        refused.append(True)\n"
+              "print(refused, weyl_group('A', 1).rank, BuildingSpec('A', 3, 2, (1,)).quotient.types)\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[True, True] 1 (1,)\n"
 
 
 @pytest.mark.parametrize("family,n", [("A", n) for n in range(1, 6)]

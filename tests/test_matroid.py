@@ -143,6 +143,17 @@ def test_rank_out_of_range():
         m.rank({2})
 
 
+@pytest.mark.parametrize("column,kind", [(True, "bool"), (0.5, "float"), ("1", "str")])
+def test_column_index_refused_by_name(column, kind):
+    # True would be read as column 1, and a float or str would fail in <.
+    m = ColumnMatroid([[1, 0], [0, 1]], 2)
+    message = "^column index %r is a %s, not an integer$" % (column, kind)
+    with pytest.raises(UsageError, match=message):
+        m.rank([column])
+    with pytest.raises(UsageError, match=message):
+        union_rank(m, m, [0, column])
+
+
 def test_rank_submodular():
     rng = random.Random(20240621)
     for _ in range(300):
