@@ -76,9 +76,10 @@ def _edge_pairs(graph):
 
 def graph_to_dimacs(graph):
     """DIMACS text: 1-based vertex labels, one `e i j` line per edge in row
-    order, each row's lines made by one join, one block of rows at a time."""
+    order, each row's lines made by one join, one block of rows at a time;
+    a block's labels are gathered by index from one object array of them."""
     n = graph.num_vertices
-    labels = [str(i + 1) for i in range(n)]
+    labels = np.array([str(i + 1) for i in range(n)], dtype=object)
     lines = ["c kneserlab graph"]
     lines.append("c spec %s" % json.dumps(graph.spec.to_dict(), sort_keys=True))
     lines.append("c sigma %s" % " ".join(labels[i] for i in graph.sigma))
@@ -88,10 +89,10 @@ def graph_to_dimacs(graph):
             continue
         # A block's rows are its runs of one tail; bounds are where they start and end.
         bounds = [0, *(np.flatnonzero(np.diff(block[:, 0])) + 1).tolist(), len(block)]
-        heads = block[:, 1].tolist()
-        for tail, a, b in zip(block[bounds[:-1], 0].tolist(), bounds, bounds[1:]):
-            prefix = "e %s " % labels[tail]
-            lines.append(prefix + ("\n" + prefix).join(map(labels.__getitem__, heads[a:b])))
+        heads = labels[block[:, 1]].tolist()
+        for tail, a, b in zip(labels[block[bounds[:-1], 0]].tolist(), bounds, bounds[1:]):
+            prefix = "e %s " % tail
+            lines.append(prefix + ("\n" + prefix).join(heads[a:b]))
     return "\n".join(lines) + "\n"
 
 

@@ -175,20 +175,27 @@ def check_apartment(spec):
 
 
 def is_coclique(graph, members):
-    """Whether no two members, vertex indices below N, are adjacent."""
+    """Whether no two members, vertex indices below N, are adjacent: each is
+    gated once, and no member's row, its own bit excluded, meets their mask."""
     members = [graph._vertex(v) for v in members]
-    return not any(graph.is_adjacent(a, b) for a, b in itertools.combinations(members, 2))
+    mask = sum(1 << v for v in set(members))
+    return not any(graph.adjacency[v] & mask & ~(1 << v) for v in members)
+
+
+def _extension(graph, members):
+    """D(C) = full & ~(OR of the members' rows), of members that need no gate."""
+    union = 0
+    for c in members:
+        union |= graph.adjacency[c]
+    return graph.full_mask & ~union
 
 
 def extension_set(graph, members):
     """Bit mask of all vertices nonadjacent to every member of C."""
-    members = sorted({graph._vertex(v) for v in members})
+    members = list(members)
     if not is_coclique(graph, members):
         raise UsageError("extension_set requires a coclique")
-    mask = graph.full_mask
-    for c in members:
-        mask &= ~graph.adjacency[c]
-    return mask
+    return _extension(graph, members)
 
 
 def _first_violation(graph, d_mask):
@@ -241,10 +248,7 @@ def _scan(graph, cocliques):
     """The least violation (C, x, y) over cocliques given in sorted order:
     the first C whose extension set holds an edge, with its least edge."""
     for coc in cocliques:
-        mask = graph.full_mask
-        for c in coc:
-            mask &= ~graph.adjacency[c]
-        pair = _first_violation(graph, mask)
+        pair = _first_violation(graph, _extension(graph, coc))
         if pair is not None:
             return (coc,) + pair
     return None
@@ -320,8 +324,7 @@ def max_coclique(graph, budget=None):
     if budget is not None and (type(budget) is not int or budget < 0):
         raise UsageError("budget must be None or a non-negative int, not %r" % (budget,))
     n = graph.num_vertices
-    full = graph.full_mask
-    comp = [(~graph.adjacency[v] & full) & ~(1 << v) for v in range(n)]
+    comp = [_extension(graph, (v,)) & ~(1 << v) for v in range(n)]
     best_size = 0
     best_set = 0
     nodes = 0
@@ -356,9 +359,12 @@ def max_coclique(graph, budget=None):
             expand(r_size + 1, r_mask | bit, p & comp[v])
             p &= ~bit
 
-    expand(0, 0, full)
+    expand(0, 0, graph.full_mask)
     return best_size, tuple(_bits(best_set))
 
+
+# Entries of psi[D] per product in span_check: blocks of 8 MB in float64.
+_SPAN_BLOCK = 1 << 20
 
 # psi per graph, read-only; graphs hash by identity, and one built by hand
 # is not kept alive by its entry.
@@ -401,11 +407,16 @@ def span_check(graph, members):
     wedge in type A, det(B_x G B_y^T) on a polar type by Cauchy-Binet, on
     a flag the product over parts a of det[F_a; G_(d-a)]), so on every
     spec span implies that D has no edge. A vector lies in the row space
-    of psi[C] iff it kills the annihilator of those rows, so one product
-    psi[D] ann^T mod p, in int64 as ann is, decides every x at once.
+    of psi[C] iff it kills the annihilator of those rows, so the product
+    psi[D] ann^T mod p decides every x: in float64 through BLAS, one block
+    of _SPAN_BLOCK entries of psi[D] at a time, up to the first nonzero.
     """
-    members = sorted({graph._vertex(v) for v in members})
-    d_mask = extension_set(graph, members)
+    members = list(members)
+    d = list(_bits(extension_set(graph, members)))  # the one gate of the members
     psi, p = _psi(graph), graph.spec.p
-    ann = _annihilators(Subspace.span(psi[members].tolist(), psi.shape[1], p).matrix()[None], p)[0]
-    return not (psi[list(_bits(d_mask))] @ ann.T % p).any()
+    span = Subspace.span(psi.take(members, 0).tolist(), psi.shape[1], p)
+    ann = _annihilators(span.matrix()[None], p)[0].T.astype(np.float64)
+    step = max(1, _SPAN_BLOCK // psi.shape[1])
+    # Exact: entries are below p <= 7, so a sum is below width * 36, far under 2^53.
+    return not any((psi[d[lo:lo + step]].astype(np.float64) @ ann % p).any()
+                   for lo in range(0, len(d), step))

@@ -104,6 +104,14 @@ def weyl_group(family, n):
     return WeylGroup(family, n)
 
 
+def _int_types(types):
+    """types as a tuple, refused unless an iterable of ints."""
+    checked = tuple(types) if hasattr(types, "__iter__") else None
+    if checked is None or any(type(j) is not int for j in checked):
+        raise UsageError("types must be an iterable of ints, not %r" % (types,))
+    return checked
+
+
 @dataclass(frozen=True, eq=False, repr=False)
 class ParabolicQuotient:
     """Cosets wX of X = <R minus J>, each made as its flag of label sets
@@ -121,10 +129,7 @@ class ParabolicQuotient:
 
     def __post_init__(self):
         check_fields(self, (("group", WeylGroup),))
-        types = tuple(self.types) if hasattr(self.types, "__iter__") else None
-        if types is None or any(type(j) is not int for j in types):
-            raise UsageError("types must be an iterable of ints, not %r" % (self.types,))
-        group, types = self.group, tuple(sorted(set(types)))
+        group, types = self.group, tuple(sorted(set(_int_types(self.types))))
         if not types:
             raise UsageError("type set must be nonempty")
         if any(j < 1 or j > group.rank for j in types):
@@ -189,10 +194,19 @@ class ParabolicQuotient:
 
 
 @lru_cache(maxsize=None, typed=True)
+def _quotient(family, n, types):
+    return ParabolicQuotient(weyl_group(family, n), types)
+
+
 def quotient(family, n, types):
     """The ParabolicQuotient of W(family_n) by a sorted type tuple, made
-    once and shared: the geometries' frames and cross_validate read it."""
-    return ParabolicQuotient(weyl_group(family, n), types)
+    once and shared (the cache is quotient.__wrapped__): the geometries'
+    frames and cross_validate read it. The types are checked first, as the
+    cache would take (True,) for the (1,) it equals."""
+    return _quotient(family, n, _int_types(types))
+
+
+quotient.__wrapped__ = _quotient
 
 
 def phi_map(fine, coarse):

@@ -20,7 +20,7 @@ from kneserlab.algebra import (
 from kneserlab.buildings import _row_blocks, _vertex_count
 from kneserlab.coclique import _bits
 from kneserlab.coxeter import compose, identity, simple_reflections
-from kneserlab.errors import SearchBudgetExceeded
+from kneserlab.errors import SearchBudgetExceeded, UsageError
 
 
 def nullspace(m, p):
@@ -160,6 +160,24 @@ def check_symmetric_irreflexive(graph):
     """Whether the rows equal the rows rebuilt from their edges above the
     diagonal: then every bit has its mirror and none is on the diagonal."""
     return all(map(operator.eq, graph.adjacency, edge_rows(graph.num_vertices, edges(graph))))
+
+
+def is_coclique_pairwise(graph, members):
+    """Whether no two members, vertex indices below N, are adjacent: each
+    is gated, then every pair is tested by KneserGraph.is_adjacent, which
+    gates both of its indices again."""
+    members = [graph._vertex(v) for v in members]
+    return not any(graph.is_adjacent(a, b) for a, b in itertools.combinations(members, 2))
+
+
+def extension_set_pairwise(graph, members):
+    """D(C) vertex by vertex, refused unless is_coclique_pairwise: x lies in
+    it iff no member's row holds bit x, its own bit included."""
+    members = [graph._vertex(v) for v in members]
+    if not is_coclique_pairwise(graph, members):
+        raise UsageError("extension_set requires a coclique")
+    return sum(1 << x for x in range(graph.num_vertices)
+               if not any(graph.adjacency[c] >> x & 1 for c in members))
 
 
 def bron_kerbosch_pivot(adj, candidates):

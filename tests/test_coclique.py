@@ -38,7 +38,9 @@ from oracles import (
     automorphism_permutations,
     edges,
     enumerate_maximal_cocliques_full,
+    extension_set_pairwise,
     gaussian_binomial,
+    is_coclique_pairwise,
     monomial_generators,
     orbit,
     sigma_cocliques_by_bron_kerbosch,
@@ -105,6 +107,70 @@ def test_vertex_indices_out_of_range_are_refused():
         for call in (is_coclique, extension_set, span_check):
             with pytest.raises(UsageError, match="vertex index %d .* %d vertices" % (bad, n)):
                 call(g, [0, bad])
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_coclique_and_extension_set_match_the_pairwise_oracle(seed):
+    # Member lists drawn with repeats, passed as a list and as an iterator,
+    # on a built graph and on a hand-built one whose rows 0 and 5 hold their
+    # own bit: the mask rule leaves that bit out of the coclique test, and
+    # D(C) leaves such a member out, as the oracles do.
+    rng = random.Random(seed)
+    n = 12
+    rows = [0] * n
+    for a, b in itertools.combinations(range(n), 2):
+        if rng.random() < 0.3:
+            rows[a] |= 1 << b
+            rows[b] |= 1 << a
+    rows[0] |= 1
+    rows[5] |= 1 << 5
+    hand = KneserGraph(BuildingSpec("A", 2, 2, (1,)), [(Subspace.coordinate([0], 3, 2),)] * n,
+                       rows, range(n))
+    assert is_coclique(hand, [0, 0, 5]) == (not rows[0] >> 5 & 1)
+    built = build_graph(BuildingSpec("A", 4, 2, (2,)))
+    pools = [(hand, list(range(n)) + [0, 5] * 3)]
+    pools += [(built, list(c) + [rng.randrange(built.num_vertices)])
+              for c in maximal_cocliques_sigma(built)]
+    seen = Counter()
+    for _ in range(300):
+        g, pool = rng.choice(pools)
+        members = [rng.choice(pool) for _ in range(rng.randrange(6))]
+        want = is_coclique_pairwise(g, members)
+        seen[g is hand, want] += 1
+        assert is_coclique(g, members) is want
+        assert is_coclique(g, iter(members)) is want
+        for given in (members, iter(members)):
+            if want:
+                assert extension_set(g, given) == extension_set_pairwise(g, members)
+            else:
+                with pytest.raises(UsageError, match="^extension_set requires a coclique$"):
+                    extension_set(g, given)
+    assert len(seen) == 4
+
+
+def test_refused_indices_match_the_pairwise_oracle():
+    # Each member is gated once, in order: the first bad index is named,
+    # with the message the pairwise rule gave.
+    g = build_graph(BuildingSpec("A", 3, 2, (2,)))
+    n = g.num_vertices
+    for bad, text in ((-1, "-1 is out of range for 35 vertices"),
+                      (n, "35 is out of range for 35 vertices"),
+                      (True, "True is a bool, not an integer"),
+                      (1.5, "1.5 is a float, not an integer"),
+                      ("1", "'1' is a str, not an integer")):
+        for members in ([bad], [0, bad], [bad, -2], [0, bad, n + 1]):
+            with pytest.raises(UsageError) as want:
+                is_coclique_pairwise(g, members)
+            assert str(want.value) == "vertex index " + text
+            for call in (is_coclique, extension_set, span_check):
+                for given in (members, iter(members)):
+                    with pytest.raises(UsageError) as got:
+                        call(g, given)
+                    assert str(got.value) == str(want.value)
+    # numpy integers of mixed kinds pass the gate and are read as their ints.
+    a, b = maximal_cocliques_sigma(g)[0][:2]
+    for call in (is_coclique, extension_set, span_check):
+        assert call(g, [np.uint64(a), b]) == call(g, [np.int64(a), np.uint8(b)]) == call(g, [a, b])
 
 
 def test_extension_set_rejects_non_coclique():

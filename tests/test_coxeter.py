@@ -3,6 +3,7 @@ Kneser graphs on parabolic quotients, against the whole-group oracles."""
 
 import itertools
 import os
+import re
 import subprocess
 import sys
 
@@ -24,6 +25,7 @@ from kneserlab.coxeter import (
     identity,
     is_self_opposite,
     phi_map,
+    quotient,
     shortest_double_coset,
     weyl_group,
 )
@@ -222,6 +224,23 @@ def test_refused_fields_leave_the_caches_clean():
                           env=dict(os.environ, PYTHONPATH=src), timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[True, True] 1 (1,)\n"
+
+
+def test_cached_quotient_refuses_equal_type_sets():
+    # (True,) == (1,) and (1.0,) == (1,), and typed=True types only the
+    # top-level arguments: once (1,) is cached, the lookup found its entry,
+    # so the type set is checked before the cache is read. A cache clearer
+    # that follows __wrapped__, as the benchmark's does, reaches the cache.
+    assert quotient("A", 3, (1,)).types == (1,)
+    for bad in ((True,), (1.0,), [True], 1):
+        with pytest.raises(UsageError, match=r"^types must be an iterable of ints, not %s$"
+                           % re.escape(repr(bad))):
+            quotient("A", 3, bad)
+    cached = quotient
+    while not hasattr(cached, "cache_clear"):
+        cached = cached.__wrapped__
+    assert cached.cache_info().currsize >= 1
+    assert quotient("A", 3, (1,)) is quotient("A", 3, [1])
 
 
 @pytest.mark.parametrize("family,n", [("A", n) for n in range(1, 6)]
