@@ -309,11 +309,12 @@ def _augment(d, k, p, form=None):
 
 
 def enumerate_subspaces(d, k, p):
-    """All k-subspaces of F_p^d, in lexicographic RREF order (row-major)."""
+    """All k-subspaces of F_p^d, in lexicographic RREF order (row-major), as
+    a list, so that a bad argument is refused at the call."""
     check_prime(p)
     if k < 0 or k > d:
         raise UsageError("need 0 <= k <= d")
-    yield from _augment(d, k, p)
+    return _augment(d, k, p)
 
 
 def enumerate_singular_subspaces(form, k):

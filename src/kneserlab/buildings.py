@@ -8,7 +8,8 @@ A BuildingSpec is its geometry: it knows the subspaces that make up a
 vertex, the form they are singular for, and the Weyl group coset
 quotient whose label-set flags name its frame objects. `build_graph`,
 apartment graphs, vertex counts and the coset cross-validation all take
-one, and `build_graph` holds the one graph cache, keyed by the spec.
+one. Values keep what they derive in cached properties; a module cache,
+such as `_graph`, is kept only where equal keys must share one object.
 
 Standard forms, fixed once per family:
   D_n: Q(x) = x_1 x_1' + ... + x_n x_n'  on F_p^{2n},
@@ -34,6 +35,7 @@ of u lies in w, so the masks of u's points are ANDed, not ORed.
 
 from __future__ import annotations
 
+import itertools
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, reduce
@@ -210,9 +212,9 @@ class BuildingSpec:
         coset of the quotient: the coordinate subspace of each set."""
         return tuple(self.coordinate(labels) for labels in flag)
 
-    # One tuple of frames per spec.
-    @lru_cache(maxsize=None)
+    @cached_property
     def frames(self):
+        """The frame object of each coset of the quotient, in its order."""
         return tuple(self.frame(flag) for flag in self.quotient.flags)
 
     def vertex(self, flag, index):
@@ -293,7 +295,7 @@ class KneserGraph:
     def num_vertices(self):
         return len(self.vertices)
 
-    @property
+    @cached_property
     def full_mask(self):
         return (1 << len(self.vertices)) - 1
 
@@ -331,6 +333,33 @@ class KneserGraph:
     def sigma_mask(self):
         return sum(1 << i for i in self.sigma)
 
+    @cached_property
+    def _psi(self):
+        """Pluecker coordinates of every vertex, one row each: the Kronecker
+        product, in part order, of each part's k x k minors of the stacked RREF
+        bases mod p, on the columns itertools.combinations(range(d), k). Each
+        minor is the Leibniz sum over the permutations s of range(k) of
+        sign(s) prod_r B[r, cols[s(r)]], added one permutation at a time over
+        all vertices and columns. Every entry is below p <= 7, so psi is kept as
+        uint8, and a product of two entries, below 49, fits it too. Read-only."""
+        p, n = self.spec.p, self.num_vertices
+        psi = np.ones((n, 1), dtype=np.uint8)
+        for bases in map(_matrices, zip(*self.vertices)):
+            _, k, d = bases.shape
+            cols = np.array(list(itertools.combinations(range(d), k)))
+            minors = np.zeros((n, len(cols)), dtype=np.int64)
+            for perm in itertools.permutations(range(k)):
+                term = 1
+                for r, c in enumerate(perm):
+                    term = term * bases[:, r, cols[:, c]] % p
+                inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+                minors += term if inversions % 2 == 0 else p - term
+            psi = psi[:, :, None] * (minors % p).astype(np.uint8)[:, None, :]
+            psi %= p
+            psi = psi.reshape(n, -1)
+        psi.setflags(write=False)
+        return psi
+
 
 def _row_blocks(n):
     """Bytes in a packed row of n bits, and how many rows make a block of
@@ -339,18 +368,13 @@ def _row_blocks(n):
     return width, max(1, _BLOCK_ELEMS // (8 * width or 1))
 
 
-def _sorted_vertices(flags):
-    """Vertices in canonical order: by the canonical keys of their parts."""
-    return sorted(flags, key=lambda flag: tuple(s.key for s in flag))
-
-
 def _apartment(spec, vertices):
     """Sigma, the sorted indices of the frame objects, and the Weyl group
     generators as permutations of Sigma positions: a generator s maps the
     frame of a coset wX to the frame of s·wX."""
     index = {flag: i for i, flag in enumerate(vertices)}
     at = []
-    for flag in spec.frames():
+    for flag in spec.frames:
         if flag not in index:
             raise RuntimeError("frame object is not a vertex: %r" % (flag,))
         at.append(index[flag])
@@ -453,7 +477,7 @@ def _vertices(spec):
     emit each level in that order, and _nested_flags keeps it."""
     p = spec.p
     if spec.form is None:
-        return _nested_flags([list(enumerate_subspaces(spec.dim, k, p)) for k in spec.parts], p)
+        return _nested_flags([enumerate_subspaces(spec.dim, k, p) for k in spec.parts], p)
     subs = enumerate_singular_subspaces(spec.form, spec.parts[0])
     return [(s,) for s in subs if not spec.oriflamme or spec.in_family(s)]
 
@@ -591,5 +615,5 @@ def apartment_graph(spec):
     if points > MAX_POINT_IDS:
         raise UsageError("spec %s has %d point ids in its apartment, more than the limit of %d"
                          % (spec.to_dict(), points, MAX_POINT_IDS))
-    vertices = _sorted_vertices(spec.frames())
+    vertices = sorted(spec.frames)
     return KneserGraph(spec, vertices, _rows(spec, vertices), range(len(vertices)))

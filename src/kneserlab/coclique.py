@@ -8,10 +8,10 @@ graph automorphisms, so one C per orbit decides the orbit; the scan
 meets the orbits' least members in sorted order and stops at the first D
 with an edge. The span criterion through the
 Pluecker embedding is sufficient but not necessary, so it lives in a
-separate instrument (span_check) and never decides the verdict. It holds
-psi, the matrix of the vertices' Pluecker coordinates (the Kronecker
-product of their parts' k x k minors), once per graph, and tests a
-coclique with the annihilator of the RREF of psi(C) and one product.
+separate instrument (span_check) and never decides the verdict. It reads
+the graph's psi (KneserGraph._psi), the matrix of the vertices' Pluecker
+coordinates, and tests a coclique with the annihilator of the RREF of
+psi(C) and one product.
 
 All vertex sets here are bit masks over the graph's vertex indices, and
 the witness is the lexicographically least violation, so reports are
@@ -20,15 +20,13 @@ bytewise reproducible.
 
 from __future__ import annotations
 
-import itertools
 import random
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
 from .algebra import Subspace, _annihilators
-from .buildings import SCHEMA, _matrices, apartment_graph, checked_vertex_count, vertex_lists
+from .buildings import SCHEMA, apartment_graph, checked_vertex_count, vertex_lists
 from .coxeter import _bits
 from .errors import SearchBudgetExceeded, UsageError
 
@@ -366,39 +364,6 @@ def max_coclique(graph, budget=None):
 # Entries of psi[D] per product in span_check: blocks of 8 MB in float64.
 _SPAN_BLOCK = 1 << 20
 
-# psi per graph, read-only; graphs hash by identity, and one built by hand
-# is not kept alive by its entry.
-_PSI = weakref.WeakKeyDictionary()
-
-
-def _psi(graph):
-    """Pluecker coordinates of every vertex, one row each: the Kronecker
-    product, in part order, of each part's k x k minors of the stacked RREF
-    bases mod p, on the columns itertools.combinations(range(d), k). Each
-    minor is the Leibniz sum over the permutations s of range(k) of
-    sign(s) prod_r B[r, cols[s(r)]], added one permutation at a time over
-    all vertices and columns. Every entry is below p <= 7, so psi is kept as
-    uint8, and a product of two entries, below 49, fits it too."""
-    if graph not in _PSI:
-        p, n = graph.spec.p, graph.num_vertices
-        psi = np.ones((n, 1), dtype=np.uint8)
-        for bases in map(_matrices, zip(*graph.vertices)):
-            _, k, d = bases.shape
-            cols = np.array(list(itertools.combinations(range(d), k)))
-            minors = np.zeros((n, len(cols)), dtype=np.int64)
-            for perm in itertools.permutations(range(k)):
-                term = 1
-                for r, c in enumerate(perm):
-                    term = term * bases[:, r, cols[:, c]] % p
-                inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
-                minors += term if inversions % 2 == 0 else p - term
-            psi = psi[:, :, None] * (minors % p).astype(np.uint8)[:, None, :]
-            psi %= p
-            psi = psi.reshape(n, -1)
-        psi.setflags(write=False)
-        _PSI[graph] = psi
-    return _PSI[graph]
-
 
 def span_check(graph, members):
     """Instrumented span criterion: psi(x) in <psi(C)> for all x in D.
@@ -413,7 +378,7 @@ def span_check(graph, members):
     """
     members = list(members)
     d = list(_bits(extension_set(graph, members)))  # the one gate of the members
-    psi, p = _psi(graph), graph.spec.p
+    psi, p = graph._psi, graph.spec.p
     span = Subspace.span(psi.take(members, 0).tolist(), psi.shape[1], p)
     ann = _annihilators(span.matrix()[None], p)[0].T.astype(np.float64)
     step = max(1, _SPAN_BLOCK // psi.shape[1])

@@ -92,10 +92,6 @@ class WeylGroup:
                             ("w0", w0), ("order", order)):
             object.__setattr__(self, name, value)
 
-    def generator(self, i):
-        """Simple generator s_i, 1-based."""
-        return self.generators[i - 1]
-
 
 # typed: a bool or float rank gets its own entry, so it reaches WeylGroup's
 # refusal rather than the entry of the int rank it equals.
@@ -231,7 +227,7 @@ def phi_map(fine, coarse):
 def is_self_opposite(group, types):
     """True iff conjugation by w0 permutes the generators indexed by J."""
     w0 = group.w0
-    gens = {group.generator(j) for j in types}
+    gens = {group.generators[j - 1] for j in types}
     conj = {compose(compose(w0, s), w0) for s in gens}
     return conj == gens
 

@@ -82,7 +82,7 @@ def verify_witness(spec, coclique, x, y):
         x, y = spec.vertex(x, "x"), spec.vertex(y, "y")
     except UsageError as exc:
         raise FixtureIntegrityError("witness condition failed: %s" % exc)
-    frames = spec.frames()
+    frames = spec.frames
     _require(set(members) <= set(frames), "C lies in the apartment")
     _require(not any(spec.opposite(a, b) for a, b in itertools.combinations(members, 2)),
              "C is a coclique")

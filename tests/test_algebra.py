@@ -393,6 +393,11 @@ def test_enumeration_refusals_and_empty_levels():
     for k in (-1, 4):
         with pytest.raises(UsageError, match="^need 0 <= k <= d$"):
             list(enumerate_subspaces(3, k, 2))
+    # Refused at the call, before any subspace is asked for.
+    with pytest.raises(UsageError, match="^need 0 <= k <= d$"):
+        enumerate_subspaces(3, 9, 2)
+    with pytest.raises(UsageError, match="^modulus must be one of"):
+        enumerate_subspaces(3, 1, 4)
     with pytest.raises(UsageError, match="^need k >= 0$"):
         enumerate_singular_subspaces(standard_form("C", 2, 2), -1)
     with pytest.raises(ZeroDivisionError, match="^0 has no inverse mod 5$"):

@@ -1,9 +1,12 @@
 """Tests for the concrete Kneser graph builders and their apartments."""
 
+import gc
 import itertools
 import json
 import random
 import re
+import weakref
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -18,11 +21,12 @@ from kneserlab.algebra import (
 )
 from kneserlab.buildings import (
     BuildingSpec,
+    KneserGraph,
     apartment_graph,
     build_graph,
 )
 from kneserlab.cli import graph_to_dict
-from kneserlab.coclique import _psi, check_ucep, extension_set, is_coclique
+from kneserlab.coclique import check_ucep, extension_set, is_coclique
 from kneserlab.errors import UsageError
 
 from oracles import (
@@ -583,7 +587,7 @@ def test_shared_values_refuse_assignment(family, n, types):
     buildings._graph.cache_clear()
     g, q = build_graph(spec), spec.quotient
     attempts = [(g.vertices[0][0], "basis", g.vertices[-1][0].basis),
-                (spec.frames()[0][0], "basis", spec.frames()[-1][0].basis),
+                (spec.frames[0][0], "basis", spec.frames[-1][0].basis),
                 (q, "flags", q.flags[:2]), (q.group, "w0", q.group.generators[0])]
     if spec.form is not None:
         attempts.append((spec.form, "polar", spec.form.gram))
@@ -591,10 +595,39 @@ def test_shared_values_refuse_assignment(family, n, types):
         with pytest.raises(AttributeError):
             setattr(obj, name, value)
     with pytest.raises(ValueError, match="read-only"):
-        _psi(g)[0, 0] = 1
+        g._psi[0, 0] = 1
     with pytest.raises(TypeError):
         q._index[q.flags[0]] = 1
     assert (dump(spec), dump(other)) == before
+
+
+def test_derived_values_are_cached_properties_of_their_owners():
+    # A spec's frames and a graph's full mask and psi are made once and kept
+    # on the value that owns them. An equal spec made separately makes equal
+    # frames of its own, and equality and hashing ignore what is cached.
+    # Each refuses assignment and deletion, psi refuses writes, and the psi
+    # of a graph built by hand dies with that graph.
+    spec, other = BuildingSpec("A", 3, 2, (2,)), BuildingSpec("A", 3, 2, [2])
+    before = hash(other)
+    assert spec.frames is spec.frames and "frames" not in vars(other)
+    assert other.frames == spec.frames and other.frames is not spec.frames
+    assert other == spec and hash(other) == hash(spec) == before
+    g = build_graph(spec)
+    assert g.full_mask is g.full_mask == (1 << g.num_vertices) - 1
+    assert g._psi is g._psi
+    for obj, name in ((spec, "frames"), (g, "_psi"), (g, "full_mask")):
+        with pytest.raises(FrozenInstanceError):
+            setattr(obj, name, None)
+        with pytest.raises(FrozenInstanceError):
+            delattr(obj, name)
+    with pytest.raises(ValueError, match="read-only"):
+        g._psi[0, 0] = 1
+    hand = KneserGraph(spec, g.vertices, g.adjacency, g.sigma)
+    assert hand._psi is not g._psi and np.array_equal(hand._psi, g._psi)
+    psi = weakref.ref(hand._psi)
+    del hand
+    gc.collect()
+    assert psi() is None
 
 
 def test_vertex_index_out_of_range_is_refused():
@@ -663,10 +696,10 @@ def test_geometry_names_the_d_families():
     # Frames of the apartment: 2^(n-1) per family, and the even words of
     # the minus family name odd frames.
     for geo in (plus, minus):
-        assert len(set(geo.frames())) == len(frame_words(geo)) == 16
-    assert not set(plus.frames()) & set(minus.frames())
-    assert len(planes.frames()) == 5 * 2 ** 4
-    assert minus.frames()[0] == frame_of_word(minus, (1, 2, 3, 4, 5)) == (
+        assert len(set(geo.frames)) == len(frame_words(geo)) == 16
+    assert not set(plus.frames) & set(minus.frames)
+    assert len(planes.frames) == 5 * 2 ** 4
+    assert minus.frames[0] == frame_of_word(minus, (1, 2, 3, 4, 5)) == (
         plus.coordinate((1, 2, 3, 4, -5)),)
 
 
@@ -698,7 +731,7 @@ def test_frames_match_the_word_oracle(family, count):
     assert len(specs) == count
     for spec in specs:
         geo = spec
-        frames, words = geo.frames(), [frame_of_word(geo, w) for w in frame_words(geo)]
+        frames, words = geo.frames, [frame_of_word(geo, w) for w in frame_words(geo)]
         assert len(frames) == len(set(frames)) == len(words)
         assert set(frames) == set(words), spec
         try:
@@ -706,7 +739,7 @@ def test_frames_match_the_word_oracle(family, count):
         except UsageError as exc:
             assert "point ids" in str(exc)
         else:
-            assert apt.vertices == tuple(buildings._sorted_vertices(words)), spec
+            assert apt.vertices == tuple(sorted(words)), spec
         if buildings._vertex_count(spec) <= 3000:
             g = buildings._graph(spec)
             assert (g.sigma, g.sigma_generators) == apartment_by_words(geo, g.vertices), spec

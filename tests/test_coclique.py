@@ -20,7 +20,6 @@ from kneserlab.buildings import (
 from kneserlab.coclique import (
     MAX_COCLIQUES,
     MAX_SAMPLES,
-    _psi,
     check_apartment,
     check_ucep,
     extension_set,
@@ -357,7 +356,7 @@ def test_check_ucep_negative_grid_cells(monkeypatch, family, n, types, p, count)
     assert _opposite(geo, x, y)
     for a, b in itertools.combinations(coc + [x, y], 2):
         assert (a, b) == (x, y) or not _opposite(geo, a, b)
-    frames = {tuple(u.basis for u in f) for f in geo.frames()}
+    frames = {tuple(u.basis for u in f) for f in geo.frames}
     assert all(tuple(tuple(map(tuple, part)) for part in c) in frames for c in coc)
     verify_witness(spec, coc, x, y)
 
@@ -511,7 +510,7 @@ def test_span_check_matches_span_membership_oracle(family, n, types, p):
             row = np.kron(row, [coeffs.get(key, 0) for key in
                                 itertools.combinations(range(d), u.dim)])
         want_psi.append(row.tolist())
-    assert _psi(g).tolist() == want_psi
+    assert g._psi.tolist() == want_psi
     vectors = [Multivector.from_vector(row, p) for row in want_psi]
     rng = random.Random("span:%s%d.%s.%d" % (family, n, ",".join(map(str, types)), p))
     cases = rng.sample(maximal_cocliques_sigma(g), 4)

@@ -46,7 +46,7 @@ def witness_of(case):
 def test_verify_witness_accepts_fixture_data(case):
     spec, coc, x, y = witness_of(case)
     facts = verify_witness(spec, coc, x, y)
-    assert facts["sigma_size"] == len(spec.frames())
+    assert facts["sigma_size"] == len(spec.frames)
 
 
 def frame_flag(frame):
@@ -71,7 +71,7 @@ def test_verify_witness_refuses_single_corruptions(case):
     # maximality it is opposite a member of C.
     members = [geo.vertex(m, j) for j, m in enumerate(coc)]
     wy = geo.vertex(y, "y")
-    blocked = [f for f in geo.frames() if f not in members and geo.opposite(f, wy)]
+    blocked = [f for f in geo.frames if f not in members and geo.opposite(f, wy)]
     assert blocked
     refused("opposite no member of C", x=frame_flag(blocked[0]))
     # A basis that is not in RREF: x's first part with its rows reversed.
