@@ -423,7 +423,7 @@ def test_cross_validate_size_limits(capsys, monkeypatch):
 
     monkeypatch.setattr(crossval, "quotient", made)
     monkeypatch.setattr(buildings, "quotient", made)
-    monkeypatch.setattr(buildings.BuildingSpec, "frames", made)
+    monkeypatch.setattr(buildings.BuildingSpec, "frames", property(made))
     monkeypatch.setattr(buildings, "_rows", made)
     for family, rank, types, p, named in [
             ("A", "6", "1,2,3,4,5,6", "2", "5040 frames"), ("A", "63", "1", "2", "dimension 64"),
