@@ -305,30 +305,33 @@ class KneserGraph:
 
     def _vertex(self, i):
         """A vertex index in 0..N-1 as an int (check_index): a row shifted by a
-        numpy integer, such as an entry of edge_blocks(), is cast to int64 and
-        overflows."""
+        numpy integer, such as a head from later_neighbours(), is cast to
+        int64 and overflows."""
         return check_index(i, len(self.vertices), "vertex", "vertices")
 
     def num_edges(self):
         return sum(row.bit_count() for row in self.adjacency) // 2
 
-    def edge_blocks(self):
-        """The edges i < j in row order (i, then j), as one (m, 2) array per
-        block of rows; the renders write from these, one block at a time.
+    def later_neighbours(self):
+        """(i, heads) for each vertex i with a neighbour j > i, in order of i,
+        with those j as an ascending array; the renders write one row each.
 
         Each row keeps its bits above the diagonal and is unpacked to one
         byte per vertex, in blocks of rows of at most _BLOCK_ELEMS bytes.
         """
         n = self.num_vertices
-        width, step = _row_blocks(n)
+        width = -(-n // 8)
+        step = max(1, _BLOCK_ELEMS // (8 * width or 1))
         for lo in range(0, n, step):
             rows = self.adjacency[lo:lo + step]
             packed = b"".join((row >> i << i).to_bytes(width, "little")
                               for i, row in enumerate(rows, lo + 1))
             bits = np.unpackbits(np.frombuffer(packed, np.uint8).reshape(len(rows), width),
                                  axis=1, count=n, bitorder="little")
-            tails, heads = np.divmod(np.flatnonzero(bits.view(bool)), n)
-            yield np.column_stack((tails + lo, heads))
+            for i, row in enumerate(bits.view(bool), lo):
+                heads = np.flatnonzero(row)
+                if len(heads):
+                    yield i, heads
 
     def sigma_mask(self):
         return sum(1 << i for i in self.sigma)
@@ -359,13 +362,6 @@ class KneserGraph:
             psi = psi.reshape(n, -1)
         psi.setflags(write=False)
         return psi
-
-
-def _row_blocks(n):
-    """Bytes in a packed row of n bits, and how many rows make a block of
-    at most _BLOCK_ELEMS bytes when unpacked to one byte per bit."""
-    width = -(-n // 8)
-    return width, max(1, _BLOCK_ELEMS // (8 * width or 1))
 
 
 def _apartment(spec, vertices):

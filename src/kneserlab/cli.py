@@ -13,6 +13,7 @@ including the sampling seed.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 
@@ -64,35 +65,29 @@ def graph_to_dict(graph):
 
 
 def _edge_pairs(graph):
-    """The edges as (i, j) tuples, made block by block; every pair holds the
-    ints of one object array of range(n), gathered by index, so no edge
-    makes int objects of its own."""
+    """The edges as (i, j) tuples in row order; every pair holds the ints
+    of one object array of range(n), gathered by index, so no edge makes
+    int objects of its own."""
     ints = np.array(list(range(graph.num_vertices)), dtype=object)
     pairs = []
-    for block in graph.edge_blocks():
-        pairs += zip(ints[block[:, 0]].tolist(), ints[block[:, 1]].tolist())
+    for i, heads in graph.later_neighbours():
+        pairs += zip(itertools.repeat(ints[i]), ints[heads].tolist())
     return pairs
 
 
 def graph_to_dimacs(graph):
     """DIMACS text: 1-based vertex labels, one `e i j` line per edge in row
-    order, each row's lines made by one join, one block of rows at a time;
-    a block's labels are gathered by index from one object array of them."""
+    order, each row's lines made by one join of its labels, gathered by
+    index from one object array of them."""
     n = graph.num_vertices
     labels = np.array([str(i + 1) for i in range(n)], dtype=object)
     lines = ["c kneserlab graph"]
     lines.append("c spec %s" % json.dumps(graph.spec.to_dict(), sort_keys=True))
     lines.append("c sigma %s" % " ".join(labels[i] for i in graph.sigma))
     lines.append("p edge %d %d" % (n, graph.num_edges()))
-    for block in graph.edge_blocks():
-        if not len(block):
-            continue
-        # A block's rows are its runs of one tail; bounds are where they start and end.
-        bounds = [0, *(np.flatnonzero(np.diff(block[:, 0])) + 1).tolist(), len(block)]
-        heads = labels[block[:, 1]].tolist()
-        for tail, a, b in zip(labels[block[bounds[:-1], 0]].tolist(), bounds, bounds[1:]):
-            prefix = "e %s " % tail
-            lines.append(prefix + ("\n" + prefix).join(heads[a:b]))
+    for i, heads in graph.later_neighbours():
+        prefix = "e %s " % labels[i]
+        lines.append(prefix + ("\n" + prefix).join(labels[heads].tolist()))
     return "\n".join(lines) + "\n"
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import Subspace, _annihilators
-from .buildings import SCHEMA, apartment_graph, checked_vertex_count, vertex_lists
+from .buildings import SCHEMA, checked_vertex_count, vertex_lists
 from .coxeter import _bits
 from .errors import SearchBudgetExceeded, UsageError
 
@@ -166,10 +166,13 @@ def _check_sigma(graph):
 def check_apartment(spec):
     """Refuse, before any enumeration, a spec build refuses
     (checked_vertex_count), then one whose apartment has more maximal
-    cocliques than MAX_COCLIQUES: Sigma's shape is read from the rows of
-    the apartment graph (_check_sigma), made only after the first check."""
+    cocliques than MAX_COCLIQUES: Sigma's size and whether it is a matching
+    are read from the coset quotient whose flags are its frames, made only
+    after the first check. W acts transitively on the cosets, so every
+    coset has as many opposites as coset 0."""
     checked_vertex_count(spec)
-    _check_sigma(apartment_graph(spec))
+    q = spec.quotient
+    _check_count(spec, q.num_vertices, q.adjacency[0].bit_count() == 1)
 
 
 def is_coclique(graph, members):

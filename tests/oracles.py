@@ -11,13 +11,14 @@ from collections import deque
 
 import numpy as np
 
+from kneserlab import buildings
 from kneserlab.algebra import (
     Subspace,
     enumerate_subspaces,
     is_totally_singular,
     rref,
 )
-from kneserlab.buildings import _row_blocks, _vertex_count
+from kneserlab.buildings import _vertex_count
 from kneserlab.coclique import _bits
 from kneserlab.coxeter import compose, identity, simple_reflections
 from kneserlab.errors import SearchBudgetExceeded, UsageError
@@ -138,8 +139,9 @@ def edge_rows(n, edges):
     """Adjacency rows, as ints, of the graph on n vertices whose edges are
     the (E, 2) array `edges`, each set both ways. The bits are set in one
     block of unpacked rows at a time, then packed."""
-    width, step = _row_blocks(n)
+    width = -(-n // 8)
     stride = 8 * width
+    step = max(1, buildings._BLOCK_ELEMS // (stride or 1))
     i, j = edges.T
     ends = np.sort(np.concatenate([i * stride + j, j * stride + i]))
     cuts = np.searchsorted(ends, np.arange(0, n + step, step) * stride).tolist()
@@ -152,8 +154,10 @@ def edge_rows(n, edges):
 
 def edges(graph):
     """The edges i < j of a KneserGraph as one (E, 2) array in row order:
-    all of its edge_blocks(), concatenated."""
-    return np.concatenate([np.empty((0, 2), dtype=np.intp), *graph.edge_blocks()])
+    the rows of its later_neighbours(), concatenated."""
+    rows = (np.column_stack((np.full_like(heads, i), heads))
+            for i, heads in graph.later_neighbours())
+    return np.concatenate([np.empty((0, 2), dtype=np.intp), *rows])
 
 
 def check_symmetric_irreflexive(graph):

@@ -330,8 +330,8 @@ CHECKED_SPECS = [
 
 
 def edges_by_bits(graph):
-    """Oracle for KneserGraph.edge_blocks(): the pairs i < j, one row bit at a
-    time, in row order."""
+    """Oracle for KneserGraph.later_neighbours(): the pairs i < j, one row bit
+    at a time, in row order."""
     out = []
     for i, row in enumerate(graph.adjacency):
         bits = row >> (i + 1) << (i + 1)
@@ -357,9 +357,13 @@ def test_edges_match_per_bit_oracle(monkeypatch, block):
         pairs = edges(g)
         assert pairs.shape == (g.num_edges(), 2)
         assert pairs.tolist() == edges_by_bits(g)
-        # Each block the renders write from lies within one block of rows.
-        step = buildings._row_blocks(g.num_vertices)[1]
-        assert all(b[-1, 0] - b[0, 0] < step for b in g.edge_blocks() if len(b))
+        # The rows the renders write, which edges() concatenates: tails
+        # strictly increasing, each row's heads ascending and above its
+        # tail, and no empty row.
+        rows = list(g.later_neighbours())
+        tails = [i for i, _ in rows]
+        assert tails == sorted(set(tails))
+        assert all(len(h) and h[0] > i and (np.diff(h) > 0).all() for i, h in rows)
         assert check_symmetric_irreflexive(g)
         i, j = pairs[-1]
         assert g.is_adjacent(i, j) and g.is_adjacent(j, i)
@@ -637,7 +641,8 @@ def test_vertex_index_out_of_range_is_refused():
                  lambda: g.is_adjacent(0, -1)):
         with pytest.raises(UsageError, match="out of range for 35 vertices"):
             call()
-    a, b = next(g.edge_blocks())[0]
+    a, heads = next(g.later_neighbours())
+    b = heads[0]
     assert g.is_adjacent(a, b) and g.is_adjacent(np.int64(b), np.int64(a))
     # A float raised a bare TypeError, True named vertex 1, and "1" raised
     # TypeError from the range test.

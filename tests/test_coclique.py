@@ -787,6 +787,21 @@ def test_check_apartment_counts_as_the_built_sigma(monkeypatch, family, n, types
         assert "has %d vertices and %d maximal" % (size, 2 ** (size // 2)) in str(exc.value)
 
 
+@pytest.mark.parametrize("family,n,types,p", POSITIVE_GRID + NEGATIVE_GRID)
+def test_check_apartment_makes_no_rows(monkeypatch, family, n, types, p):
+    # Sigma's size and shape come from the coset quotient: no adjacency row
+    # is made, whether the count passes or is refused.
+    def never(*args):
+        raise AssertionError("adjacency rows made")
+
+    spec = BuildingSpec(family, n, p, types)
+    monkeypatch.setattr(buildings, "_rows", never)
+    check_apartment(spec)
+    monkeypatch.setattr(coclique, "MAX_COCLIQUES", 0)
+    with pytest.raises(UsageError, match="maximal cocliques, more than the limit of 0"):
+        check_apartment(spec)
+
+
 def test_sigma_generator_that_breaks_the_matching_is_a_defect():
     # Sigma = {0, 1} + {2, 3}; swapping positions 1 and 2 maps the pair
     # {0, 1} to {0, 2}, no pair, so a generator's table cannot be made.
