@@ -273,7 +273,10 @@ def vertex_lists(flag):
 class KneserGraph:
     """Vertex list + bit-vector adjacency + marked apartment subset.
 
-    Immutable, since built graphs are cached and shared by every caller.
+    Immutable, since built graphs are cached and shared by every caller. A
+    row that holds its own bit is refused, so no vertex is adjacent to
+    itself. Rows are not checked for symmetry: that is a pass over all N^2
+    bits on every build, at a cost not yet measured.
     """
 
     spec: BuildingSpec
@@ -290,6 +293,9 @@ class KneserGraph:
         object.__setattr__(self, "adjacency", tuple(self.adjacency))
         object.__setattr__(self, "sigma", tuple(sorted(self.sigma)))
         object.__setattr__(self, "sigma_generators", tuple(map(tuple, self.sigma_generators)))
+        for v, row in enumerate(self.adjacency):
+            if row >> v & 1:
+                raise UsageError("vertex %d is adjacent to itself: its row holds its own bit" % v)
 
     @property
     def num_vertices(self):

@@ -3,12 +3,14 @@
 The UCEP verdict for a graph pair (Gamma, Sigma) is decided per maximal
 coclique C of Sigma by a direct adjacency scan of the extension set D
 (all vertices nonadjacent to every member of C): the property holds iff
-no D contains an edge. On a built graph the Weyl group acts on Sigma by
-graph automorphisms, so one C per orbit decides the orbit; the scan
-meets the orbits' least members in sorted order and stops at the first D
-with an edge. The span criterion through the
-Pluecker embedding is sufficient but not necessary, so it lives in a
-separate instrument (span_check) and never decides the verdict. It reads
+no D contains an edge. Every Sigma takes one path: its maximal cocliques
+are one array of masks from one walk, each is labelled with the least
+member of its orbit under the generators the graph stores (on a built
+graph the Weyl group acts on Sigma by graph automorphisms, so one C per
+orbit decides the orbit), and the scan meets the orbits' least members in
+sorted order and stops at the first D with an edge. The span criterion
+through the Pluecker embedding is sufficient but not necessary, so it
+lives in a separate instrument (span_check) and never decides the verdict. It reads
 the graph's psi (KneserGraph._psi), the matrix of the vertices' Pluecker
 coordinates, and tests a coclique with the annihilator of the RREF of
 psi(C) and one product.
@@ -31,9 +33,9 @@ from .coxeter import _bits
 from .errors import SearchBudgetExceeded, UsageError
 
 # Most maximal cocliques of Sigma an exhaustive decision may meet: each
-# transversal of a matching gets a uint32 orbit label, 16 MiB at the
-# limit. D5 lines over F_2 has 2^20. No Sigma of more than 44 vertices
-# passes _check_count.
+# gets a uint32 orbit label, 16 MiB at the limit. D5 lines over F_2 has
+# 2^20. No Sigma of more than 44 vertices passes _check_count, so a mask of
+# Sigma positions fits a uint64, and a uint32 up to 32 vertices.
 MAX_COCLIQUES = 1 << 22
 
 # Largest sample count: every sampled coclique is kept and sorted. 2^16 is
@@ -47,92 +49,105 @@ def _sigma_neighbours(graph):
     return [sum(1 << b for b, w in enumerate(sigma) if adjacency[v] >> w & 1) for v in sigma]
 
 
+def _sigma_cocliques(graph):
+    """All maximal cocliques of Sigma, as masks of Sigma positions with
+    position i at bit |Sigma|-1-i, in sorted order (so descending), after
+    the refusal of _check_count. Sigma is a matching iff each member's row,
+    masked to Sigma, has one bit; the count is read before any other work.
+
+    One walk over the positions in increasing order keeps (taken, blocked)
+    per partial coclique: a blocked position passes, a free one is taken,
+    and is also skipped just after if a later neighbour may still cover
+    it. A state ends once a skipped position's last neighbour has passed
+    and left it neither taken nor blocked, so the states left at the end
+    are the maximal cocliques. Taking before skipping keeps the sorted
+    order, since no maximal coclique is a proper prefix of another."""
+    sigma, mask = graph.sigma, graph.sigma_mask()
+    m = len(sigma)
+    _check_count(graph.spec, m, all((graph.adjacency[v] & mask).bit_count() == 1 for v in sigma))
+    dtype = np.uint32 if m <= 32 else np.uint64
+    nbrs = _sigma_neighbours(graph)
+    taken, blocked = np.zeros(1, dtype), np.zeros(1, dtype)
+    for i, nbr in enumerate(nbrs):
+        bit, row = 1 << m - 1 - i, sum(1 << m - 1 - j for j in _bits(nbr))
+        # The earlier neighbours whose last neighbour is i.
+        due = sum(1 << m - 1 - j for j in _bits(nbr) if j < i and nbrs[j].bit_length() == i + 1)
+        take = (blocked & bit) == 0
+        skip = take & (blocked & row & bit - 1 != row & bit - 1)
+        if skip.any():
+            counts = skip + np.uint8(1)
+            take = take.repeat(counts)
+            take[np.cumsum(counts)[skip] - 1] = False
+            taken, blocked = taken.repeat(counts), blocked.repeat(counts)
+        take = take.astype(dtype)
+        taken |= take * dtype(bit)
+        blocked |= take * dtype(row)
+        if due and not (keep := (taken | blocked) & due == due).all():
+            taken, blocked = taken[keep], blocked[keep]
+    return taken
+
+
 def maximal_cocliques_sigma(graph):
     """All maximal cocliques of the apartment subgraph, as sorted tuples
-    of graph vertex indices, in sorted order. On a perfect matching they
-    are its transversals, taken in ascending order (_transversals).
-    Otherwise depth first over Sigma, taking each vertex before skipping
-    it: a vertex next to a taken one is skipped, a free one only if a
-    later neighbour may cover it, and a leaf counts if each skipped vertex
-    has a taken neighbour. No maximal coclique is a proper prefix of
-    another."""
-    _, pairs = _check_sigma(graph)
-    if pairs is not None:
-        return list(_transversals(graph.sigma, pairs, range(1 << len(pairs))))
-    sigma, out = graph.sigma, []
-    npos = len(sigma)
-    nbrs = _sigma_neighbours(graph)
+    of graph vertex indices, in sorted order (_sigma_cocliques)."""
+    return _decode(graph, _sigma_cocliques(graph))
 
-    def step(i, taken, blocked, skipped):
-        while i < npos and blocked >> i & 1:
-            i += 1
-        if i == npos:
-            if not skipped & ~blocked:
-                out.append(tuple(sigma[j] for j in _bits(taken)))
-            return
-        bit = 1 << i
-        step(i + 1, taken | bit, blocked | nbrs[i], skipped)
-        if nbrs[i] >> (i + 1):
-            step(i + 1, taken, blocked, skipped | bit)
 
-    step(0, 0, 0, 0)
+def _decode(graph, masks):
+    """Masks of Sigma positions (position i at bit |Sigma|-1-i) as sorted
+    tuples of vertex indices: each the sum, highest byte first, of one
+    table entry per byte of the mask, from a table of 256 tuples per byte."""
+    sigma, m = graph.sigma, len(graph.sigma)
+    out = [()] * len(masks)
+    for lo in range(m - 1 - (m - 1) % 8, -1, -8):
+        table = [tuple(sigma[m - 1 - b] for b in range(min(lo + 7, m - 1), lo - 1, -1)
+                       if x >> b - lo & 1) for x in range(256)]
+        out = list(map(tuple.__add__, out, map(table.__getitem__, (masks >> lo & 255).tolist())))
     return out
 
 
-def _transversals(sigma, pairs, xs):
-    """The cocliques that the transversals xs of a matching name (see
-    _orbit_representatives), each a sorted tuple of vertex indices, in the
-    order of xs."""
-    m = len(pairs)
-    ends = [((sigma[a], sigma[b]), m - 1 - t) for t, (a, b) in enumerate(pairs)]
-    return (tuple(sorted([end[x >> shift & 1] for end, shift in ends])) for x in xs)
+def _orbit_representatives(masks, generators):
+    """The indices of the masks (from _sigma_cocliques, in sorted order)
+    that are least in their orbit under the group the generators,
+    permutations of Sigma positions, generate.
 
-
-def _orbit_representatives(pairs, generators):
-    """The transversals of a matching that are least in their orbit under
-    the group the generators (permutations of Sigma positions) generate,
-    ascending. A transversal is an m-bit integer whose bit m-1-t is 0 if
-    it takes a_t of pair t, 1 if b_t, so ascending integers are the sorted
-    order of the cocliques.
-
-    Each transversal is labelled with the least member of its orbit:
-    labels start as the transversals themselves, then take the least of
-    their images' labels and their own label's label, until none moves.
-    A generator maps pair t to a pair t' and keeps or flips its bit, so
-    its images of all transversals are the outer OR of one table per byte."""
-    m = len(pairs)
-    side = {a: (t, 0) for t, (a, _) in enumerate(pairs)}
-    side.update({b: (t, 1) for t, (_, b) in enumerate(pairs)})
+    Each mask is labelled with the index of the least member of its orbit:
+    labels start as the indices themselves, then take the least of their
+    images' labels and their own label's label, until none moves. A
+    generator's images of all masks are an OR of one table per byte, each
+    found by searchsorted in the masks reversed, which ascend."""
+    n = len(masks)
+    ascending, byte = masks[::-1], np.arange(256, dtype=masks.dtype)
     images = []
     for perm in generators:
-        image = np.zeros(1, dtype=np.uint32)
-        for hi in range(m, 0, -8):
-            lo = max(0, hi - 8)
-            byte = np.arange(1 << (hi - lo), dtype=np.uint32)
+        m = len(perm)
+        image = np.zeros_like(masks)
+        for lo in range(0, m, 8):
             table = np.zeros_like(byte)
-            for q in range(lo, hi):
-                a, b = pairs[m - 1 - q]
-                t, flip = side[perm[a]]
-                if side[perm[b]] != (t, 1 - flip):
-                    raise RuntimeError("a Sigma generator does not keep the matching")
-                table |= ((byte >> (q - lo) & 1) ^ flip) << (m - 1 - t)
-            image = np.bitwise_or.outer(image, table).ravel()
-        images.append(image)
-    xs = np.arange(1 << m, dtype=np.uint32)
-    labels = xs.copy()
+            for b in range(lo, min(lo + 8, m)):
+                table |= (byte >> b - lo & 1) << m - 1 - perm[m - 1 - b]
+            image |= table[masks >> lo & 255]
+        at = np.searchsorted(ascending, image)
+        if not np.array_equal(ascending.take(at, mode="clip"), image):
+            raise RuntimeError("a Sigma generator does not map the maximal cocliques of Sigma "
+                               "onto themselves")
+        del image
+        np.subtract(n - 1, at, out=at)
+        images.append(at.astype(np.uint32))
+    labels = np.arange(n, dtype=np.uint32)
     while True:
         before = labels.copy()
         for image in images:
             np.minimum(labels, labels.take(image), out=labels)
         labels = labels.take(labels)
         if np.array_equal(labels, before):
-            return np.flatnonzero(labels == xs)
+            return np.flatnonzero(labels == np.arange(n, dtype=np.uint32))
 
 
 def _check_count(spec, size, matching):
-    """The number of maximal cocliques of a Sigma of `size` vertices,
-    refused past MAX_COCLIQUES: 2^(size/2) on a perfect matching, else
-    Moon and Moser's bound, 3^(size/3) for a multiple of 3."""
+    """Refuse a Sigma of `size` vertices with more maximal cocliques than
+    MAX_COCLIQUES: 2^(size/2) on a perfect matching, else at most Moon and
+    Moser's bound, 3^(size/3) for a multiple of 3."""
     if matching:
         count = 1 << size // 2
     else:
@@ -143,24 +158,6 @@ def _check_count(spec, size, matching):
                          "more than the limit of %d; use sampling mode"
                          % (spec.to_dict(), size, "" if matching else "at most ", count,
                             MAX_COCLIQUES))
-    return count
-
-
-def _check_sigma(graph):
-    """_check_count of graph.sigma, and, if Sigma is a perfect matching,
-    its pairs (a, b), a < b, of Sigma positions in order of a; else None.
-    Sigma is a matching iff each member's row, masked to Sigma, has one
-    bit. The pairs are read only once the count passes, so a large Sigma
-    is refused at once."""
-    sigma, mask = graph.sigma, graph.sigma_mask()
-    rows = [graph.adjacency[v] & mask for v in sigma]
-    matching = all(row.bit_count() == 1 for row in rows)
-    count = _check_count(graph.spec, len(sigma), matching)
-    if not matching:
-        return count, None
-    position = {v: a for a, v in enumerate(sigma)}
-    mates = (position[row.bit_length() - 1] for row in rows)
-    return count, [(a, b) for a, b in enumerate(mates) if a < b]
 
 
 def check_apartment(spec):
@@ -177,10 +174,10 @@ def check_apartment(spec):
 
 def is_coclique(graph, members):
     """Whether no two members, vertex indices below N, are adjacent: each is
-    gated once, and no member's row, its own bit excluded, meets their mask."""
+    gated once, and no member's row (none holds its own bit) meets their mask."""
     members = [graph._vertex(v) for v in members]
     mask = sum(1 << v for v in set(members))
-    return not any(graph.adjacency[v] & mask & ~(1 << v) for v in members)
+    return not any(graph.adjacency[v] & mask for v in members)
 
 
 def _extension(graph, members):
@@ -276,23 +273,18 @@ def check_scan_args(mode, samples, seed):
 def check_ucep(graph, mode="all", samples=None, seed=None):
     """Decide the unique coclique extension property for (Gamma, Sigma).
 
-    Exhaustively, on a Sigma that is a perfect matching, one transversal
-    per orbit of graph.sigma_generators is scanned: automorphisms that fix
-    Sigma map D(C) to D(wC), so the orbit's least member decides it. They
-    are scanned in ascending order, so the first that fails is the least
-    witness: every coclique before it lies in an orbit whose least member
-    came earlier and held. The count is 2^(|Sigma|/2). Any other Sigma has
-    its cocliques listed and scanned one by one. A sample with no
+    Exhaustively, one maximal coclique of Sigma per orbit of
+    graph.sigma_generators is scanned: automorphisms that fix Sigma map D(C)
+    to D(wC), so the orbit's least member decides it. They are scanned in
+    sorted order, so the first that fails is the least witness: every
+    coclique before it lies in an orbit whose least member came earlier and
+    held. The count is that of all maximal cocliques. A sample with no
     violation proves nothing, so its verdict is no_violation_found."""
     check_scan_args(mode, samples, seed)
     if mode == "all":
-        checked, pairs = _check_sigma(graph)
-        if pairs is not None:
-            cocliques = _transversals(graph.sigma, pairs, _orbit_representatives(
-                pairs, graph.sigma_generators).tolist())
-        else:
-            cocliques = maximal_cocliques_sigma(graph)
-            checked = len(cocliques)
+        masks = _sigma_cocliques(graph)
+        cocliques = _decode(graph, masks[_orbit_representatives(masks, graph.sigma_generators)])
+        checked = len(masks)
     else:
         seed = 0 if seed is None else seed
         cocliques = sorted(sample_maximal_cocliques(graph, samples, seed))

@@ -377,9 +377,12 @@ def test_check_symmetric_irreflexive_finds_bad_bits(monkeypatch, block):
     k = next(v for v in range(g.num_vertices) if not g.adjacency[v] >> v + 1 & 1)
 
     def changed(row, bit):
+        # The rows are set past the constructor, which refuses a self-loop.
         rows = list(g.adjacency)
         rows[row] ^= 1 << bit
-        return buildings.KneserGraph(g.spec, g.vertices, rows, g.sigma)
+        bad = buildings.KneserGraph(g.spec, g.vertices, g.adjacency, g.sigma)
+        object.__setattr__(bad, "adjacency", tuple(rows))
+        return bad
 
     assert not check_symmetric_irreflexive(changed(0, 0))      # self-loop
     assert not check_symmetric_irreflexive(changed(i, j))      # upper bit without its mirror

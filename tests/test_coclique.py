@@ -111,9 +111,9 @@ def test_vertex_indices_out_of_range_are_refused():
 @pytest.mark.parametrize("seed", range(3))
 def test_coclique_and_extension_set_match_the_pairwise_oracle(seed):
     # Member lists drawn with repeats, passed as a list and as an iterator,
-    # on a built graph and on a hand-built one whose rows 0 and 5 hold their
-    # own bit: the mask rule leaves that bit out of the coclique test, and
-    # D(C) leaves such a member out, as the oracles do.
+    # on a built graph and on a hand-built one. Rows 0 and 5 first hold
+    # their own bit, which KneserGraph refuses by the vertex; the graph is
+    # then built with those bits cleared.
     rng = random.Random(seed)
     n = 12
     rows = [0] * n
@@ -121,10 +121,14 @@ def test_coclique_and_extension_set_match_the_pairwise_oracle(seed):
         if rng.random() < 0.3:
             rows[a] |= 1 << b
             rows[b] |= 1 << a
-    rows[0] |= 1
-    rows[5] |= 1 << 5
-    hand = KneserGraph(BuildingSpec("A", 2, 2, (1,)), [(Subspace.coordinate([0], 3, 2),)] * n,
-                       rows, range(n))
+    points = [(Subspace.coordinate([0], 3, 2),)] * n
+    for v in (0, 5):
+        rows[v] |= 1 << v
+        with pytest.raises(UsageError, match="^vertex %d is adjacent to itself: its row holds "
+                           "its own bit$" % v):
+            KneserGraph(BuildingSpec("A", 2, 2, (1,)), points, rows, range(n))
+        rows[v] &= ~(1 << v)
+    hand = KneserGraph(BuildingSpec("A", 2, 2, (1,)), points, rows, range(n))
     assert is_coclique(hand, [0, 0, 5]) == (not rows[0] >> 5 & 1)
     built = build_graph(BuildingSpec("A", 4, 2, (2,)))
     pools = [(hand, list(range(n)) + [0, 5] * 3)]
@@ -551,8 +555,8 @@ def test_span_check_answers_on_flags_and_unbuilt_types():
 
 
 # Span per cell, as data: on how many of the cell's orbit representatives
-# (the least transversal of each orbit; every Sigma here is a matching)
-# span holds, out of how many. Span implies UCEP, not the converse:
+# (the least maximal coclique of Sigma in each orbit) span holds, out of
+# how many. Span implies UCEP, not the converse:
 # Lambda^k is not the spin or Lagrangian module, so span fails on maximal
 # spaces where UCEP holds, and on every `fails` cell.
 SPAN_RECORD = [
@@ -576,9 +580,9 @@ SPAN_RECORD = [
 def test_span_record_per_cell(family, n, types, p, held, orbits):
     # Where span holds, D(C) has no edge, on every spec.
     g = build_graph(BuildingSpec(family, n, p, types))
-    pairs = coclique._check_sigma(g)[1]
-    reps = coclique._orbit_representatives(pairs, g.sigma_generators).tolist()
-    cocliques = list(coclique._transversals(g.sigma, pairs, reps))
+    masks = coclique._sigma_cocliques(g)
+    cocliques = coclique._decode(g, masks[coclique._orbit_representatives(
+        masks, g.sigma_generators)])
     spans = [span_check(g, c) for c in cocliques]
     assert (sum(spans), len(cocliques)) == (held, orbits)
     for c, span in zip(cocliques, spans):
@@ -617,7 +621,8 @@ def adjacency_bits(graph):
 
 @pytest.mark.parametrize("family,n,types,p", [
     ("D", 4, (2,), 2), ("D", 4, (3, 4), 2), ("D", 4, (4,), 2), ("A", 4, (2, 3), 2),
-    ("B", 3, (2,), 3), ("C", 3, (3,), 3), ("G", 2, (1,), 3),
+    ("B", 3, (2,), 3), ("C", 3, (3,), 3), ("G", 2, (1,), 3), ("A", 4, (2,), 2),
+    ("A", 3, (1,), 3),
 ])
 def test_sigma_generators_are_graph_automorphisms(family, n, types, p):
     # Each stored generator against a monomial matrix built from the
@@ -642,24 +647,32 @@ def test_sigma_generators_are_graph_automorphisms(family, n, types, p):
 
 @pytest.mark.parametrize("family,n,types,p,orbits", [
     ("D", 4, (2,), 2, 18), ("D", 4, (3, 4), 2, 237), ("A", 4, (2, 3), 2, 324),
-    ("A", 5, (1, 5), 2, 56),
+    ("A", 5, (1, 5), 2, 56), ("A", 4, (2,), 2, 2), ("A", 6, (3,), 2, 15),
 ])
 def test_orbit_counts_pinned(monkeypatch, family, n, types, p, orbits):
-    # A holding cell scans one coclique per orbit; the orbits of D4 lines
-    # are also the oracle's, from the monomial matrices.
+    # A holding cell scans one coclique per orbit, whether Sigma is a
+    # matching or not (A_4 lines: the Petersen graph, 15 cocliques; A_6
+    # planes: 35 frames, 6127 cocliques). The orbits of D4 lines and A4
+    # lines are also the oracle's, from the monomial matrices.
     g = build_graph(BuildingSpec(family, n, p, types))
-    pairs = coclique._check_sigma(g)[1]
-    reps = coclique._orbit_representatives(pairs, g.sigma_generators)
+    masks = coclique._sigma_cocliques(g)
+    reps = coclique._orbit_representatives(masks, g.sigma_generators)
     assert len(reps) == orbits
-    if (family, n, types) == ("D", 4, (2,)):
+    assert len(masks) == {("A", 4, (2,)): 15, ("A", 6, (3,)): 6127}.get(
+        (family, n, types), 2 ** (len(g.sigma) // 2))
+    scanned = record_scans(monkeypatch)
+    report = check_ucep(g)
+    assert report.cocliques_checked == len(masks)
+    if report.verdict == "holds":
+        assert len(scanned) == orbits
+    if (family, n, types) in (("D", 4, (2,)), ("A", 4, (2,))):
         perms = automorphism_permutations(g, monomial_generators(g.spec))
         met, first = set(), []
         for c in sigma_cocliques_by_bron_kerbosch(g):
             if c not in met:
                 met |= orbit(c, perms)
                 first.append(c)
-        scanned = record_scans(monkeypatch)
-        assert check_ucep(g).verdict == "holds"
+        assert report.verdict == "holds"
         assert scanned == [extension_set(g, c) for c in first]
 
 
@@ -774,8 +787,9 @@ def test_check_apartment_counts_as_the_built_sigma(monkeypatch, family, n, types
     spec = BuildingSpec(family, n, p, types)
     g = build_graph(spec)
     check_apartment(spec)
-    matching = coclique._check_sigma(g)[1] is not None
-    listed = None if matching else maximal_cocliques_sigma(g)
+    mask = g.sigma_mask()
+    matching = all((g.adjacency[v] & mask).bit_count() == 1 for v in g.sigma)
+    listed = maximal_cocliques_sigma(g)
     monkeypatch.setattr(coclique, "MAX_COCLIQUES", 0)
     with pytest.raises(UsageError) as exc:
         check_apartment(spec)
@@ -784,7 +798,8 @@ def test_check_apartment_counts_as_the_built_sigma(monkeypatch, family, n, types
         most = re.search("has %d vertices and at most ([0-9]+) maximal" % size, str(exc.value))
         assert len(listed) <= int(most.group(1))
     else:
-        assert "has %d vertices and %d maximal" % (size, 2 ** (size // 2)) in str(exc.value)
+        assert "has %d vertices and %d maximal" % (size, len(listed)) in str(exc.value)
+        assert len(listed) == 2 ** (size // 2)
 
 
 @pytest.mark.parametrize("family,n,types,p", POSITIVE_GRID + NEGATIVE_GRID)
@@ -802,11 +817,58 @@ def test_check_apartment_makes_no_rows(monkeypatch, family, n, types, p):
         check_apartment(spec)
 
 
+GENERATOR_DEFECT = ("^a Sigma generator does not map the maximal cocliques of Sigma "
+                    "onto themselves$")
+
+
 def test_sigma_generator_that_breaks_the_matching_is_a_defect():
-    # Sigma = {0, 1} + {2, 3}; swapping positions 1 and 2 maps the pair
-    # {0, 1} to {0, 2}, no pair, so a generator's table cannot be made.
+    # Sigma = {0, 1} + {2, 3}; swapping positions 1 and 2 maps the
+    # transversal {0, 2} to {0, 1}, no coclique, so the image has no label.
     points = [(u,) for u in enumerate_subspaces(3, 1, 2)][:4]
     g = KneserGraph(BuildingSpec("A", 2, 2, (1,)), points, [0b10, 0b1, 0b1000, 0b100], range(4),
                     [[0, 2, 1, 3]])
-    with pytest.raises(RuntimeError, match="^a Sigma generator does not keep the matching$"):
+    with pytest.raises(RuntimeError, match=GENERATOR_DEFECT):
         check_ucep(g)
+
+
+def test_path_sigma_labelled_by_its_generators(monkeypatch):
+    # Sigma is the path 0 - 1 - 2, no matching: its maximal cocliques are
+    # {0, 2} and {1}. Swapping positions 0 and 1 maps {0, 2} to {1, 2}, an
+    # edge, so it is no automorphism and the labeller refuses it. With no
+    # generators both cocliques are scanned, in sorted order.
+    points = [(u,) for u in enumerate_subspaces(3, 1, 2)][:3]
+    rows = [0b10, 0b101, 0b10]
+    g = KneserGraph(BuildingSpec("A", 2, 2, (1,)), points, rows, range(3), [[1, 0, 2]])
+    assert maximal_cocliques_sigma(g) == [(0, 2), (1,)]
+    with pytest.raises(RuntimeError, match=GENERATOR_DEFECT):
+        check_ucep(g)
+    g = KneserGraph(BuildingSpec("A", 2, 2, (1,)), points, rows, range(3))
+    scanned = record_scans(monkeypatch)
+    report = check_ucep(g)
+    assert (report.verdict, report.cocliques_checked) == ("holds", 2)
+    assert scanned == [extension_set(g, c) for c in [(0, 2), (1,)]]
+
+
+@pytest.mark.parametrize("n,steps", [(20, (1, 2)), (34, (1,)), (36, (1, 3))])
+def test_walk_and_labels_on_circulant_sigmas(monkeypatch, n, steps):
+    # A hand-built circulant Sigma, v next to v +- s for each step s, with
+    # the rotation v -> v + 1 as its one generator. The walk lists the
+    # oracle's cocliques in its sorted order, past 32 positions too, where
+    # on a cycle a skipped vertex whose last neighbour passed uncovered ends
+    # its state. Every D(C) is C, so UCEP holds, and check_ucep scans the
+    # first coclique of each rotation orbit.
+    rows = [sum(1 << (v + s) % n | 1 << (v - s) % n for s in steps) for v in range(n)]
+    rotation = [(v + 1) % n for v in range(n)]
+    g = KneserGraph(BuildingSpec("A", 2, 2, (1,)), [(Subspace.coordinate([0], 3, 2),)] * n,
+                    rows, range(n), [rotation])
+    want = sigma_cocliques_by_bron_kerbosch(g)
+    assert maximal_cocliques_sigma(g) == want
+    met, first = set(), []
+    for c in want:
+        if c not in met:
+            met |= orbit(c, [np.array(rotation)])
+            first.append(c)
+    scanned = record_scans(monkeypatch)
+    report = check_ucep(g)
+    assert (report.verdict, report.cocliques_checked) == ("holds", len(want))
+    assert scanned == [extension_set(g, c) for c in first]
