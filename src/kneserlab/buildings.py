@@ -273,10 +273,12 @@ def vertex_lists(flag):
 class KneserGraph:
     """Vertex list + bit-vector adjacency + marked apartment subset.
 
-    Immutable, since built graphs are cached and shared by every caller. A
-    row that holds its own bit is refused, so no vertex is adjacent to
-    itself. Rows are not checked for symmetry: that is a pass over all N^2
-    bits on every build, at a cost not yet measured.
+    Immutable, since built graphs are cached and shared by every caller.
+    Refused at construction by the offender, in O(N) at most: a row count
+    other than N; a row that holds its own bit or is no mask of vertices
+    0..N-1; a Sigma entry that is no distinct vertex index; a generator
+    that is no permutation of the Sigma positions, as ints. Rows are not
+    checked for symmetry: a pass over all N^2 bits, cost unmeasured.
     """
 
     spec: BuildingSpec
@@ -291,11 +293,28 @@ class KneserGraph:
     def __post_init__(self):
         object.__setattr__(self, "vertices", tuple(self.vertices))
         object.__setattr__(self, "adjacency", tuple(self.adjacency))
-        object.__setattr__(self, "sigma", tuple(sorted(self.sigma)))
-        object.__setattr__(self, "sigma_generators", tuple(map(tuple, self.sigma_generators)))
+        n = len(self.vertices)
+        sigma = sorted(check_index(i, n, "Sigma vertex", "vertices") for i in self.sigma)
+        gens = tuple(tuple(check_index(j, len(sigma), "Sigma position", "positions") for j in s)
+                     for s in self.sigma_generators)
+        object.__setattr__(self, "sigma", tuple(sigma))
+        object.__setattr__(self, "sigma_generators", gens)
+        if len(self.adjacency) != n:
+            raise UsageError("%d adjacency rows for %d vertices: each vertex has one row"
+                             % (len(self.adjacency), n))
         for v, row in enumerate(self.adjacency):
             if row >> v & 1:
                 raise UsageError("vertex %d is adjacent to itself: its row holds its own bit" % v)
+            if row < 0 or row.bit_length() > n:
+                raise UsageError("the row of vertex %d is not a mask of vertices 0..%d"
+                                 % (v, n - 1))
+        for a, b in zip(sigma, sigma[1:]):
+            if a == b:
+                raise UsageError("Sigma vertex %d is listed twice" % a)
+        for g, s in enumerate(gens):
+            if sorted(s) != list(range(len(sigma))):
+                raise UsageError("Sigma generator %d is not a permutation of the %d Sigma "
+                                 "positions" % (g, len(sigma)))
 
     @property
     def num_vertices(self):
@@ -592,7 +611,8 @@ def _vertex_count(spec, q=None):
 
 
 def apartment_graph(spec):
-    """Frame-objects-only graph, for coset cross-validation.
+    """Frame-objects-only graph, for coset cross-validation: its vertices
+    are sorted(spec.frames), one per coset of spec.quotient.
 
     Same geometric adjacency rules as build_graph, evaluated only on the
     coordinate-frame objects, so large buildings never need to be

@@ -196,9 +196,9 @@ def _quotient(family, n, types):
 
 def quotient(family, n, types):
     """The ParabolicQuotient of W(family_n) by a sorted type tuple, made
-    once and shared (the cache is quotient.__wrapped__): the geometries'
-    frames and cross_validate read it. The types are checked first, as the
-    cache would take (True,) for the (1,) it equals."""
+    once and shared (the cache is quotient.__wrapped__): BuildingSpec.quotient
+    reads it, for the frames and for cross_validate. The types are checked
+    first, as the cache would take (True,) for the (1,) it equals."""
     return _quotient(family, n, _int_types(types))
 
 

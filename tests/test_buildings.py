@@ -659,6 +659,54 @@ def test_vertex_index_out_of_range_is_refused():
     assert g.num_edges() == len(edges(g))
 
 
+def test_fold_generator_is_refused():
+    # A "generator" of B_3 lines F_3 that maps each Sigma pair onto its
+    # lower position is no permutation, yet it passes the orbit labeller's
+    # image check: unrefused, check_ucep reports holds with 64 cocliques
+    # where the built graph fails.
+    g = build_graph(BuildingSpec("B", 3, 3, (2,)))
+    fold = (0, 1, 1, 0, 4, 5, 6, 7, 5, 4, 7, 6)
+    with pytest.raises(UsageError, match="^Sigma generator 0 is not a permutation of the 12 "
+                       "Sigma positions$"):
+        KneserGraph(g.spec, g.vertices, g.adjacency, g.sigma, [fold])
+    # A true generator written in floats: unrefused, check_ucep raises
+    # TypeError from numpy.
+    floats = [float(j) for j in g.sigma_generators[0]]
+    with pytest.raises(UsageError, match="^Sigma position index %r is a float, not an integer$"
+                       % floats[0]):
+        KneserGraph(g.spec, g.vertices, g.adjacency, g.sigma, [floats])
+
+
+@pytest.mark.parametrize("change,message", [
+    (lambda rows, sigma: (rows[:6], sigma), "^6 adjacency rows for 7 vertices: each vertex has "
+     "one row$"),
+    (lambda rows, sigma: (rows[:3] + [rows[3] | 1 << 7] + rows[4:], sigma),
+     "^the row of vertex 3 is not a mask of vertices 0..6$"),
+    (lambda rows, sigma: (rows[:3] + [rows[3] | 1 << 8] + rows[4:], sigma),
+     "^the row of vertex 3 is not a mask of vertices 0..6$"),
+    (lambda rows, sigma: ([-2] + rows[1:], sigma), "^the row of vertex 0 is not a mask of "
+     "vertices 0..6$"),
+    (lambda rows, sigma: (rows, [0, 1, -1]), "^Sigma vertex index -1 is out of range for 7 "
+     "vertices$"),
+    (lambda rows, sigma: (rows, [0, 1, 99]), "^Sigma vertex index 99 is out of range for 7 "
+     "vertices$"),
+    (lambda rows, sigma: (rows, [0, 0, 1]), "^Sigma vertex 0 is listed twice$"),
+], ids=["too-few-rows", "bit-n", "bit-past-byte", "row-negative", "sigma-negative",
+        "sigma-past-n", "sigma-repeated"])
+def test_malformed_graph_is_refused(change, message):
+    # A_2 points F_2, the Fano plane's 7 points. Unrefused, each input
+    # misleads a later reader: with 6 of the 7 rows check_ucep reports
+    # holds, and with Sigma (0, 0, 1) it counts 2 cocliques, not 3; a bit
+    # at N leaves num_edges at 21, and one past the row's last byte makes
+    # the DIMACS render raise OverflowError; a negative row reads as every
+    # bit set from some point on; a Sigma entry -1 raises ValueError, and
+    # 99 IndexError.
+    g = build_graph(BuildingSpec("A", 2, 2, (1,)))
+    rows, sigma = change(list(g.adjacency), list(g.sigma))
+    with pytest.raises(UsageError, match=message):
+        KneserGraph(g.spec, g.vertices, rows, sigma)
+
+
 @pytest.mark.parametrize("family,n,types,p", [
     ("D", 4, (1, 2, 3), 2), ("D", 4, (1, 2), 2), ("D", 4, (2, 4), 2),
     ("B", 3, (2, 3), 3), ("C", 3, (1, 3), 2),

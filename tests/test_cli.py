@@ -416,12 +416,10 @@ def test_cross_validate_size_limits(capsys, monkeypatch):
     # maximal spaces over F_7, with 128 and 1024 frames but 137257 and
     # 47079208 points per frame, past buildings.MAX_POINT_IDS.
     import kneserlab.buildings as buildings
-    import kneserlab.crossval as crossval
 
     def made(*args):
         raise AssertionError("made before the refusal")
 
-    monkeypatch.setattr(crossval, "quotient", made)
     monkeypatch.setattr(buildings, "quotient", made)
     monkeypatch.setattr(buildings.BuildingSpec, "frames", property(made))
     monkeypatch.setattr(buildings, "_rows", made)

@@ -4,16 +4,14 @@ import contextlib
 import hashlib
 import json
 import io
-import types
 
 import pytest
 
 import kneserlab.buildings as buildings
 from kneserlab.buildings import BuildingSpec
 from kneserlab.cli import main
-from kneserlab.coxeter import ParabolicQuotient, quotient, weyl_group
+from kneserlab.coxeter import quotient
 from kneserlab.crossval import cross_validate
-from kneserlab.errors import UsageError
 
 from test_coclique import THEOREM_CELLS
 
@@ -87,29 +85,30 @@ def test_cross_validate_cli_bytes_pinned():
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == CLI_PIN
 
 
-def test_unknown_family_rejected():
-    with pytest.raises(UsageError):
-        cross_validate(BuildingSpec("G", 2, 3, (1,)))
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_g2_cross_validates_through_its_b3_model(p):
+    # G_2 points are the points of the B_3 model: the same cosets, frames
+    # and report, but for the spec's own name.
+    report = cross_validate(BuildingSpec("G", 2, p, (1,)))
+    assert report["ok"], report["mismatch"]
+    b3 = cross_validate(BuildingSpec("B", 3, p, (1,)))
+    assert (report["vertices"], report["edges"]) == (6, 3)
+    assert report == dict(b3, family="G", rank=2, types=[1])
 
 
 def test_flipped_coset_edge_is_the_mismatch(capsys, monkeypatch):
     # One edge of the coset graph of A_4 type 2 (the Petersen graph), its
-    # last, removed from both rows: cross_validate names that pair as the
-    # first adjacency mismatch, and the CLI prints the report and exits 5.
-    import kneserlab.crossval as crossval
+    # last, removed from both rows of the shared quotient: cross_validate
+    # names that pair as the first adjacency mismatch, and the CLI prints
+    # the report and exits 5.
     from kneserlab.cli import EXIT_CROSSVAL
 
-    a, b = list(quotient("A", 4, (2,)).edges())[-1]
-
-    def flipped(family, n, types):
-        q = ParabolicQuotient(weyl_group(family, n), types)
-        rows = list(q.adjacency)
-        rows[a] ^= 1 << b
-        rows[b] ^= 1 << a
-        vars(q)["adjacency"] = tuple(rows)
-        return q
-
-    monkeypatch.setattr(crossval, "quotient", flipped)
+    q = quotient("A", 4, (2,))
+    a, b = list(q.edges())[-1]
+    rows = list(q.adjacency)
+    rows[a] ^= 1 << b
+    rows[b] ^= 1 << a
+    monkeypatch.setitem(vars(q), "adjacency", tuple(rows))
     report = cross_validate(BuildingSpec("A", 4, 2, (2,)))
     assert report == {"ok": False, "mismatch": {
         "kind": "adjacency", "cosets": [a, b], "coset_adjacent": False,
@@ -139,20 +138,9 @@ def test_cross_validate_decided_cells(monkeypatch, spec):
 
 
 def test_coset_labeling_mismatches_are_reported(monkeypatch):
-    # The reports the coset side can give before any row is compared, each
-    # from a quotient that does not describe A_4 type 2 (10 lines): type 1
-    # has 5 cosets; type 3 has 10, whose 3-sets name no line; and one flag
-    # named ten times maps every coset to one frame.
-    import kneserlab.crossval as crossval
-
-    spec, group = BuildingSpec("A", 4, 2, (2,)), weyl_group("A", 4)
-    points, planes = ParabolicQuotient(group, (1,)), ParabolicQuotient(group, (3,))
-    lines = quotient("A", 4, (2,))
-    repeated = types.SimpleNamespace(num_vertices=10, flags=(lines.flags[0],) * 10,
-                                     representatives=lines.representatives)
-    for fake, mismatch in (
-            (points, {"kind": "vertex_count", "coset": 5, "geometric": 10}),
-            (planes, {"kind": "unmapped_coset", "representative": [1, 2, 3, 4, 5]}),
-            (repeated, {"kind": "labeling_not_injective"})):
-        monkeypatch.setattr(crossval, "quotient", lambda family, n, types: fake)
-        assert cross_validate(spec) == {"ok": False, "mismatch": mismatch}
+    # Frames that name one frame object ten times, for the ten cosets of
+    # A_4 type 2: two cosets map to one geometric vertex.
+    spec = BuildingSpec("A", 4, 2, (2,))
+    repeated = (spec.frames[0],) * 10
+    monkeypatch.setattr(BuildingSpec, "frames", property(lambda self: repeated))
+    assert cross_validate(spec) == {"ok": False, "mismatch": {"kind": "labeling_not_injective"}}
