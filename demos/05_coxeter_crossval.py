@@ -11,21 +11,21 @@ geometry is named by its BuildingSpec.
 from kneserlab import (
     BuildingSpec,
     ParabolicQuotient,
+    WeylGroup,
     check_lifting,
     cross_validate,
     phi_map,
     shortest_double_coset,
-    weyl_group,
 )
 
-w = weyl_group("A", 4)
+w = WeylGroup("A", 4)
 print("|W(A_4)| =", w.order, " w0 =", w.w0)
 q = ParabolicQuotient(w, (2,))
 print("cosets of type {2}:", q.num_vertices,
       "(the Petersen graph: degrees %s)" %
       sorted(bin(r).count("1") for r in q.adjacency))
 
-a3 = weyl_group("A", 3)
+a3 = WeylGroup("A", 3)
 chambers = ParabolicQuotient(a3, (1, 2, 3))
 mid = ParabolicQuotient(a3, (2,))
 phi_map(chambers, mid)

@@ -35,7 +35,6 @@ from .coxeter import (
     check_lifting,
     phi_map,
     shortest_double_coset,
-    weyl_group,
 )
 from .crossval import cross_validate
 from .errors import (

@@ -8,8 +8,9 @@ A BuildingSpec is its geometry: it knows the subspaces that make up a
 vertex, the form they are singular for, and the Weyl group coset
 quotient whose label-set flags name its frame objects. `build_graph`,
 apartment graphs, vertex counts and the coset cross-validation all take
-one. Values keep what they derive in cached properties; a module cache,
-such as `_graph`, is kept only where equal keys must share one object.
+one. Values keep what they derive in cached properties, as a spec does
+its form, coset quotient and frames; the one module cache is `_graph`,
+since a graph is costly and equal specs share one.
 
 Standard forms, fixed once per family:
   D_n: Q(x) = x_1 x_1' + ... + x_n x_n'  on F_p^{2n},
@@ -55,7 +56,7 @@ from .algebra import (
     rank_mod_p,
     rref,
 )
-from .coxeter import _bits, compose, quotient
+from .coxeter import ParabolicQuotient, WeylGroup, _bits, compose
 from .errors import UsageError, check_fields, check_index
 
 FAMILIES = ("A", "B", "C", "D", "G")
@@ -79,7 +80,7 @@ SCHEMA = 1
 class BuildingSpec:
     """One geometry of a building over F_p, checked at construction: field
     types (a bool or float would hash equal to the int spec keying the
-    caches), then ranges, then that the normaliser names it.
+    graph cache), then ranges, then that the normaliser names it.
 
     The normaliser reads the spec. Type A: flags of the type dimensions in
     F_p^{n+1}. G_2 type 1: the points of the B_3 model. B_n, C_n, D_n:
@@ -195,17 +196,18 @@ class BuildingSpec:
         even = rank_mod_p(sub.matrix()[:, 1::2].tolist(), self.dim // 2, self.p) % 2 == 0
         return even == (self.oriflamme == "plus")
 
-    @property
+    @cached_property
     def quotient(self):
-        """The coset quotient whose label-set flags are the frames: W(A_n) in
-        type A, W(D_n) on one D_n family of maximal spaces, and W(B_r) on any
-        other polar form of r pairs (a sign change swaps the two families)."""
+        """The coset quotient whose label-set flags are the frames, made on
+        first use: W(A_n) in type A, W(D_n) on one D_n family of maximal
+        spaces, and W(B_r) on any other polar form of r pairs (a sign change
+        swaps the two families)."""
         family, r = self.family, self.dim // 2
         if family == "A":
-            return quotient("A", self.dim - 1, self.parts)
+            return ParabolicQuotient(WeylGroup("A", self.dim - 1), self.parts)
         if self.oriflamme:
-            return quotient("D", r, self.types)
-        return quotient("B", r, self.parts)
+            return ParabolicQuotient(WeylGroup("D", r), self.types)
+        return ParabolicQuotient(WeylGroup("B", r), self.parts)
 
     def frame(self, flag):
         """Frame object of a flag of label sets, one per part, such as a
@@ -275,10 +277,10 @@ class KneserGraph:
 
     Immutable, since built graphs are cached and shared by every caller.
     Refused at construction by the offender, in O(N) at most: a row count
-    other than N; a row that holds its own bit or is no mask of vertices
-    0..N-1; a Sigma entry that is no distinct vertex index; a generator
-    that is no permutation of the Sigma positions, as ints. Rows are not
-    checked for symmetry: a pass over all N^2 bits, cost unmeasured.
+    other than N; a row that is not an int, holds its own bit or is no mask
+    of vertices 0..N-1; a Sigma entry that is no distinct vertex index; a
+    generator that is no permutation of the Sigma positions, as ints. Rows
+    are not checked for symmetry: a pass over all N^2 bits, cost unmeasured.
     """
 
     spec: BuildingSpec
@@ -303,6 +305,9 @@ class KneserGraph:
             raise UsageError("%d adjacency rows for %d vertices: each vertex has one row"
                              % (len(self.adjacency), n))
         for v, row in enumerate(self.adjacency):
+            if type(row) is not int:
+                raise UsageError("the row of vertex %d must be of type int, not %s"
+                                 % (v, type(row).__name__))
             if row >> v & 1:
                 raise UsageError("vertex %d is adjacent to itself: its row holds its own bit" % v)
             if row < 0 or row.bit_length() > n:

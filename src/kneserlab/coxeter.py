@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from types import MappingProxyType
 
 from .errors import UsageError, check_fields
@@ -64,11 +64,12 @@ def simple_reflections(family, n):
     return tuple(tuple(move.get(j, j) for j in range(1, m + 1)) for move in moves)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, repr=False)
 class WeylGroup:
     """A Weyl group by its simple generators, its longest element w0 and
-    its order: W(family_rank) acts on m letters. The family must be a str
-    and the rank an int."""
+    its order: W(family_rank) acts on m letters, equal to and hashed as
+    any other of its family and rank. The family must be a str and the
+    rank an int."""
 
     family: str
     rank: int
@@ -93,19 +94,16 @@ class WeylGroup:
             object.__setattr__(self, name, value)
 
 
-# typed: a bool or float rank gets its own entry, so it reaches WeylGroup's
-# refusal rather than the entry of the int rank it equals.
-@lru_cache(maxsize=None, typed=True)
-def weyl_group(family, n):
-    return WeylGroup(family, n)
-
-
-def _int_types(types):
-    """types as a tuple, refused unless an iterable of ints."""
+def _types(group, types):
+    """types as a sorted tuple of distinct ints, refused by name unless
+    each is an int node 1..rank of the group's diagram."""
     checked = tuple(types) if hasattr(types, "__iter__") else None
     if checked is None or any(type(j) is not int for j in checked):
         raise UsageError("types must be an iterable of ints, not %r" % (types,))
-    return checked
+    for j in checked:
+        if not 1 <= j <= group.rank:
+            raise UsageError("type %d is not a node 1..%d of the diagram" % (j, group.rank))
+    return tuple(sorted(set(checked)))
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -118,18 +116,16 @@ class ParabolicQuotient:
     on first use, holds its opposites w x w0 X for x in X: w applied to the
     X-orbit of w0X. A coset is its own opposite only if w0 lies in X, that
     is X = W, so the empty type set is refused, as is a group that is not a
-    WeylGroup or a type set that is not of ints."""
+    WeylGroup or a type that is not an int node of its diagram."""
 
     group: WeylGroup
     types: tuple
 
     def __post_init__(self):
         check_fields(self, (("group", WeylGroup),))
-        group, types = self.group, tuple(sorted(set(_int_types(self.types))))
+        group, types = self.group, _types(self.group, self.types)
         if not types:
             raise UsageError("type set must be nonempty")
-        if any(j < 1 or j > group.rank for j in types):
-            raise UsageError("type set not contained in the diagram nodes")
         n, prefixes, flip = group.rank, list(types), False
         if group.family == "D" and n - 1 in types:
             if n in types:
@@ -189,29 +185,13 @@ class ParabolicQuotient:
                 yield (i, j)
 
 
-@lru_cache(maxsize=None, typed=True)
-def _quotient(family, n, types):
-    return ParabolicQuotient(weyl_group(family, n), types)
-
-
-def quotient(family, n, types):
-    """The ParabolicQuotient of W(family_n) by a sorted type tuple, made
-    once and shared (the cache is quotient.__wrapped__): BuildingSpec.quotient
-    reads it, for the frames and for cross_validate. The types are checked
-    first, as the cache would take (True,) for the (1,) it equals."""
-    return _quotient(family, n, _int_types(types))
-
-
-quotient.__wrapped__ = _quotient
-
-
 def phi_map(fine, coarse):
     """Vertex map from the finer quotient (J' ⊇ J) onto the coarser one.
 
     Sends wX' to wX and verifies that every edge maps to an edge,
     raising otherwise.
     """
-    if fine.group is not coarse.group:
+    if fine.group != coarse.group:
         raise UsageError("quotients belong to different groups")
     if not set(coarse.types) <= set(fine.types):
         raise UsageError("phi_map needs J subset of J'")
@@ -225,9 +205,10 @@ def phi_map(fine, coarse):
 
 
 def is_self_opposite(group, types):
-    """True iff conjugation by w0 permutes the generators indexed by J."""
+    """True iff conjugation by w0 permutes the generators indexed by J,
+    each type an int node 1..rank of the group's diagram."""
     w0 = group.w0
-    gens = {group.generators[j - 1] for j in types}
+    gens = {group.generators[j - 1] for j in _types(group, types)}
     conj = {compose(compose(w0, s), w0) for s in gens}
     return conj == gens
 

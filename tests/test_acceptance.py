@@ -27,7 +27,7 @@ from kneserlab.coxeter import (
     ParabolicQuotient,
     phi_map,
     shortest_double_coset,
-    weyl_group,
+    WeylGroup,
 )
 from kneserlab.exterior import plucker, wedge
 from kneserlab.fixtures import verify_nonexample
@@ -278,7 +278,7 @@ def test_criterion_08_coset_cross_validation(capsys):
 
 
 def test_criterion_09_transfer_certification():
-    group = weyl_group("A", 3)
+    group = WeylGroup("A", 3)
     chambers = ParabolicQuotient(group, (1, 2, 3))
     ok = True
     for coarse_types in ((2,), (1, 3)):

@@ -609,20 +609,23 @@ def test_shared_values_refuse_assignment(family, n, types):
 
 
 def test_derived_values_are_cached_properties_of_their_owners():
-    # A spec's frames and a graph's full mask and psi are made once and kept
-    # on the value that owns them. An equal spec made separately makes equal
-    # frames of its own, and equality and hashing ignore what is cached.
-    # Each refuses assignment and deletion, and the psi of a graph built by
-    # hand dies with that graph.
+    # A spec's coset quotient and frames and a graph's full mask and psi are
+    # made once and kept on the value that owns them. An equal spec made
+    # separately makes a quotient of an equal group and equal frames of its
+    # own, and equality and hashing ignore what is cached. Each refuses
+    # assignment and deletion, and the psi of a graph built by hand dies
+    # with that graph.
     spec, other = BuildingSpec("A", 3, 2, (2,)), BuildingSpec("A", 3, 2, [2])
     before = hash(other)
+    assert spec.quotient is spec.quotient and "quotient" not in vars(other)
     assert spec.frames is spec.frames and "frames" not in vars(other)
+    assert other.quotient is not spec.quotient and other.quotient.group == spec.quotient.group
     assert other.frames == spec.frames and other.frames is not spec.frames
     assert other == spec and hash(other) == hash(spec) == before
     g = build_graph(spec)
     assert g.full_mask is g.full_mask == (1 << g.num_vertices) - 1
     assert g._psi is g._psi
-    for obj, name in ((spec, "frames"), (g, "_psi"), (g, "full_mask")):
+    for obj, name in ((spec, "quotient"), (spec, "frames"), (g, "_psi"), (g, "full_mask")):
         with pytest.raises(FrozenInstanceError):
             setattr(obj, name, None)
         with pytest.raises(FrozenInstanceError):
@@ -691,8 +694,12 @@ def test_fold_generator_is_refused():
     (lambda rows, sigma: (rows, [0, 1, 99]), "^Sigma vertex index 99 is out of range for 7 "
      "vertices$"),
     (lambda rows, sigma: (rows, [0, 0, 1]), "^Sigma vertex 0 is listed twice$"),
+    (lambda rows, sigma: (rows[:2] + [np.int64(rows[2])] + rows[3:], sigma),
+     "^the row of vertex 2 must be of type int, not int64$"),
+    (lambda rows, sigma: (rows[:2] + [float(rows[2])] + rows[3:], sigma),
+     "^the row of vertex 2 must be of type int, not float$"),
 ], ids=["too-few-rows", "bit-n", "bit-past-byte", "row-negative", "sigma-negative",
-        "sigma-past-n", "sigma-repeated"])
+        "sigma-past-n", "sigma-repeated", "row-numpy-int", "row-float"])
 def test_malformed_graph_is_refused(change, message):
     # A_2 points F_2, the Fano plane's 7 points. Unrefused, each input
     # misleads a later reader: with 6 of the 7 rows check_ucep reports
@@ -700,7 +707,8 @@ def test_malformed_graph_is_refused(change, message):
     # at N leaves num_edges at 21, and one past the row's last byte makes
     # the DIMACS render raise OverflowError; a negative row reads as every
     # bit set from some point on; a Sigma entry -1 raises ValueError, and
-    # 99 IndexError.
+    # 99 IndexError; a numpy int row has no bit_length, and a float row no
+    # shift.
     g = build_graph(BuildingSpec("A", 2, 2, (1,)))
     rows, sigma = change(list(g.adjacency), list(g.sigma))
     with pytest.raises(UsageError, match=message):

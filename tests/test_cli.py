@@ -420,7 +420,7 @@ def test_cross_validate_size_limits(capsys, monkeypatch):
     def made(*args):
         raise AssertionError("made before the refusal")
 
-    monkeypatch.setattr(buildings, "quotient", made)
+    monkeypatch.setattr(buildings, "ParabolicQuotient", made)
     monkeypatch.setattr(buildings.BuildingSpec, "frames", property(made))
     monkeypatch.setattr(buildings, "_rows", made)
     for family, rank, types, p, named in [

@@ -10,7 +10,7 @@ import pytest
 import kneserlab.buildings as buildings
 from kneserlab.buildings import BuildingSpec
 from kneserlab.cli import main
-from kneserlab.coxeter import quotient
+from kneserlab.coxeter import ParabolicQuotient, WeylGroup
 from kneserlab.crossval import cross_validate
 
 from test_coclique import THEOREM_CELLS
@@ -63,7 +63,7 @@ def test_cross_validation_b3_odd_characteristic(types, p):
 
 
 def test_frame_object_labeling_is_injective():
-    q = quotient("D", 4, (3,))
+    q = ParabolicQuotient(WeylGroup("D", 4), (3,))
     geo = BuildingSpec("D", 4, 2, (3,))
     flags = {geo.frame(labels) for labels in q.flags}
     assert len(flags) == q.num_vertices
@@ -98,17 +98,18 @@ def test_g2_cross_validates_through_its_b3_model(p):
 
 def test_flipped_coset_edge_is_the_mismatch(capsys, monkeypatch):
     # One edge of the coset graph of A_4 type 2 (the Petersen graph), its
-    # last, removed from both rows of the shared quotient: cross_validate
-    # names that pair as the first adjacency mismatch, and the CLI prints
-    # the report and exits 5.
+    # last, removed from both rows of the quotient every spec reads:
+    # cross_validate names that pair as the first adjacency mismatch, and
+    # the CLI, on a spec of its own, prints the report and exits 5.
     from kneserlab.cli import EXIT_CROSSVAL
 
-    q = quotient("A", 4, (2,))
+    q = ParabolicQuotient(WeylGroup("A", 4), (2,))
     a, b = list(q.edges())[-1]
     rows = list(q.adjacency)
     rows[a] ^= 1 << b
     rows[b] ^= 1 << a
-    monkeypatch.setitem(vars(q), "adjacency", tuple(rows))
+    vars(q)["adjacency"] = tuple(rows)
+    monkeypatch.setattr(BuildingSpec, "quotient", property(lambda self: q))
     report = cross_validate(BuildingSpec("A", 4, 2, (2,)))
     assert report == {"ok": False, "mismatch": {
         "kind": "adjacency", "cosets": [a, b], "coset_adjacent": False,

@@ -59,3 +59,20 @@ def test_every_private_def_has_a_caller_outside_itself():
               if node.name.startswith("_") and not node.name.endswith("__")
               and names[node.name] == references(node)[node.name]]
     assert unused == [], "private names nothing else in src/, demos/ or bench/ uses: %s" % unused
+
+
+def test_the_one_module_cache_is_the_graph_cache():
+    # A value keeps what it derives as a cached property; a module cache is
+    # kept only where equal values must share one costly object, the graph
+    # of a spec. Every read of lru_cache or cache in src/ is a decorator.
+    cached, reads = [], 0
+    for path, tree in trees("src/kneserlab"):
+        reads += sum(references(tree)[name] for name in ("lru_cache", "cache"))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for decorator in node.decorator_list:
+                    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+                    if references(target).keys() & {"lru_cache", "cache"}:
+                        cached.append("%s: %s" % (path.name, node.name))
+    assert cached == ["buildings.py: _graph"]
+    assert reads == len(cached)
