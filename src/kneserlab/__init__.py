@@ -18,7 +18,6 @@ from .algebra import (
 from .buildings import (
     BuildingSpec,
     KneserGraph,
-    apartment_graph,
     build_graph,
 )
 from .coclique import (

@@ -7,10 +7,11 @@ and the apartment subgraph is the set of coordinate-frame objects.
 A BuildingSpec is its geometry: it knows the subspaces that make up a
 vertex, the form they are singular for, and the Weyl group coset
 quotient whose label-set flags name its frame objects. `build_graph`,
-apartment graphs, vertex counts and the coset cross-validation all take
-one. Values keep what they derive in cached properties, as a spec does
-its form, coset quotient and frames; the one module cache is `_graph`,
-since a graph is costly and equal specs share one.
+vertex counts and the coset cross-validation, which reads `_rows` on the
+frames after `_check_frames`, all take one. Values keep what they derive
+in cached properties, as a spec does its form, coset quotient and
+frames; the one module cache is `_graph`, since a graph is costly and
+equal specs share one.
 
 Standard forms, fixed once per family:
   D_n: Q(x) = x_1 x_1' + ... + x_n x_n'  on F_p^{2n},
@@ -64,12 +65,12 @@ FAMILIES = ("A", "B", "C", "D", "G")
 # Largest graph build_graph makes: 2^15 vertices take 128 MiB of adjacency.
 MAX_VERTICES = 1 << 15
 
-# Largest apartment apartment_graph takes: A_5 chambers have 720 frames,
-# every rank-7 single type at most 672.
+# Largest apartment _check_frames lets through: A_5 chambers have 720
+# frames, every rank-7 single type at most 672.
 MAX_FRAMES = 1 << 10
 
-# Most point ids apartment_graph's kernel makes, over the left sets of all
-# its frames; each is d int64 entries in _point_ids.
+# Most point ids _rows makes on an apartment, over the left sets of all its
+# frames; each is d int64 entries in _point_ids.
 MAX_POINT_IDS = 1 << 18
 
 # Version of every JSON payload: graphs, UCEP reports and fixture reports.
@@ -615,17 +616,12 @@ def _vertex_count(spec, q=None):
     return count
 
 
-def apartment_graph(spec):
-    """Frame-objects-only graph, for coset cross-validation: its vertices
-    are sorted(spec.frames), one per coset of spec.quotient.
-
-    Same geometric adjacency rules as build_graph, evaluated only on the
-    coordinate-frame objects, so large buildings never need to be
-    enumerated to check their apartments. Refused before any frame is
-    made: a dimension d with p^d > 2^63, past the kernel's int64 point ids;
-    more than MAX_FRAMES frames (_vertex_count at q = 1); more than
-    MAX_POINT_IDS points in the left sets of all the frames.
-    """
+def _check_frames(spec):
+    """Refuse a spec whose apartment the kernel would not take, before any
+    coset or frame is made: a dimension d with p^d > 2^63, past the
+    kernel's int64 point ids; more than MAX_FRAMES frames (_vertex_count at
+    q = 1); more than MAX_POINT_IDS points in the left sets of all the
+    frames."""
     p = spec.p
     if spec.dim > 63 or p ** spec.dim > 1 << 63:
         raise UsageError("spec %s: dimension %d is too large for the kernel's int64 point "
@@ -642,5 +638,3 @@ def apartment_graph(spec):
     if points > MAX_POINT_IDS:
         raise UsageError("spec %s has %d point ids in its apartment, more than the limit of %d"
                          % (spec.to_dict(), points, MAX_POINT_IDS))
-    vertices = sorted(spec.frames)
-    return KneserGraph(spec, vertices, _rows(spec, vertices), range(len(vertices)))

@@ -286,6 +286,16 @@ def apartment_by_words(geo, vertices):
     return tuple(sigma), tuple(generators)
 
 
+def apartment_graph(spec):
+    """The frame-objects-only graph: the kernel's rows on sorted(spec.frames),
+    after the package's apartment refusals, with every vertex in Sigma. The
+    reference the built graph's Sigma is checked against."""
+    buildings._check_frames(spec)
+    vertices = sorted(spec.frames)
+    return buildings.KneserGraph(spec, vertices, buildings._rows(spec, vertices),
+                                 range(len(vertices)))
+
+
 def monomial_generators(geo):
     """One monomial matrix per generator of word_generators, in its
     order, acting on column vectors of F_p^dim. Type A: the

@@ -22,7 +22,6 @@ from kneserlab.algebra import (
 from kneserlab.buildings import (
     BuildingSpec,
     KneserGraph,
-    apartment_graph,
     build_graph,
 )
 from kneserlab.cli import graph_to_dict
@@ -31,6 +30,7 @@ from kneserlab.errors import UsageError
 
 from oracles import (
     apartment_by_words,
+    apartment_graph,
     check_symmetric_irreflexive,
     edges,
     expected_num_vertices,
@@ -583,8 +583,7 @@ def test_shared_values_refuse_assignment(family, n, types):
     # What the caches share with every caller refuses assignment: a vertex
     # of a built graph, a frame, the form, the quotient and its Weyl group;
     # psi and the quotient's coset index refuse writes. The graph's JSON,
-    # and that of the same type at p = 3, built afterwards from the same
-    # shared quotient, do not move.
+    # and that of the same type at p = 3, do not move.
     spec, other = (BuildingSpec(family, n, p, types) for p in (2, 3))
 
     def dump(s):

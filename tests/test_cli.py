@@ -410,11 +410,11 @@ def test_cross_validate_a3_point_line_flags(capsys):
 
 
 def test_cross_validate_size_limits(capsys, monkeypatch):
-    # Refused by apartment_graph before any coset or frame is made: A_6
-    # chambers, with 7! = 5040 frames past buildings.MAX_FRAMES; A_63
-    # points, whose dimension 64 has point ids past int64; B_7 and B_10
-    # maximal spaces over F_7, with 128 and 1024 frames but 137257 and
-    # 47079208 points per frame, past buildings.MAX_POINT_IDS.
+    # Refused by buildings._check_frames before any coset or frame is
+    # made: A_6 chambers, with 7! = 5040 frames past buildings.MAX_FRAMES;
+    # A_63 points, whose dimension 64 has point ids past int64; B_7 and
+    # B_10 maximal spaces over F_7, with 128 and 1024 frames but 137257
+    # and 47079208 points per frame, past buildings.MAX_POINT_IDS.
     import kneserlab.buildings as buildings
 
     def made(*args):

@@ -145,3 +145,21 @@ def test_coset_labeling_mismatches_are_reported(monkeypatch):
     repeated = (spec.frames[0],) * 10
     monkeypatch.setattr(BuildingSpec, "frames", property(lambda self: repeated))
     assert cross_validate(spec) == {"ok": False, "mismatch": {"kind": "labeling_not_injective"}}
+
+
+def test_cross_validate_builds_no_graph(capsys, monkeypatch):
+    # Both apartments are read as rows in coset order: no KneserGraph is
+    # made, and the CLI still prints the reports it prints with one, A_3
+    # point-line flags and D_4 {3,4} over F_2 among them.
+    def made(*args, **kwargs):
+        raise AssertionError("a KneserGraph was made")
+
+    monkeypatch.setattr(buildings, "KneserGraph", made)
+    for family, n, types, out in [
+            ("A", "3", "1,2", '{"edges": 12, "family": "A", "ok": true, "p": 2, '
+                              '"rank": 3, "types": [1, 2], "vertices": 12}\n'),
+            ("D", "4", "3,4", '{"edges": 16, "family": "D", "ok": true, "p": 2, '
+                              '"rank": 4, "types": [3, 4], "vertices": 32}\n')]:
+        assert main(["cross-validate", "--family", family, "--rank", n, "--type", types,
+                     "--p", "2"]) == 0
+        assert capsys.readouterr().out == out

@@ -12,7 +12,9 @@ import json
 
 import pytest
 
-from kneserlab.buildings import BuildingSpec, apartment_graph, build_graph
+from kneserlab.buildings import BuildingSpec, build_graph
+
+from oracles import apartment_graph
 
 
 def digest(graph):
