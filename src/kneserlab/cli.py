@@ -19,7 +19,8 @@ import sys
 
 import numpy as np
 
-from .buildings import FAMILIES, SCHEMA, BuildingSpec, build_graph, vertex_lists
+from .buildings import (FAMILIES, SCHEMA, BuildingSpec, _degree, build_graph,
+                        checked_vertex_count, vertex_lists)
 from .coclique import check_apartment, check_scan_args, check_ucep
 from .crossval import cross_validate
 from .errors import (
@@ -101,13 +102,19 @@ def graph_to_text(graph):
     return "\n".join(lines) + "\n"
 
 
+def _build(spec, fmt):
+    """build_graph(spec) to render as fmt, after build's refusals and, but for
+    text, a graph of N * degree / 2 edges past MAX_RENDER_EDGES."""
+    edges = checked_vertex_count(spec) * _degree(spec) // 2
+    if fmt != "text" and edges > MAX_RENDER_EDGES:
+        raise UsageError("spec %s has %d edges, more than the render limit of %d"
+                         % (spec.to_dict(), edges, MAX_RENDER_EDGES))
+    return build_graph(spec)
+
+
 def _render_graph(graph, fmt):
     if fmt == "text":
         return graph_to_text(graph)
-    edges = graph.num_edges()
-    if edges > MAX_RENDER_EDGES:
-        raise UsageError("spec %s has %d edges, more than the render limit of %d"
-                         % (graph.spec.to_dict(), edges, MAX_RENDER_EDGES))
     if fmt == "json":
         return json.dumps(graph_to_dict(graph), sort_keys=True) + "\n"
     if fmt == "dimacs":
@@ -128,8 +135,7 @@ def _write(text, path):
 
 def cmd_build(args):
     spec = _spec_from_args(args)
-    graph = build_graph(spec)
-    _write(_render_graph(graph, args.format), args.output)
+    _write(_render_graph(_build(spec, args.format), args.format), args.output)
     return EXIT_OK
 
 
@@ -219,7 +225,7 @@ def cmd_export(args):
     if type(stored) is not dict:
         raise UsageError("stored 'spec' is %r, not a JSON dict" % (stored,))
     spec = BuildingSpec(*map(stored.get, ("family", "rank", "p", "types")))
-    graph = build_graph(spec)
+    graph = _build(spec, "json")
     text = _render_graph(graph, "json")
     if json.dumps(data, sort_keys=True) + "\n" != text:
         where, s, b = _first_difference(data, graph_to_dict(graph))

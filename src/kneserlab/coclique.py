@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import Subspace, _annihilators
-from .buildings import SCHEMA, checked_vertex_count, vertex_lists
+from .buildings import SCHEMA, _degree, _vertex_count, checked_vertex_count, vertex_lists
 from .coxeter import _bits
 from .errors import SearchBudgetExceeded, UsageError
 
@@ -163,13 +163,11 @@ def _check_count(spec, size, matching):
 def check_apartment(spec):
     """Refuse, before any enumeration, a spec build refuses
     (checked_vertex_count), then one whose apartment has more maximal
-    cocliques than MAX_COCLIQUES: Sigma's size and whether it is a matching
-    are read from the coset quotient whose flags are its frames, made only
-    after the first check. W acts transitively on the cosets, so every
-    coset has as many opposites as coset 0."""
+    cocliques than MAX_COCLIQUES, with no coset made: Sigma has
+    _vertex_count(spec, 1) vertices, and it is a matching iff each has one
+    opposite in it, _degree(spec, 1) == 1."""
     checked_vertex_count(spec)
-    q = spec.quotient
-    _check_count(spec, q.num_vertices, q.adjacency[0].bit_count() == 1)
+    _check_count(spec, _vertex_count(spec, 1), _degree(spec, 1) == 1)
 
 
 def is_coclique(graph, members):

@@ -4,8 +4,8 @@ Elements are tuples of signed 1-based images: w[i-1] = j means the i-th
 basis direction goes to the j-th, w[i-1] = -j that it also picks up a
 sign. Type A uses plain permutations of {1..n+1}; type B signed
 permutations of {1..n}; type D signed permutations with an even number of
-sign changes. The longest element w0 and the order |W| are closed forms,
-so no group is enumerated.
+sign changes. The longest element w0 is a closed form; |W| and the
+building counts read one table of degrees, so no group is enumerated.
 
 The abstract (coset-level) Kneser graph lives on cosets wX of the
 parabolic X = <R minus J>, with wX ~ vX iff v^-1 w lies in the double
@@ -64,12 +64,22 @@ def simple_reflections(family, n):
     return tuple(tuple(move.get(j, j) for j in range(1, m + 1)) for move in moves)
 
 
+def degrees(family, n):
+    """The degrees of W(family_n), n >= 0: 2..n+1 for A_n; 2, 4, ..., 2n for
+    B_n (and C_n); 2, 4, ..., 2n-2 and n for D_n, D_0 and D_1 trivial."""
+    if family == "A":
+        return tuple(range(2, n + 2))
+    if family == "B":
+        return tuple(range(2, 2 * n + 1, 2))
+    return tuple(range(2, 2 * n - 1, 2)) + (max(n, 1),)
+
+
 @dataclass(frozen=True, repr=False)
 class WeylGroup:
     """A Weyl group by its simple generators, its longest element w0 and
-    its order: W(family_rank) acts on m letters, equal to and hashed as
-    any other of its family and rank. The family must be a str and the
-    rank an int."""
+    its order, the product of its degrees: W(family_rank) acts on m
+    letters, equal to and hashed as any other of its family and rank. The
+    family must be a str and the rank an int."""
 
     family: str
     rank: int
@@ -88,9 +98,8 @@ class WeylGroup:
             w0 = tuple(range(m, 0, -1))
         else:
             w0 = tuple(range(-1, -m, -1)) + (m if family == "D" and m % 2 else -m,)
-        order = math.factorial(m) << (0 if family == "A" else m - (family == "D"))
         for name, value in (("m", m), ("generators", simple_reflections(family, n)),
-                            ("w0", w0), ("order", order)):
+                            ("w0", w0), ("order", math.prod(degrees(family, n)))):
             object.__setattr__(self, name, value)
 
 

@@ -6,6 +6,7 @@ rule. The package itself never runs them, so they live with the tests.
 
 import functools
 import itertools
+import math
 import operator
 from collections import deque
 
@@ -18,7 +19,6 @@ from kneserlab.algebra import (
     is_totally_singular,
     rref,
 )
-from kneserlab.buildings import _vertex_count
 from kneserlab.coclique import _bits
 from kneserlab.coxeter import compose, identity, simple_reflections
 from kneserlab.errors import SearchBudgetExceeded, UsageError
@@ -53,9 +53,11 @@ def perp(u, form):
 
 
 def gaussian_binomial(d, k, p):
-    """Number of k-subspaces of F_p^d."""
+    """Number of k-subspaces of F_p^d; at p = 1, the binomial coefficient."""
     if k < 0 or k > d:
         return 0
+    if p == 1:
+        return math.comb(d, k)
     num = den = 1
     for i in range(k):
         num *= p ** (d - i) - 1
@@ -63,9 +65,26 @@ def gaussian_binomial(d, k, p):
     return num // den
 
 
-def expected_num_vertices(spec):
-    """Closed-form vertex count of build_graph(spec): buildings._vertex_count."""
-    return _vertex_count(spec)
+def expected_num_vertices(spec, q=None):
+    """The vertex count of build_graph(spec) over F_q, q = spec.p unless
+    given, by the per-family formula; at q = 1 it counts the frames. Type A
+    multiplies Gaussian binomials along the flag. A polar type k on r
+    hyperbolic pairs counts [r, k]_q prod_{i=r-k+1..r} (q^(i+e-1) + 1)
+    totally singular k-spaces, e = 0 on a D form and 1 on B, C and G_2's B_3
+    model; one D_r family of maximal ones is half of them, which leaves out
+    the factor i = 1, a 2."""
+    q = spec.p if q is None else q
+    if spec.family == "A":
+        count, below = 1, 0
+        for a in spec.parts:
+            count *= gaussian_binomial(spec.dim - below, a - below, q)
+            below = a
+        return count
+    r, k, e = spec.dim // 2, spec.parts[0], int(spec.family != "D")
+    count = gaussian_binomial(r, k, q)
+    for i in range(r - k + 1 + bool(spec.oriflamme), r + 1):
+        count *= q ** (i + e - 1) + 1
+    return count
 
 
 def theorem_class(spec):

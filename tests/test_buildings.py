@@ -174,6 +174,9 @@ def test_flag_kneser_rejects_non_self_opposite():
         build_graph(BuildingSpec("A", 3, 2, (1, 2)))
     g = buildings._graph(BuildingSpec("A", 3, 2, (1, 2)))
     assert g.num_vertices == 105
+    # Each flag has 48 neighbours, not the q^(N_W - N_X) = 32 of a
+    # self-opposite type set, so _graph's degree gate leaves the spec alone.
+    assert {row.bit_count() for row in g.adjacency} == {48} != {buildings._degree(g.spec)}
 
 
 def test_flag_kneser_paper_witnesses_adjacent():
@@ -523,6 +526,65 @@ def test_expected_num_vertices_on_grid():
     for family, n, types, p in GRID_CELLS:
         spec = BuildingSpec(family, n, p, types)
         assert expected_num_vertices(spec) == build_graph(spec).num_vertices, spec
+
+
+def count_specs():
+    """Every spec of rank <= 7 over F_2, F_3, F_5 and F_7 with at most three
+    types: up to three type-A types, each polar single type, D_n's {n-1, n}."""
+    specs = []
+    for family, n, p in itertools.product(buildings.FAMILIES, range(1, 8), (2, 3, 5, 7)):
+        for k in (1, 2, 3):
+            for types in itertools.combinations(range(1, n + 1), k):
+                try:
+                    specs.append(BuildingSpec(family, n, p, types))
+                except UsageError:
+                    continue
+    return specs
+
+
+COUNT_SPECS = count_specs()
+
+
+def test_vertex_count_matches_the_per_family_oracle():
+    # P_W(q)/P_X(q) from the Weyl degrees against the per-family formula
+    # through Gaussian binomials, over F_p and at q = 1, the frames.
+    pairs = [(spec, q) for spec in COUNT_SPECS for q in (spec.p, 1)]
+    assert len(pairs) == 1880
+    for spec, q in pairs:
+        assert buildings._vertex_count(spec, q) == expected_num_vertices(spec, q), (spec, q)
+
+
+def test_count_and_degree_at_1_read_the_coset_quotient():
+    # At q = 1 the count is |Sigma|, the quotient's cosets, and the degree is
+    # each frame's opposites in Sigma, coset 0's row: on every self-opposite
+    # spec with at most 1500 frames, once per geometry, since p plays no part.
+    specs = {}
+    for spec in COUNT_SPECS:
+        if spec.self_opposite and buildings._vertex_count(spec, 1) <= 1500:
+            specs.setdefault((spec.family, spec.rank, spec.types), spec)
+    assert len(specs) == 127
+    for spec in specs.values():
+        q = spec.quotient
+        assert buildings._vertex_count(spec, 1) == q.num_vertices, spec
+        assert buildings._degree(spec, 1) == q.adjacency[0].bit_count(), spec
+
+
+def test_degree_gate_refuses_a_row_that_loses_a_bit(monkeypatch):
+    # A row that loses one bit on its own is an engine defect, named by the
+    # vertex, the spec and the degree: 511 neighbours on D_4 lines over F_2,
+    # where every vertex has 2^9. The cache is bypassed, so no graph is kept.
+    rows = buildings._rows
+
+    def one_bit_short(spec, vertices):
+        made = rows(spec, vertices)
+        made[7] &= made[7] - 1
+        return made
+
+    monkeypatch.setattr(buildings, "_rows", one_bit_short)
+    with pytest.raises(RuntimeError, match=re.escape(
+            "vertex 7 of spec {'family': 'D', 'rank': 4, 'p': 2, 'types': [2]} has 511 "
+            "neighbours, expected 512")):
+        buildings._graph.__wrapped__(BuildingSpec("D", 4, 2, (2,)))
 
 
 @pytest.mark.parametrize("family,n,p", [("A", 63, 2), ("B", 32, 3), ("C", 32, 2), ("D", 32, 2)])

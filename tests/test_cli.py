@@ -229,7 +229,11 @@ def test_check_ucep_refuses_too_many_apartment_cocliques_before_build(
     from kneserlab.buildings import BuildingSpec
     from kneserlab.coclique import MAX_COCLIQUES, check_apartment
 
+    def never(self):
+        raise AssertionError("coset quotient made")
+
     monkeypatch.setattr(cli, "build_graph", None)
+    monkeypatch.setattr(BuildingSpec, "quotient", property(never))
     code, out, err = run(capsys, "check-ucep", "--family", "A", "--rank", rank,
                          "--type", types, "--p", "2", "--mode", "all")
     assert (code, out) == (EXIT_USAGE, "")
@@ -692,8 +696,13 @@ def test_bad_paths_exit_usage(capsys, tmp_path):
 
 def test_render_refused_past_edge_bound(capsys, tmp_path, monkeypatch):
     # A_2 points over F_2 has 21 edges; a bound of 20 refuses JSON and
-    # DIMACS before rendering, for build and export alike, but not text.
+    # DIMACS before any enumeration, for build and export alike, but not
+    # text. The count is N times the degree over 2, so no vertex is made.
+    import kneserlab.buildings as buildings
     import kneserlab.cli as cli
+
+    def never(*args):
+        raise AssertionError("enumeration started")
 
     path = tmp_path / "graph.json"
     path.write_text(json.dumps(built_json(capsys, "A", 2, "1")))
@@ -703,11 +712,29 @@ def test_render_refused_past_edge_bound(capsys, tmp_path, monkeypatch):
     refused = (EXIT_USAGE, "", "error: spec {'family': 'A', 'rank': 2, 'p': 2, 'types': [1]} "
                "has 21 edges, more than the render limit of 20\n")
     argv = ["build", "--family", "A", "--rank", "2", "--type", "1", "--p", "2"]
-    for fmt in ("json", "dimacs"):
-        assert run(capsys, *argv, "--format", fmt) == refused
-        assert run(capsys, "export", "--input", str(path), "--format", fmt) == refused
+    with monkeypatch.context() as patch:
+        patch.setattr(buildings, "_vertices", never)
+        buildings._graph.cache_clear()
+        for fmt in ("json", "dimacs"):
+            assert run(capsys, *argv, "--format", fmt) == refused
+            assert run(capsys, "export", "--input", str(path), "--format", fmt) == refused
     code, out, _ = run(capsys, *argv, "--format", "text")
     assert code == EXIT_OK and "edges: 21" in out
+
+
+def test_full_size_render_refused_before_enumeration(capsys, monkeypatch):
+    # B_5 points over F_3: 29524 vertices of degree 3^9, 290560446 edges,
+    # refused from the count and the degree alone.
+    import kneserlab.buildings as buildings
+
+    def never(*args):
+        raise AssertionError("enumeration started")
+
+    monkeypatch.setattr(buildings, "_vertices", never)
+    assert run(capsys, "build", "--family", "B", "--rank", "5", "--type", "1", "--p", "3",
+               "--format", "json") == (
+        EXIT_USAGE, "", "error: spec {'family': 'B', 'rank': 5, 'p': 3, 'types': [1]} has "
+        "290560446 edges, more than the render limit of 8388608\n")
 
 
 C3_POINTS = ["--family", "C", "--rank", "3", "--type", "1", "--p", "2"]

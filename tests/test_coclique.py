@@ -804,13 +804,14 @@ def test_check_apartment_counts_as_the_built_sigma(monkeypatch, family, n, types
 
 @pytest.mark.parametrize("family,n,types,p", POSITIVE_GRID + NEGATIVE_GRID)
 def test_check_apartment_makes_no_rows(monkeypatch, family, n, types, p):
-    # Sigma's size and shape come from the coset quotient: no adjacency row
-    # is made, whether the count passes or is refused.
+    # Sigma's size and shape come from the count and the degree at q = 1: no
+    # adjacency row or coset is made, whether the count passes or is refused.
     def never(*args):
-        raise AssertionError("adjacency rows made")
+        raise AssertionError("adjacency rows or cosets made")
 
     spec = BuildingSpec(family, n, p, types)
     monkeypatch.setattr(buildings, "_rows", never)
+    monkeypatch.setattr(BuildingSpec, "quotient", property(never))
     check_apartment(spec)
     monkeypatch.setattr(coclique, "MAX_COCLIQUES", 0)
     with pytest.raises(UsageError, match="maximal cocliques, more than the limit of 0"):

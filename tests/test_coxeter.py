@@ -3,6 +3,7 @@ Kneser graphs on parabolic quotients, against the whole-group oracles."""
 
 import itertools
 
+import numpy as np
 import pytest
 
 from oracles import (
@@ -18,6 +19,7 @@ from kneserlab.coxeter import (
     WeylGroup,
     check_lifting,
     compose,
+    degrees,
     identity,
     is_self_opposite,
     phi_map,
@@ -38,6 +40,22 @@ def test_group_orders():
     assert WeylGroup("B", 2).order == 8
     for family, n in [("A", 5), ("B", 5), ("D", 2), ("D", 3), ("D", 5)]:
         assert WeylGroup(family, n).order == len(weyl_lengths(family, n))
+
+
+@pytest.mark.parametrize("family,n", [("A", 0), ("A", 5), ("B", 0), ("B", 5), ("D", 0),
+                                      ("D", 1), ("D", 2), ("D", 3), ("D", 5)])
+def test_degrees_give_the_length_generating_function(family, n):
+    # Chevalley: sum over w of q^l(w) is the product of [e]_q over the
+    # degrees, coefficient by coefficient against the whole group; D_0, D_1
+    # and B_0 are trivial.
+    poly = np.ones(1, dtype=np.int64)
+    for e in degrees(family, n):
+        poly = np.convolve(poly, np.ones(e, dtype=np.int64))
+    if n == 0 or (family, n) == ("D", 1):
+        assert poly.tolist() == [1]
+        return
+    lengths = np.bincount(list(weyl_lengths(family, n).values()))
+    assert poly.tolist() == lengths.tolist()
 
 
 def test_longest_elements():
